@@ -11,7 +11,6 @@ equivalent to the Bregman-prox dual step for convex outer functions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,22 +19,23 @@ import numpy as np
 from .core import (
     ConfigError,
     FccoProblem,
-    NonFiniteError,
     SeededRng,
-    SolverAbort,
     SolverResult,
-    SolverTrace,
     TraceRow,
     UnsupportedOperationError,
     ensure_finite,
-    sample_components,
 )
-from .sonex import _draw_batch, _metric_row, adam_step
+from .sonex import (
+    _draw_batch,
+    _draw_components,
+    _run_outer_loop,
+    _validate_sampling_and_adam,
+    momentum_step,
+)
 from .smoothing import dual_tracker_update
 
 __all__ = [
     "Alexr2Config",
-    "InnerState",
     "rho_outer_smoothed",
     "theory_inner_params",
     "theory_outer_stepsize",
@@ -70,7 +70,7 @@ def rho_outer_smoothed(problem: FccoProblem) -> float:
 def smoothed_objective_smoothness(nu: float, rho: float) -> float:
     """Gradient Lipschitz constant (2 - nu rho)/(nu - nu^2 rho) of the
     nested-smoothed objective."""
-    if not 0 < nu and (rho == 0 or nu < 1.0 / rho):
+    if not (0 < nu and (rho == 0 or nu < 1.0 / rho)):
         raise ConfigError("need 0 < nu < 1/rho")
     return (2.0 - nu * rho) / (nu - nu * nu * rho)
 
@@ -140,7 +140,6 @@ class Alexr2Config:
     adam_beta2: float = 0.01
     adam_eps: float = 1e-8
     adam_clip: tuple[float, float] | None = None
-    literal_step12: bool = False  # reproduce the printed double-beta text
     metric_every: int | None = None
     stop_grad_norm: float | None = None
     record_wall_time: bool = False
@@ -166,10 +165,9 @@ class Alexr2Config:
             raise ConfigError("alpha must be positive")
         if self.k_inner < 0 or self.iters < 0:
             raise ConfigError("iteration budgets must be nonnegative")
-        if not 1 <= self.b1 <= problem.n:
-            raise ConfigError(f"b1 must lie in [1, n={problem.n}]")
         if self.update_kind not in ("momentum", "adam"):
             raise ConfigError("update_kind must be momentum or adam")
+        _validate_sampling_and_adam(self, problem)
         check_assumptions(problem)
         rho = rho_outer_smoothed(problem)
         if rho > 0 and self.nu >= 1.0 / rho:
@@ -199,13 +197,6 @@ def check_assumptions(problem: FccoProblem) -> None:
             )
 
 
-@dataclass
-class InnerState:
-    z: np.ndarray
-    z_prev: np.ndarray
-    u: np.ndarray  # (n, d1) dual trackers
-
-
 def extrapolated_inner_value(
     g_now: np.ndarray, g_prev: np.ndarray, theta: float
 ) -> np.ndarray:
@@ -217,12 +208,7 @@ def inner_primal_step(
     z_k: np.ndarray, w_t: np.ndarray, grad: np.ndarray, nu: float, eta: float
 ) -> np.ndarray:
     """Closed-form minimizer of <grad, z> + ||z - w||^2/(2 nu) + ||z - z_k||^2/(2 eta)."""
-    z_new = (z_k / eta + w_t / nu - grad) / (1.0 / eta + 1.0 / nu)
-    if __debug__:
-        foc = grad + (z_new - w_t) / nu + (z_new - z_k) / eta
-        scale = 1.0 + np.linalg.norm(grad)
-        assert float(np.max(np.abs(foc))) <= 1e-9 * scale
-    return z_new
+    return (z_k / eta + w_t / nu - grad) / (1.0 / eta + 1.0 / nu)
 
 
 def _cold_start_trackers(problem, w, b2, rng, t):
@@ -264,14 +250,8 @@ def run_inner_alexr(
     gamma_hat = config.gamma_hat
     theta = config.theta
 
-    all_components = np.arange(problem.n)
     for step in range(k):
-        if config.b1 == problem.n:
-            b1_set = all_components
-        else:
-            b1_set = sample_components(
-                rng.spawn(_COMPONENTS, step), problem.n, config.b1
-            )
+        b1_set = _draw_components(rng, (_COMPONENTS, step), problem.n, config.b1)
         grad = np.zeros(problem.d)
         for i in b1_set:
             i = int(i)
@@ -313,19 +293,13 @@ def outer_momentum_step(
     beta: float,
     alpha: float,
     nu: float,
-    literal_step12: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Momentum step on the nested-smoothed objective using the proximal-point
-    residual (w - z_hat)/nu as the gradient surrogate.
-
-    Default follows the analysis recursion v <- (1-beta) v + beta (w-z)/nu;
-    ``literal_step12`` reproduces the printed variant that applies beta twice.
-    """
-    g = (w_t - z_hat) / nu
-    if literal_step12:
-        g = beta * g
-    v_new = (1.0 - beta) * v_t + beta * g
-    return w_t - alpha * v_new, v_new
+    residual (w - z_hat)/nu as the gradient surrogate, following the analysis
+    recursion v <- (1-beta) v + beta (w-z)/nu.  run_alexr2 takes this step
+    as momentum_step on that surrogate."""
+    v_new, w_new = momentum_step(v_t, w_t, (w_t - z_hat) / nu, beta, alpha)
+    return w_new, v_new
 
 
 def run_alexr2(
@@ -334,85 +308,24 @@ def run_alexr2(
     rng: SeededRng,
     callback: Callable[[TraceRow, np.ndarray], bool | None] | None = None,
 ) -> SolverResult:
-    """Outer momentum loop over inner proximal-point solves."""
+    """Outer momentum loop over inner proximal-point solves; state.u carries
+    the dual trackers between them."""
     config.validate(problem)
-    lam = config.lam
-    w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
-    ensure_finite(w, "initial point")
-    v = np.zeros(problem.d)
-    s = np.zeros(problem.d) if config.update_kind == "adam" else None
-    u = None
-    calls = 0
-    draws = 0
 
-    trace = SolverTrace()
-    t_start = time.perf_counter()
-
-    def wall():
-        return (time.perf_counter() - t_start) * 1e3 if config.record_wall_time else None
-
-    cadence = config.metric_every or max(1, config.iters // 200)
-    trace.append(_metric_row(problem, w, lam, 0, calls, draws, wall()))
-
-    iters = config.iters
-    if iters == 0:
-        return SolverResult(trace, w.copy(), w.copy(), 0, state={'u': u, 'v': v})
-    tau = int(rng.spawn(_TAU).gen.integers(1, iters + 1))
-    w_sampled = w.copy()
-    sampled_iteration = 0
-    stopped = False
-
-    for t in range(iters):
-        if u is None or not config.warm_start_dual:
-            u = _cold_start_trackers(problem, w, config.b2, rng, t)
+    def step(state, t: int):
+        calls = 0
+        if state.u is None or not config.warm_start_dual:
+            state.u = _cold_start_trackers(problem, state.w, config.b2, rng, t)
             calls += problem.n
         k_t = config.schedule(t)
-        try:
-            z_hat, u, inner_calls = run_inner_alexr(
-                problem, w, config, rng.spawn(_COMPONENTS, t), u_init=u, k=k_t
-            )
-        except NonFiniteError as exc:
-            raise SolverAbort(str(exc), trace) from exc
-        calls += inner_calls
-        draws += k_t * config.b1
+        z_hat, state.u, inner_calls = run_inner_alexr(
+            problem, state.w, config, rng.spawn(_COMPONENTS, t), u_init=state.u, k=k_t
+        )
+        return (state.w - z_hat) / config.nu, calls + inner_calls, k_t * config.b1
 
-        if config.update_kind == "adam":
-            g = (w - z_hat) / config.nu
-            if config.literal_step12:
-                g = config.beta * g
-            v, w, s = adam_step(
-                v, w, s, g, config.beta, config.adam_beta2,
-                config.adam_eps, config.alpha, config.adam_clip,
-            )
-        else:
-            w, v = outer_momentum_step(
-                w, z_hat, v, config.beta, config.alpha, config.nu,
-                config.literal_step12,
-            )
-        try:
-            ensure_finite(w, "outer iterate")
-        except NonFiniteError as exc:
-            raise SolverAbort(str(exc), trace) from exc
-
-        it = t + 1
-        if it == tau:
-            w_sampled = w.copy()
-            sampled_iteration = it
-        if it % cadence == 0 or it == iters:
-            row = _metric_row(problem, w, lam, it, calls, draws, wall())
-            trace.append(row)
-            if config.stop_grad_norm is not None and row.grad_norm is not None:
-                if row.grad_norm <= config.stop_grad_norm:
-                    stopped = True
-            if callback is not None and callback(row, w):
-                stopped = True
-            if stopped:
-                break
-
-    if sampled_iteration == 0:
-        w_sampled = w.copy()
-        sampled_iteration = trace.last().iteration
-    return SolverResult(trace, w.copy(), w_sampled, sampled_iteration, stopped, state={'u': u, 'v': v})
+    return _run_outer_loop(
+        problem, config, rng, _TAU, config.beta, config.alpha, step, callback
+    )
 
 
 def refine_with_alexr(

@@ -206,6 +206,9 @@ def cmd_run(config_path, out_dir=None) -> int:
             result = run_alexr2(problem, solver_cfg, rng)
         else:
             result = run_sonex(problem, solver_cfg, rng)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         if exc.trace is not None:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FccoProblem, OracleError, UnsupportedOperationError
-from .smoothing import moreau_grad, moreau_value
+from .smoothing import _prox_and_envelope, moreau_value
 
 __all__ = [
     "StationarityReport",
@@ -154,7 +154,9 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
     """Population objective and its outer-smoothed value at w.
 
     Returns (F, F_lam) where F averages f_i(g_i(w)) and F_lam averages the
-    envelope values, both plus the additive term when present.
+    envelope values, both plus the additive term when present.  Needs no
+    Jacobian oracle; stationarity_report computes the same pair alongside the
+    gradient.
     """
     _require_exact(problem)
     w = np.asarray(w, dtype=float)
@@ -176,32 +178,21 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
 def grad_F_lambda_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> np.ndarray:
     """Exact gradient of the outer-smoothed objective:
     average of J_i(w)^T . envelope_grad(g_i(w)) plus the additive gradient."""
-    _require_exact(problem)
-    if problem.inner_jacobian_exact is None:
-        raise OracleError("exact Jacobian oracle unavailable on this problem")
-    w = np.asarray(w, dtype=float)
-    acc = np.zeros(problem.d)
-    for i in range(problem.n):
-        g = problem.inner_exact(i, w)
-        y = moreau_grad(problem.outers[i], lam, g)
-        jac = np.asarray(problem.inner_jacobian_exact(i, w), dtype=float).reshape(
-            problem.d1, problem.d
-        )
-        acc += jac.T @ y
-    acc /= problem.n
-    if problem.additive is not None:
-        acc = acc + problem.additive.exact_gradient(w)
-    return acc
+    return stationarity_report(problem, w, lam).grad_F_lambda
 
 
 @dataclass
 class StationarityReport:
-    """Computable stationarity surrogates at a candidate solution.
+    """Exact objective values and computable stationarity surrogates at a
+    candidate solution, from one pass over the components.
 
     grad_F_lambda_norm and approx_grad_residual are the same quantity (the
     envelope gradient identity makes the subgradient aggregation equal the
     smoothed gradient); both are reported for trace-schema completeness.
     approx_t_residual is bounded by lam * max outer Lipschitz constant.
+    f_value and f_lambda_value equal eval_exact's (F, F_lam); max_inner_value
+    is the largest inner-value coordinate over the components (the largest
+    constraint value on a penalty problem).
     gram_min_eig is the smallest eigenvalue of the stacked-Jacobian Gram
     matrix: a diagnostic for the regularity condition that upgrades these
     surrogates to a nearly-stationary guarantee, not a certificate by itself
@@ -211,6 +202,10 @@ class StationarityReport:
     grad_F_lambda_norm: float
     approx_t_residual: float
     approx_grad_residual: float
+    f_value: float
+    f_lambda_value: float
+    max_inner_value: float
+    grad_F_lambda: np.ndarray
     gram_min_eig: float | None = None
     gram_rank_deficient: bool = False
 
@@ -222,12 +217,19 @@ def stationarity_report(
     if problem.inner_jacobian_exact is None:
         raise OracleError("exact Jacobian oracle unavailable on this problem")
     w = np.asarray(w, dtype=float)
+    total = 0.0
+    total_smoothed = 0.0
+    max_inner = -math.inf
     t_res = 0.0
     acc = np.zeros(problem.d)
     jacs = []
     for i in range(problem.n):
+        outer = problem.outers[i]
         g = problem.inner_exact(i, w)
-        p = problem.outers[i].prox(lam, g)
+        p, envelope = _prox_and_envelope(outer, lam, g)
+        total += outer.value(g)
+        total_smoothed += envelope
+        max_inner = max(max_inner, float(np.max(g)))
         t_res = max(t_res, float(np.linalg.norm(g - p)))
         jac = np.asarray(problem.inner_jacobian_exact(i, w), dtype=float).reshape(
             problem.d1, problem.d
@@ -235,8 +237,13 @@ def stationarity_report(
         acc += jac.T @ ((np.atleast_1d(g) - p) / lam)
         if with_gram:
             jacs.append(jac)
+    f = total / problem.n
+    f_lam = total_smoothed / problem.n
     acc /= problem.n
     if problem.additive is not None:
+        extra = float(problem.additive.value(w))
+        f += extra
+        f_lam += extra
         acc = acc + problem.additive.exact_gradient(w)
     grad_norm = float(np.linalg.norm(acc))
 
@@ -254,6 +261,10 @@ def stationarity_report(
         grad_F_lambda_norm=grad_norm,
         approx_t_residual=t_res,
         approx_grad_residual=grad_norm,
+        f_value=f,
+        f_lambda_value=f_lam,
+        max_inner_value=max_inner,
+        grad_F_lambda=acc,
         gram_min_eig=gram_min,
         gram_rank_deficient=deficient,
     )

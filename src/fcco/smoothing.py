@@ -77,32 +77,12 @@ class ScaledHinge:
         return np.array([_hinge_prox_scalar(self.slope, lam, float(t[0]))])
 
 
-@dataclass(frozen=True)
-class CvarHinge:
+def CvarHinge(ratio: float) -> ScaledHinge:
     """f(z) = (1/ratio) * max(z, 0): the hinge appearing in level-(ratio) CVaR
-    threshold objectives.  Identical to ScaledHinge with slope 1/ratio."""
-
-    ratio: float
-    dim: int = 1
-    monotone_nondecreasing: bool = True
-    weak_convexity: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.ratio <= 1:
-            raise ConfigError("CVaR ratio must lie in (0, 1]")
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0 / self.ratio
-
-    def value(self, t) -> float:
-        return max(float(_as1d(t)[0]), 0.0) / self.ratio
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(pts[:, 0], 0.0) / self.ratio
-
-    def prox(self, lam: float, t) -> np.ndarray:
-        return np.array([_hinge_prox_scalar(1.0 / self.ratio, lam, float(_as1d(t)[0]))])
+    threshold objectives, built as ScaledHinge with slope 1/ratio."""
+    if not 0 < ratio <= 1:
+        raise ConfigError("CVaR ratio must lie in (0, 1]")
+    return ScaledHinge(1.0 / ratio)
 
 
 @dataclass(frozen=True)
@@ -188,8 +168,6 @@ def make_outer(kind: str, param: float | None = None):
 def outer_to_config(outer) -> tuple[str, float | None]:
     if isinstance(outer, ScaledHinge):
         return "scaled_hinge", outer.slope
-    if isinstance(outer, CvarHinge):
-        return "cvar_hinge", outer.ratio
     if isinstance(outer, GapHinge):
         return "gap_hinge", outer.margin
     if isinstance(outer, Identity):
@@ -219,10 +197,15 @@ def moreau_grad(outer, lam: float, t) -> np.ndarray:
 
 def moreau_value(outer, lam: float, t) -> float:
     """Envelope value f(p) + ||t - p||^2/(2 lam) at p = prox(lam, t)."""
+    return _prox_and_envelope(outer, lam, t)[1]
+
+
+def _prox_and_envelope(outer, lam: float, t) -> tuple[np.ndarray, float]:
+    """p = prox(lam, t) and the envelope value at t, from one prox call."""
     _check_smoothing(outer, lam)
     t = _as1d(t)
     p = outer.prox(lam, t)
-    return float(outer.value(p) + np.sum((t - p) ** 2) / (2.0 * lam))
+    return p, float(outer.value(p) + np.sum((t - p) ** 2) / (2.0 * lam))
 
 
 def hinge_moreau_grad_closed_form(z: float, lam: float, slope: float) -> float:

@@ -31,7 +31,7 @@ from .core import (
     sample_components,
     sample_data_batch,
 )
-from .metrics import stationarity_report, eval_exact
+from .metrics import stationarity_report
 from .smoothing import moreau_grad
 
 __all__ = [
@@ -77,7 +77,7 @@ class SonexConfig:
             return msvr_correction_default(n, self.b1, self.gamma)
         return float(self.gamma_prime)
 
-    def validate(self, n: int) -> None:
+    def validate(self, problem: FccoProblem) -> None:
         if self.lam <= 0:
             raise ConfigError("lam must be positive")
         if self.eta < 0:
@@ -88,11 +88,10 @@ class SonexConfig:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.update_kind not in UPDATE_KINDS:
             raise ConfigError(f"update_kind must be one of {UPDATE_KINDS}")
-        if not 1 <= self.b1 <= n:
-            raise ConfigError(f"b1 must lie in [1, n={n}]")
         if self.iters < 0:
             raise ConfigError("iters must be nonnegative")
-        gp = self.resolved_gamma_prime(n)
+        _validate_sampling_and_adam(self, problem)
+        gp = self.resolved_gamma_prime(problem.n)
         if gp < 0:
             raise ConfigError("gamma_prime must be nonnegative")
         if gp > 0 and self.gamma > 0.5:
@@ -102,18 +101,32 @@ class SonexConfig:
                 "beta > 2/7 leaves the analyzed regime of the momentum recursion",
                 stacklevel=2,
             )
-        if self.adam_clip is not None:
-            lo, hi = self.adam_clip
-            if not 0 < lo <= hi:
-                raise ConfigError("adam_clip bounds must satisfy 0 < low <= high")
-            if not 0 < self.adam_beta2 < 1:
-                raise ConfigError("adam_beta2 must lie in (0, 1)")
+
+
+def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
+    """Checks both solver configs share: batch sizes against the problem,
+    and the Adam-type rate bounds."""
+    if not 1 <= config.b1 <= problem.n:
+        raise ConfigError(f"b1 must lie in [1, n={problem.n}]")
+    smallest = min(problem.batch_domain(i) for i in range(problem.n))
+    if not 1 <= config.b2 <= smallest:
+        raise ConfigError(f"b2 must lie in [1, smallest population={smallest}]")
+    if config.adam_clip is not None:
+        lo, hi = config.adam_clip
+        if not 0 < lo <= hi:
+            raise ConfigError("adam_clip bounds must satisfy 0 < low <= high")
+        if not 0 < config.adam_beta2 < 1:
+            raise ConfigError("adam_beta2 must lie in (0, 1)")
 
 
 @dataclass
 class SonexState:
+    """Outer-loop state of both solvers.  ``u`` holds the inner-value
+    trackers here and the dual trackers in alexr2 (None before its first
+    cold start)."""
+
     w: np.ndarray
-    u: np.ndarray  # (n, d1) inner-value trackers
+    u: np.ndarray | None  # (n, d1) trackers
     v: np.ndarray  # momentum buffer
     prev_w: np.ndarray
     s: np.ndarray | None = None  # Adam second-moment buffer
@@ -146,6 +159,13 @@ def _draw_batch(rng_parent: SeededRng, ids: tuple, population: int, b2: int) -> 
     if b2 == population:
         return np.arange(population)
     return sample_data_batch(rng_parent.spawn(*ids), population, b2)
+
+
+def _draw_components(rng_parent: SeededRng, ids: tuple, n: int, b1: int) -> np.ndarray:
+    # selecting every component is forced too
+    if b1 == n:
+        return np.arange(n)
+    return sample_components(rng_parent.spawn(*ids), n, b1)
 
 
 def init_trackers(
@@ -212,10 +232,6 @@ def adam_step(
     rate = eta / (np.sqrt(s) + eps)
     if clip is not None:
         rate = np.clip(rate, eta * clip[0], eta * clip[1])
-        if __debug__:
-            move = np.abs(rate * v_new)
-            assert np.all(move <= eta * clip[1] * np.abs(v_new) + 1e-300)
-            assert np.all(move >= eta * clip[0] * np.abs(v_new) - 1e-300)
     w_new = w - rate * v_new
     s_new = (1.0 - beta2) * s + beta2 * grad * grad
     return v_new, w_new, s_new
@@ -255,29 +271,110 @@ def theory_hyperparams(
 def _metric_row(
     problem, w, lam, iteration, calls, draws, wall_ms
 ) -> TraceRow:
-    f_val = f_lam = grad_norm = t_res = g_res = viol = None
-    if problem.has_exact_oracles():
-        f_val, f_lam = eval_exact(problem, w, lam)
-        rep = stationarity_report(problem, w, lam)
-        grad_norm = rep.grad_F_lambda_norm
-        t_res = rep.approx_t_residual
-        g_res = rep.approx_grad_residual
-        if problem.is_penalty:
-            viol = max(
-                float(problem.inner_exact(i, w)[0]) for i in range(problem.n)
-            )
-    return TraceRow(
+    row = TraceRow(
         iteration=iteration,
         inner_oracle_calls=calls,
         component_draws=draws,
-        f_value=f_val,
-        f_lambda_value=f_lam,
-        grad_norm=grad_norm,
-        stat_t_residual=t_res,
-        stat_grad_residual=g_res,
-        max_violation=viol,
         wall_ms=wall_ms,
     )
+    if problem.has_exact_oracles():
+        rep = stationarity_report(problem, w, lam)
+        row.f_value = rep.f_value
+        row.f_lambda_value = rep.f_lambda_value
+        row.grad_norm = rep.grad_F_lambda_norm
+        row.stat_t_residual = rep.approx_t_residual
+        row.stat_grad_residual = rep.approx_grad_residual
+        if problem.is_penalty:
+            row.max_violation = rep.max_inner_value
+    return row
+
+
+def _run_outer_loop(
+    problem: FccoProblem,
+    config,
+    rng: SeededRng,
+    tau_stream: int,
+    beta: float,
+    eta: float,
+    step: Callable[[SonexState, int], tuple[np.ndarray, int, int]],
+    callback,
+    init_u: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> SolverResult:
+    """Outer loop shared by both solvers.
+
+    ``step(state, t)`` returns (gradient estimate at state.w, inner oracle
+    calls, component draws) for outer iteration t; the loop then takes the
+    momentum or Adam-type step with mixing ``beta`` and step size ``eta``,
+    logs a metric row on the configured cadence, and keeps the iterate at a
+    step drawn uniformly from {1..iters} off stream ``tau_stream``.
+    ``init_u(w0)``, when given, fills state.u for n oracle calls.
+    """
+    w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
+    ensure_finite(w, "initial point")
+    state = SonexState(
+        w=w,
+        u=None if init_u is None else init_u(w),
+        v=np.zeros(problem.d),
+        prev_w=w.copy(),
+        s=np.zeros(problem.d) if config.update_kind == "adam" else None,
+    )
+    calls = 0 if init_u is None else problem.n
+    draws = 0
+
+    trace = SolverTrace()
+    t0 = time.perf_counter()
+
+    def wall():
+        return (time.perf_counter() - t0) * 1e3 if config.record_wall_time else None
+
+    cadence = config.metric_every or max(1, config.iters // 200)
+    trace.append(_metric_row(problem, state.w, config.lam, 0, calls, draws, wall()))
+
+    iters = config.iters
+    if iters == 0:
+        return SolverResult(trace, state.w.copy(), state.w.copy(), 0, state=state)
+    tau = int(rng.spawn(tau_stream).gen.integers(1, iters + 1))
+    w_sampled = state.w.copy()
+    sampled_iteration = 0
+    stopped = False
+
+    for t in range(iters):
+        try:
+            grad, step_calls, step_draws = step(state, t)
+            calls += step_calls
+            draws += step_draws
+            ensure_finite(grad, "gradient estimate")
+            state.prev_w = state.w
+            if config.update_kind == "adam":
+                state.v, state.w, state.s = adam_step(
+                    state.v, state.w, state.s, grad, beta,
+                    config.adam_beta2, config.adam_eps, eta, config.adam_clip,
+                )
+            else:
+                state.v, state.w = momentum_step(state.v, state.w, grad, beta, eta)
+            ensure_finite(state.w, "iterate")
+        except NonFiniteError as exc:
+            raise SolverAbort(str(exc), trace) from exc
+
+        it = t + 1
+        if it == tau:
+            w_sampled = state.w.copy()
+            sampled_iteration = it
+        if it % cadence == 0 or it == iters:
+            row = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
+            trace.append(row)
+            stopped = callback is not None and bool(callback(row, state.w))
+            if config.stop_grad_norm is not None and row.grad_norm is not None:
+                stopped = stopped or row.grad_norm <= config.stop_grad_norm
+            if stopped:
+                break
+
+    if sampled_iteration == 0:
+        # run stopped before the drawn output iteration; fall back to the
+        # final iterate
+        w_sampled = state.w.copy()
+        sampled_iteration = trace.last().iteration
+    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, stopped, state=state)
 
 
 def run_sonex(
@@ -294,49 +391,13 @@ def run_sonex(
     ``callback(row, w)`` runs at every metric row; a truthy return stops the
     run early, as does ``config.stop_grad_norm``.
     """
-    config.validate(problem.n)
+    config.validate(problem)
     n = problem.n
-    lam = config.lam
     gamma_prime = config.resolved_gamma_prime(n)
-    # the plain-SGD comparator shares the whole code path: it is the momentum
-    # update with full mixing
-    beta = 1.0 if config.update_kind == "sgd_baseline" else config.beta
 
-    w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
-    ensure_finite(w, "initial point")
-    state = SonexState(
-        w=w,
-        u=init_trackers(problem, w, config.b2, rng),
-        v=np.zeros(problem.d),
-        prev_w=w.copy(),
-        s=np.zeros(problem.d) if config.update_kind == "adam" else None,
-    )
-    calls = n  # tracker initialization
-    draws = 0
-
-    trace = SolverTrace()
-    t0 = time.perf_counter()
-
-    def wall():
-        return (time.perf_counter() - t0) * 1e3 if config.record_wall_time else None
-
-    cadence = config.metric_every or max(1, config.iters // 200)
-    trace.append(_metric_row(problem, state.w, lam, 0, calls, draws, wall()))
-
-    iters = config.iters
-    if iters == 0:
-        return SolverResult(trace, state.w.copy(), state.w.copy(), 0, state=state)
-    tau = int(rng.spawn(_TAU).gen.integers(1, iters + 1))
-    w_sampled = state.w.copy()
-    sampled_iteration = 0
-    stopped = False
-
-    all_components = np.arange(n)
-    for t in range(iters):
-        if config.b1 == n:
-            b1_set = all_components
-        else:
-            b1_set = sample_components(rng.spawn(_COMPONENTS, t), n, config.b1)
+    def step(state: SonexState, t: int):
+        b1_set = _draw_components(rng, (_COMPONENTS, t), n, config.b1)
+        calls = 0
         batches: dict[int, np.ndarray] = {}
         for i in b1_set:
             i = int(i)
@@ -356,46 +417,15 @@ def run_sonex(
             pop0 = problem.additive.population
             additive_batch = _draw_batch(rng, (_ADDITIVE, t), pop0, min(config.b2, pop0))
         grad = gradient_estimate(
-            problem, state, b1_set, batches, lam, additive_batch=additive_batch
+            problem, state, b1_set, batches, config.lam, additive_batch=additive_batch
         )
         calls += len(b1_set) + (1 if problem.additive is not None else 0)
-        draws += len(b1_set)
-        try:
-            ensure_finite(grad, "gradient estimate")
-        except NonFiniteError as exc:
-            raise SolverAbort(str(exc), trace) from exc
+        return grad, calls, len(b1_set)
 
-        state.prev_w = state.w
-        if config.update_kind == "adam":
-            state.v, state.w, state.s = adam_step(
-                state.v, state.w, state.s, grad, beta,
-                config.adam_beta2, config.adam_eps, config.eta, config.adam_clip,
-            )
-        else:
-            state.v, state.w = momentum_step(state.v, state.w, grad, beta, config.eta)
-        try:
-            ensure_finite(state.w, "iterate")
-        except NonFiniteError as exc:
-            raise SolverAbort(str(exc), trace) from exc
-
-        it = t + 1
-        if it == tau:
-            w_sampled = state.w.copy()
-            sampled_iteration = it
-        if it % cadence == 0 or it == iters:
-            row = _metric_row(problem, state.w, lam, it, calls, draws, wall())
-            trace.append(row)
-            if config.stop_grad_norm is not None and row.grad_norm is not None:
-                if row.grad_norm <= config.stop_grad_norm:
-                    stopped = True
-            if callback is not None and callback(row, state.w):
-                stopped = True
-            if stopped:
-                break
-
-    if sampled_iteration == 0:
-        # run stopped before the drawn output iteration; fall back to the
-        # final iterate
-        w_sampled = state.w.copy()
-        sampled_iteration = trace.last().iteration
-    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, stopped, state=state)
+    # the plain-SGD comparator shares the whole code path: it is the momentum
+    # update with full mixing
+    beta = 1.0 if config.update_kind == "sgd_baseline" else config.beta
+    return _run_outer_loop(
+        problem, config, rng, _TAU, beta, config.eta, step, callback,
+        init_u=lambda w: init_trackers(problem, w, config.b2, rng),
+    )

@@ -17,6 +17,7 @@ from fcco.alexr2 import (
     rho_outer_smoothed,
     run_alexr2,
     run_inner_alexr,
+    smoothed_objective_smoothness,
     stable_extrapolation,
     theory_inner_params,
     theory_outer_stepsize,
@@ -125,13 +126,6 @@ def test_outer_momentum_step_examples():
     assert w2[0] == pytest.approx(2.0 - 0.1)
 
 
-def test_outer_momentum_literal_variant_applies_beta_twice():
-    w, v = outer_momentum_step(
-        np.array([2.0]), np.array([0.0]), np.array([0.0]), 0.5, 0.1, 1.0, literal_step12=True
-    )
-    assert v[0] == pytest.approx(0.5)
-
-
 def test_prox_residual_matches_envelope_gradient_in_1d():
     # with exact inner solves, (w - z_hat)/nu is the gradient of the
     # nested-smoothed objective; check against finite differences of a grid
@@ -204,6 +198,30 @@ def test_beta_gate():
         default_config(beta=0.6).validate(prob)
 
 
+def test_batch_size_and_adam_gates():
+    prob = make_synthetic_fcco(SyntheticFccoSpec(
+        n=3, d=2, d1=1, inner_kind="affine", outer_kind="scaled_hinge", outer_param=1.0,
+        population=6, seed=4,
+    ))
+    default_config(b2=6).validate(prob)
+    for bad in (dict(b2=7), dict(b2=0), dict(b1=4), dict(adam_clip=(2.0, 1.0)),
+                dict(adam_clip=(0.1, 1.0), adam_beta2=1.0)):
+        with pytest.raises(ConfigError):
+            default_config(**bad).validate(prob)
+
+
+def test_smoothed_objective_smoothness_needs_nu_below_inverse_rho():
+    for nu, rho in ((2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-0.5, 0.0)):
+        with pytest.raises(ConfigError):
+            smoothed_objective_smoothness(nu, rho)
+    with pytest.raises(ConfigError):
+        theory_outer_stepsize(0.5, 1.0, 1.0)
+    # rho = 0 (convex smoothed objective) puts no upper bound on nu
+    assert smoothed_objective_smoothness(0.5, 0.0) == pytest.approx(4.0)
+    assert smoothed_objective_smoothness(0.5, 1.0) == pytest.approx(1.5 / 0.25)
+    assert theory_outer_stepsize(0.5, 0.5, 0.0) == pytest.approx(0.0625)
+
+
 def test_rho_outer_smoothed_prefers_smoothness():
     prob = hinge_chain()
     prob.smoothness_inner = 2.0
@@ -272,17 +290,6 @@ def test_dual_restart_and_growth_schedule_run_deterministically():
     np.testing.assert_array_equal(r1.w_final, r2.w_final)
     # K_t = k_inner * (1 + t): 4+8+12+16+20 inner draws of b1 components
     assert r1.trace.last().component_draws == 2 * sum(4 * (1 + t) for t in range(5))
-
-
-def test_literal_step12_damps_the_update():
-    prob = hinge_chain()
-    base = dict(lam=0.1, nu=0.5, eta=0.05, theta=0.9, gamma=0.1, beta=0.5, alpha=0.1,
-                k_inner=50, iters=3, b1=1, b2=1, w0=np.array([1.5]))
-    plain = run_alexr2(prob, Alexr2Config(**base), SeededRng(1))
-    literal = run_alexr2(prob, Alexr2Config(literal_step12=True, **base), SeededRng(1))
-    # the printed variant scales the surrogate gradient by beta, so it moves less
-    assert abs(literal.w_final[0] - 1.5) < abs(plain.w_final[0] - 1.5)
-    assert literal.w_final[0] != plain.w_final[0]
 
 
 def test_refine_accepts_smoothing_override():

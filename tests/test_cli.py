@@ -307,3 +307,34 @@ def test_roc_fairness_problem_kinds(tmp_path):
     cfg2 = write_config(tmp_path / "roc_fcco.json", fcco_form)
     assert cmd_run(cfg2, tmp_path / "roc_fcco_out") == 0
     assert cmd_gradcheck(cfg2) == 0
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        # b2 larger than the 200 samples each group holds
+        {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 500, "iters": 5},
+        {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
+         "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 500, "iters": 5},
+        # inverted Adam rate bounds
+        {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
+         "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5, "update_kind": "adam",
+         "adam_clip": [2.0, 1.0]},
+    ],
+)
+def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
+    from fcco.cli import main
+
+    payload = {
+        "seed": 11,
+        "problem": {"kind": "gdro_cvar", "n_groups": 8, "p": 4, "samples_per_group": 200,
+                     "ratio": 0.15, "seed": 2},
+        "solver": solver,
+    }
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -155,3 +155,48 @@ def test_gram_matches_reference_eigensolver():
     rep = stationarity_report(prob, np.zeros(7), 0.1, with_gram=True)
     ref = np.linalg.svd(A, compute_uv=False)[-1] ** 2
     assert rep.gram_min_eig == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def _one_pass_row_case(problem, w, lam):
+    from fcco.sonex import _metric_row
+
+    exact = problem.inner_exact
+    seen = []
+
+    def counting(i, v):
+        seen.append(i)
+        return exact(i, v)
+
+    problem.inner_exact = counting
+    try:
+        row = _metric_row(problem, w, lam, 7, 11, 3, None)
+    finally:
+        problem.inner_exact = exact
+    assert sorted(seen) == list(range(problem.n))  # one exact value per component
+    f, f_lam = eval_exact(problem, w, lam)
+    assert row.f_value == f
+    assert row.f_lambda_value == f_lam
+    assert row.grad_norm == row.stat_grad_residual
+    assert row.grad_norm == float(np.linalg.norm(grad_F_lambda_exact(problem, w, lam)))
+    assert (row.iteration, row.inner_oracle_calls, row.component_draws) == (7, 11, 3)
+    return row
+
+
+def test_metric_row_is_one_pass_on_penalty_problem():
+    from fcco.penalty import build_penalty_problem
+    from fcco.problems import make_toy_constrained
+
+    prob = build_penalty_problem(make_toy_constrained("circle"), 20.0)
+    w = np.array([1.1, -0.4])
+    row = _one_pass_row_case(prob, w, 5e-4)
+    assert row.max_violation == max(float(prob.inner_exact(i, w)[0]) for i in range(prob.n))
+    assert row.max_violation == pytest.approx(1.1**2 + 0.4**2 - 1.0)
+
+
+def test_metric_row_is_one_pass_without_penalty():
+    from fcco.problems import make_roc_fairness_fcco
+
+    prob = make_roc_fairness_fcco(thresholds=[-1.0, 0.0, 1.0], n_pos=12, n_neg=12, seed=6)
+    w = np.random.default_rng(5).normal(size=prob.d)
+    row = _one_pass_row_case(prob, w, 0.05)
+    assert row.max_violation is None

@@ -265,17 +265,28 @@ def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
 
 
 def test_config_validation_gates():
+    prob = affine_problem(np.eye(4), np.zeros(4), [Identity()] * 4)
     with pytest.raises(ConfigError):
-        SonexConfig(lam=0.0, eta=1e-3).validate(4)
+        SonexConfig(lam=0.0, eta=1e-3).validate(prob)
     with pytest.raises(ConfigError):
-        SonexConfig(lam=0.1, eta=-1.0).validate(4)
+        SonexConfig(lam=0.1, eta=-1.0).validate(prob)
     with pytest.raises(ConfigError):
-        SonexConfig(lam=0.1, eta=1e-3, gamma=0.7).validate(4)  # correction active
+        SonexConfig(lam=0.1, eta=1e-3, gamma=0.7).validate(prob)  # correction active
     with pytest.raises(ConfigError):
-        SonexConfig(lam=0.1, eta=1e-3, b1=9).validate(4)
+        SonexConfig(lam=0.1, eta=1e-3, b1=9).validate(prob)
     with pytest.raises(ConfigError):
-        SonexConfig(lam=0.1, eta=1e-3, update_kind="nesterov").validate(4)
-    SonexConfig(lam=0.1, eta=0.0, beta=0.2, gamma=0.7, gamma_prime=0.0).validate(4)
+        SonexConfig(lam=0.1, eta=1e-3, update_kind="nesterov").validate(prob)
+    SonexConfig(lam=0.1, eta=0.0, beta=0.2, gamma=0.7, gamma_prime=0.0).validate(prob)
+
+
+def test_data_batch_must_fit_every_population():
+    prob = make_synthetic_fcco(_quad_hinge_spec(population=5))
+    SonexConfig(lam=0.1, eta=1e-3, b2=5).validate(prob)
+    for b2 in (0, 6):
+        with pytest.raises(ConfigError, match="b2"):
+            SonexConfig(lam=0.1, eta=1e-3, b2=b2).validate(prob)
+    with pytest.raises(ConfigError, match="b2"):
+        run_sonex(prob, SonexConfig(lam=0.1, eta=1e-3, b2=6, iters=1), SeededRng(0))
 
 
 @settings(max_examples=40, deadline=None)
