@@ -30,6 +30,7 @@ from .sonex import (
     _draw_components,
     _run_outer_loop,
     _validate_sampling_and_adam,
+    init_trackers,
     momentum_step,
 )
 from .smoothing import dual_tracker_update
@@ -211,15 +212,6 @@ def inner_primal_step(
     return (z_k / eta + w_t / nu - grad) / (1.0 / eta + 1.0 / nu)
 
 
-def _cold_start_trackers(problem, w, b2, rng, t):
-    u = np.empty((problem.n, problem.d1))
-    for i in range(problem.n):
-        pop = problem.batch_domain(i)
-        batch = _draw_batch(rng, (_INIT, t, i), pop, min(b2, pop))
-        u[i] = problem.inner_value(i, w, batch)
-    return u
-
-
 def run_inner_alexr(
     problem: FccoProblem,
     w_t: np.ndarray,
@@ -241,7 +233,7 @@ def run_inner_alexr(
     k = config.k_inner if k is None else k
     calls = 0
     if u_init is None:
-        u = _cold_start_trackers(problem, w_t, config.b2, rng, 0)
+        u = init_trackers(problem, w_t, config.b2, rng, (_INIT, 0))
         calls += problem.n
     else:
         u = np.array(u_init, dtype=float)
@@ -315,7 +307,7 @@ def run_alexr2(
     def step(state, t: int):
         calls = 0
         if state.u is None or not config.warm_start_dual:
-            state.u = _cold_start_trackers(problem, state.w, config.b2, rng, t)
+            state.u = init_trackers(problem, state.w, config.b2, rng, (_INIT, t))
             calls += problem.n
         k_t = config.schedule(t)
         z_hat, state.u, inner_calls = run_inner_alexr(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, OracleError, SeededRng, SolverAbort
+from .core import ConfigError, SeededRng, SolverAbort
 from .metrics import (
     brute_force_prox,
     eval_exact,
@@ -167,10 +167,9 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
         "wall_seconds": wall_s,
     }
     lam = solver_cfg.lam
-    if problem.has_exact_oracles():
-        rep = stationarity_report(problem, result.w_final, lam, with_gram=True)
-        report["gram_min_eig"] = rep.gram_min_eig
-        report["gram_rank_deficient"] = rep.gram_rank_deficient
+    rep = stationarity_report(problem, result.w_final, lam, with_gram=True)
+    report["gram_min_eig"] = rep.gram_min_eig
+    report["gram_rank_deficient"] = rep.gram_rank_deficient
     if "constrained" in extras:
         cp = extras["constrained"]
         slope = extras["penalty_slope"]
@@ -215,15 +214,8 @@ def cmd_run(config_path, out_dir=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             exc.trace.to_csv(out / "trace.csv")
         return 2
-    except OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 3
     wall_s = time.perf_counter() - t0
-    try:
-        _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
-    except OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 3
+    _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
     print(f"wrote {out / 'trace.csv'}")
     return 0
 
@@ -232,21 +224,25 @@ def cmd_gradcheck(config_path) -> int:
     """Finite-difference and prox-oracle checks on the configured problem.
 
     Exit 0 iff the worst relative error is <= 1e-4, else 2 with a per-check
-    breakdown.
+    breakdown; 1 on a config error, found while loading or by the checks.
     """
     try:
         run_cfg = _load_config(config_path)
         problem, _ = build_problem(run_cfg.problem)
         _, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
+        solver_cfg.validate(problem)
     except (json.JSONDecodeError, OSError, ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    lam = solver_cfg.lam
-    gen = SeededRng(run_cfg.seed, 999).gen
+    try:
+        return _gradcheck(problem, solver_cfg.lam, SeededRng(run_cfg.seed, 999).gen)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _gradcheck(problem, lam, gen) -> int:
     worst = 0.0
-    if not problem.has_exact_oracles():
-        print("gradcheck error: problem lacks exact oracles", file=sys.stderr)
-        return 3
     for trial in range(3):
         w = problem.initial_point() + 0.5 * gen.normal(size=problem.d)
         exact = grad_F_lambda_exact(problem, w, lam)

@@ -2,10 +2,10 @@
 
 Decision vectors are plain float64 numpy arrays; solvers reject non-finite
 states instead of wrapping arrays in a dedicated type.  A problem is a bundle
-of per-component stochastic oracles over finite populations, optionally with
-deterministic full-population oracles for exact metrics, plus an optional
+of per-component batch oracles over finite populations, plus an optional
 smooth additive term (an objective g0 in penalty problems, or a threshold
-coordinate in CVaR problems).
+coordinate in CVaR problems).  Exact values and Jacobians for metrics are the
+same batch oracles called on a whole population.
 
 All randomness flows through :class:`SeededRng` so a run is reproducible
 bit-for-bit from (seed, config).
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 
 class OracleError(RuntimeError):
-    """A required problem oracle failed or is unavailable."""
+    """An oracle was called with invalid arguments."""
 
 
 class NonFiniteError(RuntimeError):
@@ -154,7 +154,8 @@ class FccoProblem:
     map (shape (d1,)); ``inner_vjp(i, w, batch, y)`` returns the batch-average
     vector-Jacobian product, i.e. the transposed (d1, d) Jacobian applied to
     ``y``.  Oracles must be pure (safe to call concurrently).  The exact
-    full-population oracles are required only for metrics and may be absent.
+    inner value and Jacobian are these oracles over the full population, so
+    metrics step along the same vector-Jacobian products as the solvers.
 
     Declared constants (`lipschitz_inner`, `smoothness_inner`,
     `weak_convexity_inner`) feed theory-driven defaults and validation; they
@@ -168,8 +169,6 @@ class FccoProblem:
     inner_value: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     inner_vjp: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
-    inner_exact: Callable[[int, np.ndarray], np.ndarray] | None = None
-    inner_jacobian_exact: Callable[[int, np.ndarray], np.ndarray] | None = None
     additive: AdditiveTerm | None = None
     lipschitz_inner: float | None = None
     smoothness_inner: float | None = None
@@ -199,8 +198,13 @@ class FccoProblem:
     def max_outer_lipschitz(self) -> float:
         return max(float(o.lipschitz) for o in self.outers)
 
-    def has_exact_oracles(self) -> bool:
-        return self.inner_exact is not None and self.inner_jacobian_exact is not None
+    def inner_exact(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.inner_value(i, w, self.full_batch(i))
+
+    def inner_jacobian_exact(self, i: int, w: np.ndarray) -> np.ndarray:
+        """(d1, d) Jacobian, one full-population VJP per unit vector."""
+        batch = self.full_batch(i)
+        return np.vstack([self.inner_vjp(i, w, batch, e) for e in np.eye(self.d1)])
 
     def initial_point(self) -> np.ndarray:
         if self.default_w0 is not None:

@@ -145,20 +145,13 @@ def brute_force_prox(outer, lam: float, t, step: float = 1e-5) -> np.ndarray:
     return _brute_prox_2d(outer, lam, t, step)
 
 
-def _require_exact(problem: FccoProblem) -> None:
-    if problem.inner_exact is None:
-        raise OracleError("exact inner-value oracle unavailable on this problem")
-
-
 def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, float]:
     """Population objective and its outer-smoothed value at w.
 
     Returns (F, F_lam) where F averages f_i(g_i(w)) and F_lam averages the
-    envelope values, both plus the additive term when present.  Needs no
-    Jacobian oracle; stationarity_report computes the same pair alongside the
-    gradient.
+    envelope values, both plus the additive term when present.  Calls no
+    VJP; stationarity_report computes the same pair alongside the gradient.
     """
-    _require_exact(problem)
     w = np.asarray(w, dtype=float)
     total = 0.0
     total_smoothed = 0.0
@@ -176,8 +169,9 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
 
 
 def grad_F_lambda_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> np.ndarray:
-    """Exact gradient of the outer-smoothed objective:
-    average of J_i(w)^T . envelope_grad(g_i(w)) plus the additive gradient."""
+    """Exact gradient of the outer-smoothed objective: the average of the
+    full-population VJPs J_i(w)^T . envelope_grad(g_i(w)), the same oracle the
+    solvers step along, plus the additive gradient."""
     return stationarity_report(problem, w, lam).grad_F_lambda
 
 
@@ -213,9 +207,6 @@ class StationarityReport:
 def stationarity_report(
     problem: FccoProblem, w: np.ndarray, lam: float, with_gram: bool = False
 ) -> StationarityReport:
-    _require_exact(problem)
-    if problem.inner_jacobian_exact is None:
-        raise OracleError("exact Jacobian oracle unavailable on this problem")
     w = np.asarray(w, dtype=float)
     total = 0.0
     total_smoothed = 0.0
@@ -231,12 +222,9 @@ def stationarity_report(
         total_smoothed += envelope
         max_inner = max(max_inner, float(np.max(g)))
         t_res = max(t_res, float(np.linalg.norm(g - p)))
-        jac = np.asarray(problem.inner_jacobian_exact(i, w), dtype=float).reshape(
-            problem.d1, problem.d
-        )
-        acc += jac.T @ ((np.atleast_1d(g) - p) / lam)
+        acc += problem.inner_vjp(i, w, problem.full_batch(i), (g - p) / lam)
         if with_gram:
-            jacs.append(jac)
+            jacs.append(problem.inner_jacobian_exact(i, w))
     f = total / problem.n
     f_lam = total_smoothed / problem.n
     acc /= problem.n

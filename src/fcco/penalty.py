@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem, OracleError
+from .core import AdditiveTerm, ConfigError, FccoProblem
 from .smoothing import ScaledHinge
 
 __all__ = [
@@ -30,9 +30,10 @@ __all__ = [
 @dataclass
 class ConstrainedProblem:
     """Objective + m scalar inequality-constraint oracles over finite
-    populations, with declared constraint constants.  ``known_solution`` /
-    ``known_multipliers`` are optional hand-computed KKT data on toy
-    instances, used by tests only."""
+    populations, with declared constraint constants.  The exact constraint
+    value and gradient are the batch oracles over the full population.
+    ``known_solution`` / ``known_multipliers`` are optional hand-computed KKT
+    data on toy instances, used by tests only."""
 
     d: int
     m: int
@@ -40,8 +41,6 @@ class ConstrainedProblem:
     constraint_value: Callable[[int, np.ndarray, np.ndarray], float]
     constraint_grad: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
-    constraint_value_exact: Callable[[int, np.ndarray], float] | None = None
-    constraint_grad_exact: Callable[[int, np.ndarray], np.ndarray] | None = None
     lipschitz_constraints: float | None = None
     smoothness_constraints: float | None = None
     weak_convexity_constraints: float | None = None
@@ -54,6 +53,12 @@ class ConstrainedProblem:
             raise ConfigError("need at least one constraint")
         if len(self.populations) != self.m:
             raise ConfigError("one population per constraint required")
+
+    def constraint_value_exact(self, i: int, w: np.ndarray) -> float:
+        return self.constraint_value(i, w, np.arange(self.populations[i]))
+
+    def constraint_grad_exact(self, i: int, w: np.ndarray) -> np.ndarray:
+        return self.constraint_grad(i, w, np.arange(self.populations[i]))
 
 
 @dataclass
@@ -94,15 +99,6 @@ def build_penalty_problem(
     def inner_vjp(i, w, batch, y):
         return float(y[0]) * np.asarray(cp.constraint_grad(i, w, batch), dtype=float)
 
-    inner_exact = None
-    inner_jac = None
-    if cp.constraint_value_exact is not None:
-        def inner_exact(i, w):  # noqa: F811
-            return np.array([cp.constraint_value_exact(i, w)], dtype=float)
-    if cp.constraint_grad_exact is not None:
-        def inner_jac(i, w):  # noqa: F811
-            return np.asarray(cp.constraint_grad_exact(i, w), dtype=float).reshape(1, d)
-
     return FccoProblem(
         n=m,
         d=d,
@@ -111,8 +107,6 @@ def build_penalty_problem(
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=tuple(cp.populations),
-        inner_exact=inner_exact,
-        inner_jacobian_exact=inner_jac,
         additive=cp.objective,
         lipschitz_inner=cp.lipschitz_constraints,
         smoothness_inner=cp.smoothness_constraints,
@@ -125,10 +119,8 @@ def build_penalty_problem(
 def kkt_report(cp: ConstrainedProblem, w: np.ndarray, slope: float, lam: float) -> KktReport:
     """KKT residuals with multipliers read off the hinge envelope gradient:
     nu_i = min([g_i(w)]_+, lam*slope) / (lam m), each in [0, slope/m].
-    Feasibility is evaluated deterministically through the exact oracles (no
+    Feasibility is evaluated deterministically over the full populations (no
     probabilistic certificate)."""
-    if cp.constraint_value_exact is None or cp.constraint_grad_exact is None:
-        raise OracleError("KKT report needs exact constraint oracles")
     if lam <= 0 or slope <= 0:
         raise ConfigError("lam and slope must be positive")
     w = np.asarray(w, dtype=float)
@@ -149,8 +141,6 @@ def regularity_check(cp: ConstrainedProblem, w: np.ndarray) -> RegularityReport:
     """Smallest singular value of the d x m stacked constraint-gradient
     matrix; a diagnostic run at candidate solutions, never a precondition
     gate.  m > d is rank-deficient by shape and reports 0."""
-    if cp.constraint_grad_exact is None:
-        raise OracleError("regularity check needs exact constraint gradients")
     w = np.asarray(w, dtype=float)
     jac = np.column_stack(
         [np.asarray(cp.constraint_grad_exact(i, w), dtype=float) for i in range(cp.m)]

@@ -2,9 +2,10 @@
 
 Every stochastic oracle here is a finite-population model: per-sample
 parameters (including noise) are frozen at construction and empirically
-centered, so the exact oracles are literally the population means and batch
-estimates are unbiased by construction.  Declared Lipschitz/smoothness
-constants are computed from the generated parameters over a stated test box.
+centered, so the exact values (the batch oracles over the whole population)
+are the population means and batch estimates are unbiased by construction.
+Declared Lipschitz/smoothness constants are computed from the generated
+parameters over a stated test box.
 """
 
 from __future__ import annotations
@@ -156,14 +157,6 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
         jac = jacobians(i, np.asarray(w, float), batch)
         return jac_factor * np.einsum("pkd,k->d", jac, np.asarray(y, float)) / len(batch)
 
-    full = np.arange(pop)
-
-    def inner_exact(i, w):
-        return values(i, np.asarray(w, float), full).mean(axis=0)
-
-    def inner_jacobian_exact(i, w):
-        return jac_factor * jacobians(i, np.asarray(w, float), full).mean(axis=0)
-
     c_g, l_g = _synthetic_constants(spec, lin, lin_samp, quad)
     problem = FccoProblem(
         n=n,
@@ -173,8 +166,6 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=(pop,) * n,
-        inner_exact=inner_exact,
-        inner_jacobian_exact=inner_jacobian_exact,
         lipschitz_inner=c_g,
         smoothness_inner=l_g,
         weak_convexity_inner=0.0,
@@ -267,17 +258,6 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
         out[p] = -1.0
         return float(y[0]) * out
 
-    full = np.arange(m)
-
-    def inner_exact(g, w):
-        return inner_value(g, w, full)
-
-    def inner_jacobian_exact(g, w):
-        jac = np.empty((1, d))
-        jac[0, :p] = loss_grad_theta(g, w[:p], full)
-        jac[0, p] = -1.0
-        return jac
-
     additive = AdditiveTerm(
         value=lambda w: float(w[p]),
         grad=lambda w, batch: np.eye(d)[p],
@@ -292,8 +272,6 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=(m,) * n,
-        inner_exact=inner_exact,
-        inner_jacobian_exact=inner_jacobian_exact,
         additive=additive,
         lipschitz_inner=float(math.sqrt(max_mean_norm**2 + 1.0)),
         smoothness_inner=float(
@@ -354,8 +332,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             constraint_value=lambda i, w, batch: float(w[0] - bound),
             constraint_grad=lambda i, w, batch: np.array([1.0]),
             populations=(1,),
-            constraint_value_exact=lambda i, w: float(w[0] - bound),
-            constraint_grad_exact=lambda i, w: np.array([1.0]),
             lipschitz_constraints=1.0,
             smoothness_constraints=0.0,
             weak_convexity_constraints=0.0,
@@ -379,8 +355,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             constraint_value=lambda i, w, batch: float(np.sum(w**2) - 1.0),
             constraint_grad=lambda i, w, batch: 2.0 * np.asarray(w, float),
             populations=(1,),
-            constraint_value_exact=lambda i, w: float(np.sum(w**2) - 1.0),
-            constraint_grad_exact=lambda i, w: 2.0 * np.asarray(w, float),
             lipschitz_constraints=4.0,  # over the ball of radius 2
             smoothness_constraints=2.0,
             weak_convexity_constraints=0.0,
@@ -408,8 +382,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             constraint_value=lambda i, w, batch: g1(w),
             constraint_grad=lambda i, w, batch: g1_grad(w),
             populations=(1,),
-            constraint_value_exact=lambda i, w: g1(w),
-            constraint_grad_exact=lambda i, w: g1_grad(w),
             lipschitz_constraints=1.0 + a,
             smoothness_constraints=None,  # exercised as the weakly convex regime
             weak_convexity_constraints=a,
@@ -534,8 +506,6 @@ def make_roc_fairness_toy(
         constraint_value=h_value,
         constraint_grad=h_grad,
         populations=tuple(data.population(k) for k in range(m)),
-        constraint_value_exact=lambda k, w: h_value(k, w, np.arange(data.population(k))),
-        constraint_grad_exact=lambda k, w: h_grad(k, w, np.arange(data.population(k))),
         lipschitz_constraints=scale / 2.0,
         smoothness_constraints=None,  # the gap has an absolute-value kink
         weak_convexity_constraints=0.2 * scale**2,
@@ -575,10 +545,6 @@ def make_roc_fairness_fcco(
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=tuple(data.population(k) for k in range(m)),
-        inner_exact=lambda k, w: data.rate_pair(k, np.asarray(w, float), np.arange(data.population(k))),
-        inner_jacobian_exact=lambda k, w: data.rate_jacobian(
-            k, np.asarray(w, float), np.arange(data.population(k))
-        ),
         additive=data.auc_term(),
         lipschitz_inner=math.sqrt(2.0) * scale / 4.0,
         smoothness_inner=0.15 * scale**2,

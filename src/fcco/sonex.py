@@ -6,7 +6,7 @@ variance-reduced correction (the correction re-evaluates the same batch at the
 previous iterate), aggregate vector-Jacobian products through the envelope
 gradients of the trackers, then take a momentum, Adam-type, or plain-SGD
 parameter step.  All metric evaluation happens on a configurable cadence
-through the exact oracles.
+through the exact (full-population) oracles.
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
     smallest = min(problem.batch_domain(i) for i in range(problem.n))
     if not 1 <= config.b2 <= smallest:
         raise ConfigError(f"b2 must lie in [1, smallest population={smallest}]")
+    adam = config.update_kind == "adam" or config.adam_clip is not None
+    if adam and not 0 < config.adam_beta2 < 1:
+        raise ConfigError("adam_beta2 must lie in (0, 1)")
     if config.adam_clip is not None:
         lo, hi = config.adam_clip
         if not 0 < lo <= hi:
             raise ConfigError("adam_clip bounds must satisfy 0 < low <= high")
-        if not 0 < config.adam_beta2 < 1:
-            raise ConfigError("adam_beta2 must lie in (0, 1)")
 
 
 @dataclass
@@ -169,12 +170,13 @@ def _draw_components(rng_parent: SeededRng, ids: tuple, n: int, b1: int) -> np.n
 
 
 def init_trackers(
-    problem: FccoProblem, w0: np.ndarray, b2: int, rng: SeededRng
+    problem: FccoProblem, w0: np.ndarray, b2: int, rng: SeededRng, ids: tuple = (_INIT,)
 ) -> np.ndarray:
-    """One batch estimate of each inner value at the initial point."""
+    """One batch estimate of each inner value at w0; component i draws its
+    batch from stream ``ids + (i,)``."""
     u = np.empty((problem.n, problem.d1))
     for i in range(problem.n):
-        batch = _draw_batch(rng, (_INIT, i), problem.batch_domain(i), b2)
+        batch = _draw_batch(rng, ids + (i,), problem.batch_domain(i), b2)
         u[i] = problem.inner_value(i, w0, batch)
     return u
 
@@ -271,22 +273,19 @@ def theory_hyperparams(
 def _metric_row(
     problem, w, lam, iteration, calls, draws, wall_ms
 ) -> TraceRow:
-    row = TraceRow(
+    rep = stationarity_report(problem, w, lam)
+    return TraceRow(
         iteration=iteration,
         inner_oracle_calls=calls,
         component_draws=draws,
+        f_value=rep.f_value,
+        f_lambda_value=rep.f_lambda_value,
+        grad_norm=rep.grad_F_lambda_norm,
+        stat_t_residual=rep.approx_t_residual,
+        stat_grad_residual=rep.approx_grad_residual,
+        max_violation=rep.max_inner_value if problem.is_penalty else None,
         wall_ms=wall_ms,
     )
-    if problem.has_exact_oracles():
-        rep = stationarity_report(problem, w, lam)
-        row.f_value = rep.f_value
-        row.f_lambda_value = rep.f_lambda_value
-        row.grad_norm = rep.grad_F_lambda_norm
-        row.stat_t_residual = rep.approx_t_residual
-        row.stat_grad_residual = rep.approx_grad_residual
-        if problem.is_penalty:
-            row.max_violation = rep.max_inner_value
-    return row
 
 
 def _run_outer_loop(

@@ -367,8 +367,6 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
             constraint_value=lambda i, w, batch: 0.0,
             constraint_grad=lambda i, w, batch, rows=rows: rows[i],
             populations=(1,) * 3,
-            constraint_value_exact=lambda i, w: 0.0,
-            constraint_grad_exact=lambda i, w, rows=rows: rows[i],
         )
         got = regularity_check(cp2, np.zeros(5)).sigma_min
         ref = float(np.sqrt(np.linalg.eigvalsh(rows @ rows.T)[0]))

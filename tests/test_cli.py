@@ -134,6 +134,16 @@ def test_gradcheck_corrupted_jacobian_fails(tmp_path):
     assert cmd_gradcheck(cfg) == 2
 
 
+def test_gradcheck_config_error_exits_1(tmp_path, capsys):
+    from fcco.cli import main
+
+    cfg = write_config(tmp_path / "cfg.json", synthetic_run_config(lam=0.0))
+    assert main(["gradcheck", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_bench_empty_directory(tmp_path, capsys):
     assert cmd_bench(tmp_path) == 0
     table = (tmp_path / "bench_summary.csv").read_text().splitlines()
@@ -320,6 +330,9 @@ def test_roc_fairness_problem_kinds(tmp_path):
         {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
          "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5, "update_kind": "adam",
          "adam_clip": [2.0, 1.0]},
+        # Adam second-moment weight outside (0, 1), without rate clipping
+        {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5,
+         "update_kind": "adam", "adam_beta2": 1.5},
     ],
 )
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):

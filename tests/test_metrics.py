@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fcco import (
     Identity,
-    OracleError,
     ScaledHinge,
     UnsupportedOperationError,
     brute_force_prox,
@@ -100,11 +101,17 @@ def test_grad_exact_identity_affine_is_mean_row():
     np.testing.assert_allclose(grad_F_lambda_exact(prob, np.array([0.3, -0.2]), 0.2), A.mean(axis=0))
 
 
-def test_missing_exact_oracle_raises():
-    prob = scalar_chain_problem(Identity())
-    prob.inner_exact = None
-    with pytest.raises(OracleError):
-        eval_exact(prob, np.array([0.0]), 0.1)
+def test_metric_gradient_follows_the_solvers_vjp():
+    # a VJP 10% off the true derivative must show up in the metric gradient,
+    # since the solvers step along that VJP
+    prob = dataclasses.replace(
+        scalar_chain_problem(Identity()),
+        inner_vjp=lambda i, w, batch, y: 1.1 * np.asarray(y, float),
+    )
+    w, lam = np.array([0.4]), 0.2
+    exact = grad_F_lambda_exact(prob, w, lam)
+    fd = finite_difference_gradient(lambda v: eval_exact(prob, v, lam)[1], w)
+    assert np.linalg.norm(exact - fd) > 0.05 * np.linalg.norm(fd)
 
 
 def test_stationarity_identity_t_residual_is_lam():

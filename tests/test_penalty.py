@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco import ConfigError, OracleError, ScaledHinge, SeededRng
+from fcco import ConfigError, ScaledHinge, SeededRng
 from fcco.metrics import eval_exact
 from fcco.penalty import (
     ConstrainedProblem,
@@ -107,13 +107,6 @@ def test_multiplier_formula_consistency(w0, slope, lam):
     assert rep.multipliers[0] * cp.m * lam == pytest.approx(min(max(g, 0.0), lam * slope), abs=1e-12)
 
 
-def test_kkt_needs_exact_oracles():
-    cp = make_toy_constrained("qp_box")
-    cp.constraint_grad_exact = None
-    with pytest.raises(OracleError):
-        kkt_report(cp, np.array([0.0]), 1.0, 0.1)
-
-
 def _cp_with_grads(rows):
     rows = np.asarray(rows, float)
     m, d = rows.shape
@@ -124,8 +117,6 @@ def _cp_with_grads(rows):
         constraint_value=lambda i, w, batch: 0.0,
         constraint_grad=lambda i, w, batch: rows[i],
         populations=(1,) * m,
-        constraint_value_exact=lambda i, w: 0.0,
-        constraint_grad_exact=lambda i, w: rows[i],
     )
 
 

@@ -15,8 +15,6 @@ def scalar_chain_problem(outer, slope=1.0):
         inner_value=lambda i, w, batch: np.array([w[0]]),
         inner_vjp=lambda i, w, batch, y: np.array([float(y[0])]),
         populations=(1,),
-        inner_exact=lambda i, w: np.array([w[0]]),
-        inner_jacobian_exact=lambda i, w: np.array([[1.0]]),
         lipschitz_inner=1.0,
         smoothness_inner=0.0,
         weak_convexity_inner=0.0,
@@ -36,8 +34,6 @@ def affine_problem(A, b, outers, noise=None):
         inner_value=lambda i, w, batch: np.array([A[i] @ w + b[i]]),
         inner_vjp=lambda i, w, batch, y: float(y[0]) * A[i],
         populations=(1,) * n,
-        inner_exact=lambda i, w: np.array([A[i] @ w + b[i]]),
-        inner_jacobian_exact=lambda i, w: A[i].reshape(1, d),
         lipschitz_inner=float(max(np.linalg.norm(A[i]) for i in range(n))),
         smoothness_inner=0.0,
         weak_convexity_inner=0.0,
