@@ -56,7 +56,7 @@ def rho_outer_smoothed(problem: FccoProblem) -> float:
     """Weak-convexity bound of the outer-smoothed objective, from declared
     problem constants: sqrt(d1) * C_f * L_g for smooth inner maps, and
     sqrt(d1) * C_f * rho_g for merely weakly convex ones."""
-    c_f = problem.max_outer_lipschitz()
+    c_f = float(problem.outer.lipschitz)
     if problem.smoothness_inner is not None:
         curv = problem.smoothness_inner
     elif problem.weak_convexity_inner is not None:
@@ -178,21 +178,19 @@ class Alexr2Config:
 
 
 def check_assumptions(problem: FccoProblem) -> None:
-    """Reject problems outside the double-loop method's assumptions:
-    outer functions must be convex, and when the inner maps are only weakly
-    convex (no declared smoothness) every outer must be monotone
-    nondecreasing."""
-    for o in problem.outers:
-        if o.weak_convexity > 0:
-            raise UnsupportedOperationError(
-                "double-loop solver requires convex outer functions"
-            )
+    """Reject problems outside the double-loop method's assumptions: the
+    outer function must be convex, and when the inner maps are only weakly
+    convex (no declared smoothness) it must be monotone nondecreasing."""
+    if problem.outer.weak_convexity > 0:
+        raise UnsupportedOperationError(
+            "double-loop solver requires convex outer functions"
+        )
     if problem.smoothness_inner is None:
         if problem.weak_convexity_inner is None:
             raise ConfigError(
                 "declare smoothness_inner or weak_convexity_inner on the problem"
             )
-        if any(not o.monotone_nondecreasing for o in problem.outers):
+        if not problem.outer.monotone_nondecreasing:
             raise UnsupportedOperationError(
                 "weakly convex inner maps require monotone nondecreasing outer functions"
             )
@@ -258,9 +256,7 @@ def run_inner_alexr(
             else:
                 g_prev = g_now  # z_prev == z at step 0 by initialization
             g_tilde = extrapolated_inner_value(g_now, g_prev, theta)
-            u[i], y = dual_tracker_update(
-                problem.outers[i], config.lam, u[i], g_tilde, gamma_hat
-            )
+            u[i], y = dual_tracker_update(problem.outer, config.lam, u[i], g_tilde, gamma_hat)
             grad += problem.inner_vjp(i, z, batch_jac, y)
             calls += 1
         grad /= len(b1_set)

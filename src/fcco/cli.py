@@ -250,21 +250,16 @@ def _gradcheck(problem, lam, gen) -> int:
         err = float(np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact)))
         print(f"grad check {trial}: rel err {err:.3e}")
         worst = max(worst, err)
-    seen = set()
-    for outer in problem.outers:
-        key = (type(outer).__name__, float(outer.lipschitz))
-        if key in seen:
-            continue
-        seen.add(key)
-        err = 0.0
-        for _ in range(10):
-            t = gen.normal(size=outer.dim) * (2.0 * lam * outer.lipschitz + 1.0)
-            lam_trial = float(gen.uniform(1e-3, 1.0))
-            closed = outer.prox(lam_trial, t)
-            brute = brute_force_prox(outer, lam_trial, t, step=1e-5)
-            err = max(err, float(np.max(np.abs(closed - brute))))
-        print(f"prox check {key[0]}: max abs err {err:.3e}")
-        worst = max(worst, err)
+    outer = problem.outer
+    err = 0.0
+    for _ in range(10):
+        t = gen.normal(size=outer.dim) * (2.0 * lam * outer.lipschitz + 1.0)
+        lam_trial = float(gen.uniform(1e-3, 1.0))
+        closed = outer.prox(lam_trial, t)
+        brute = brute_force_prox(outer, lam_trial, t, step=1e-5)
+        err = max(err, float(np.max(np.abs(closed - brute))))
+    print(f"prox check {type(outer).__name__}: max abs err {err:.3e}")
+    worst = max(worst, err)
     print(f"max error {worst:.3e}")
     if worst <= 1e-4:
         print("gradcheck: pass")

@@ -2,9 +2,10 @@
 
 Decision vectors are plain float64 numpy arrays; solvers reject non-finite
 states instead of wrapping arrays in a dedicated type.  A problem is a bundle
-of per-component batch oracles over finite populations, plus an optional
-smooth additive term (an objective g0 in penalty problems, or a threshold
-coordinate in CVaR problems).  Exact values and Jacobians for metrics are the
+of per-component batch oracles over finite populations, one outer function
+shared by every component, and an optional smooth additive term (an
+objective g0 in penalty problems, or a threshold coordinate in CVaR
+problems).  Exact values and Jacobians for metrics are the
 same batch oracles called on a whole population.
 
 All randomness flows through :class:`SeededRng` so a run is reproducible
@@ -148,7 +149,9 @@ class AdditiveTerm:
 
 @dataclass
 class FccoProblem:
-    """Oracle bundle for an n-component compositional objective.
+    """Oracle bundle for an n-component compositional objective
+    (1/n) sum_i f(g_i(w)) with one outer function ``outer`` shared by every
+    component.
 
     ``inner_value(i, w, batch)`` returns the batch average of the i-th inner
     map (shape (d1,)); ``inner_vjp(i, w, batch, y)`` returns the batch-average
@@ -165,7 +168,7 @@ class FccoProblem:
     n: int
     d: int
     d1: int
-    outers: Sequence
+    outer: object
     inner_value: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     inner_vjp: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
@@ -179,24 +182,27 @@ class FccoProblem:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.d1 < 1:
             raise ConfigError("n, d, d1 must be positive")
-        if len(self.outers) != self.n:
-            raise ConfigError(f"expected {self.n} outer functions, got {len(self.outers)}")
         if len(self.populations) != self.n:
             raise ConfigError("one population size per component required")
-        for o in self.outers:
-            if o.dim != self.d1:
-                raise ConfigError(
-                    f"outer function dimension {o.dim} does not match problem d1={self.d1}"
-                )
+        if self.outer.dim != self.d1:
+            raise ConfigError(
+                f"outer function dimension {self.outer.dim} does not match problem d1={self.d1}"
+            )
+
+    @property
+    def outers(self) -> tuple:
+        """The shared outer function once per component, read-only.
+
+        Kept because perfbench/tracer.py collects the outer types to trace
+        from this tuple.
+        """
+        return (self.outer,) * self.n
 
     def batch_domain(self, i: int) -> int:
         return int(self.populations[i])
 
     def full_batch(self, i: int) -> np.ndarray:
         return np.arange(self.batch_domain(i))
-
-    def max_outer_lipschitz(self) -> float:
-        return max(float(o.lipschitz) for o in self.outers)
 
     def inner_exact(self, i: int, w: np.ndarray) -> np.ndarray:
         return self.inner_value(i, w, self.full_batch(i))

@@ -58,19 +58,13 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _values_on(outer, pts: np.ndarray) -> np.ndarray:
-    if hasattr(outer, "value_many"):
-        return np.asarray(outer.value_many(pts), dtype=float)
-    return np.array([outer.value(p) for p in pts])
-
-
 def _brute_prox_1d(outer, lam, t, step):
     t0 = float(np.atleast_1d(t)[0])
     radius = max(3.0 * lam * outer.lipschitz, 16.0 * step)
 
     def grid_argmin(lo, hi, h):
         grid = np.arange(lo, hi + h, h)
-        vals = _values_on(outer, grid[:, None]) + (grid - t0) ** 2 / (2.0 * lam)
+        vals = outer.value(grid[:, None]) + (grid - t0) ** 2 / (2.0 * lam)
         return float(grid[int(np.argmin(vals))])
 
     # coarse pass, then re-grid around the argmin at the requested step; the
@@ -104,7 +98,7 @@ def _brute_prox_2d(outer, lam, t, step):
         ys = np.linspace(center[1] - half, center[1] + half, npts)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        vals = _values_on(outer, pts) + np.sum((pts - t) ** 2, axis=1) / (2.0 * lam)
+        vals = outer.value(pts) + np.sum((pts - t) ** 2, axis=1) / (2.0 * lam)
         center = pts[int(np.argmin(vals))].copy()
         spacing = 2.0 * half / (npts - 1)
         if spacing <= min(step, 1e-7):
@@ -153,19 +147,28 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
     VJP; stationarity_report computes the same pair alongside the gradient.
     """
     w = np.asarray(w, dtype=float)
-    total = 0.0
-    total_smoothed = 0.0
-    for i in range(problem.n):
-        g = problem.inner_exact(i, w)
-        total += problem.outers[i].value(g)
-        total_smoothed += moreau_value(problem.outers[i], lam, g)
-    f = total / problem.n
-    f_lam = total_smoothed / problem.n
+    g = _exact_inner_values(problem, w)
+    f = _sum_in_order(problem.outer.value(g)) / problem.n
+    f_lam = _sum_in_order(moreau_value(problem.outer, lam, g)) / problem.n
     if problem.additive is not None:
         extra = float(problem.additive.value(w))
         f += extra
         f_lam += extra
     return f, f_lam
+
+
+def _exact_inner_values(problem: FccoProblem, w: np.ndarray) -> np.ndarray:
+    """(n, d1) stack of the full-population inner values."""
+    return np.array([problem.inner_exact(i, w) for i in range(problem.n)])
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    # left to right from 0.0: np.sum is pairwise from 8 terms on, so it would
+    # round differently from a running sum over the components
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def grad_F_lambda_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> np.ndarray:
@@ -183,7 +186,7 @@ class StationarityReport:
     grad_F_lambda_norm and approx_grad_residual are the same quantity (the
     envelope gradient identity makes the subgradient aggregation equal the
     smoothed gradient); both are reported for trace-schema completeness.
-    approx_t_residual is bounded by lam * max outer Lipschitz constant.
+    approx_t_residual is bounded by lam * the outer Lipschitz constant.
     f_value and f_lambda_value equal eval_exact's (F, F_lam); max_inner_value
     is the largest inner-value coordinate over the components (the largest
     constraint value on a penalty problem).
@@ -208,25 +211,21 @@ def stationarity_report(
     problem: FccoProblem, w: np.ndarray, lam: float, with_gram: bool = False
 ) -> StationarityReport:
     w = np.asarray(w, dtype=float)
-    total = 0.0
-    total_smoothed = 0.0
+    g = _exact_inner_values(problem, w)
+    p, envelopes = _prox_and_envelope(problem.outer, lam, g)
+    f = _sum_in_order(problem.outer.value(g)) / problem.n
+    f_lam = _sum_in_order(envelopes) / problem.n
     max_inner = -math.inf
     t_res = 0.0
     acc = np.zeros(problem.d)
     jacs = []
+    r = g - p
     for i in range(problem.n):
-        outer = problem.outers[i]
-        g = problem.inner_exact(i, w)
-        p, envelope = _prox_and_envelope(outer, lam, g)
-        total += outer.value(g)
-        total_smoothed += envelope
-        max_inner = max(max_inner, float(np.max(g)))
-        t_res = max(t_res, float(np.linalg.norm(g - p)))
-        acc += problem.inner_vjp(i, w, problem.full_batch(i), (g - p) / lam)
+        max_inner = max(max_inner, float(np.max(g[i])))
+        t_res = max(t_res, float(np.linalg.norm(r[i])))
+        acc += problem.inner_vjp(i, w, problem.full_batch(i), r[i] / lam)
         if with_gram:
             jacs.append(problem.inner_jacobian_exact(i, w))
-    f = total / problem.n
-    f_lam = total_smoothed / problem.n
     acc /= problem.n
     if problem.additive is not None:
         extra = float(problem.additive.value(w))

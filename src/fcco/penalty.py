@@ -103,7 +103,7 @@ def build_penalty_problem(
         n=m,
         d=d,
         d1=1,
-        outers=tuple(ScaledHinge(slope) for _ in range(m)),
+        outer=ScaledHinge(slope),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=tuple(cp.populations),

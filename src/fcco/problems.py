@@ -162,7 +162,7 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
         n=n,
         d=d,
         d1=d1,
-        outers=tuple(make_outer(spec.outer_kind, spec.outer_param) for _ in range(n)),
+        outer=make_outer(spec.outer_kind, spec.outer_param),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=(pop,) * n,
@@ -268,7 +268,7 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
         n=n,
         d=d,
         d1=1,
-        outers=tuple(CvarHinge(spec.ratio) for _ in range(n)),
+        outer=CvarHinge(spec.ratio),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=(m,) * n,
@@ -541,7 +541,7 @@ def make_roc_fairness_fcco(
         n=m,
         d=dim,
         d1=2,
-        outers=tuple(GapHinge(data.margin) for _ in range(m)),
+        outer=GapHinge(data.margin),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=tuple(data.population(k) for k in range(m)),

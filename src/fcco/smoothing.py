@@ -2,8 +2,12 @@
 
 Every catalog entry provides f(t), prox_{lam*f}(t), its Lipschitz constant,
 its weak-convexity modulus (0 for the convex members), and whether it is
-monotone nondecreasing.  The Moreau envelope value/gradient are derived from
-the prox:
+monotone nondecreasing.  ``value`` and ``prox`` take a row stack of shape
+(..., d1) and work row by row: ``value`` returns shape (...,) and ``prox``
+the input's shape, so one call covers a single point, the n exact inner
+values of a metric pass or a brute-force grid.  Each row gets the same
+float64 arithmetic as a lone point.  The Moreau envelope value/gradient are
+derived from the prox:
 
     envelope(t)  = f(p) + ||t - p||^2 / (2 lam),   p = prox_{lam*f}(t)
     gradient(t)  = (t - p) / lam,  which is a subgradient of f at p.
@@ -27,7 +31,6 @@ __all__ = [
     "GapHinge",
     "Identity",
     "make_outer",
-    "outer_to_config",
     "moreau_grad",
     "moreau_value",
     "hinge_moreau_grad_closed_form",
@@ -39,18 +42,15 @@ def _as1d(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, dtype=float))
 
 
-def _hinge_prox_scalar(slope: float, lam: float, t: float) -> float:
-    # argmin_v slope*[v]_+ + (v-t)^2/(2 lam): three regimes split at 0 and lam*slope.
-    if t <= 0.0:
-        return t
-    if t <= lam * slope:
-        return 0.0
-    return t - lam * slope
+def _relu(x):
+    # max(x, 0.0) as Python's max computes it, -0.0 and NaN passing through;
+    # np.maximum may turn -0.0 into 0.0
+    return np.where(x < 0.0, 0.0, x)
 
 
 @dataclass(frozen=True)
 class ScaledHinge:
-    """f(z) = slope * max(z, 0), the exact-penalty hinge (scalar input)."""
+    """f(z) = slope * max(z, 0), the exact-penalty hinge (d1 = 1)."""
 
     slope: float
     dim: int = 1
@@ -65,16 +65,14 @@ class ScaledHinge:
     def lipschitz(self) -> float:
         return self.slope
 
-    def value(self, t) -> float:
-        t = _as1d(t)
-        return self.slope * max(float(t[0]), 0.0)
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.slope * np.maximum(pts[:, 0], 0.0)
+    def value(self, t):
+        return self.slope * _relu(_as1d(t)[..., 0])
 
     def prox(self, lam: float, t) -> np.ndarray:
+        # argmin_v slope*[v]_+ + (v-t)^2/(2 lam): t up to 0, then 0.0 (t - t)
+        # up to lam*slope, then t - lam*slope
         t = _as1d(t)
-        return np.array([_hinge_prox_scalar(self.slope, lam, float(t[0]))])
+        return np.where(t <= 0.0, t, t - np.minimum(t, lam * self.slope))
 
 
 def CvarHinge(ratio: float) -> ScaledHinge:
@@ -109,28 +107,25 @@ class GapHinge:
     def lipschitz(self) -> float:
         return math.sqrt(2.0)
 
-    def value(self, t) -> float:
+    def value(self, t):
         t = _as1d(t)
-        return max(abs(float(t[0]) - float(t[1])) - self.margin, 0.0)
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(np.abs(pts[:, 0] - pts[:, 1]) - self.margin, 0.0)
+        return _relu(np.abs(t[..., 0] - t[..., 1]) - self.margin)
 
     def prox(self, lam: float, t) -> np.ndarray:
         t = _as1d(t)
         inv = 1.0 / math.sqrt(2.0)
-        a = (t[0] - t[1]) * inv
-        b = (t[0] + t[1]) * inv
+        a = (t[..., 0] - t[..., 1]) * inv
+        b = (t[..., 0] + t[..., 1]) * inv
         thr = self.margin * inv
         width = lam * math.sqrt(2.0)
-        s = abs(a)
-        if s <= thr:
-            a_new = a
-        elif s <= thr + width:
-            a_new = math.copysign(thr, a)
-        else:
-            a_new = math.copysign(s - width, a)
-        return np.array([(a_new + b) * inv, (b - a_new) * inv])
+        s = np.abs(a)
+        a_new = np.where(
+            s <= thr, a, np.copysign(np.where(s <= thr + width, thr, s - width), a)
+        )
+        p = np.empty_like(t)
+        p[..., 0] = (a_new + b) * inv
+        p[..., 1] = (b - a_new) * inv
+        return p
 
 
 @dataclass(frozen=True)
@@ -142,11 +137,8 @@ class Identity:
     weak_convexity: float = 0.0
     lipschitz: float = 1.0
 
-    def value(self, t) -> float:
-        return float(_as1d(t)[0])
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return pts[:, 0].astype(float)
+    def value(self, t):
+        return _as1d(t)[..., 0]
 
     def prox(self, lam: float, t) -> np.ndarray:
         return _as1d(t) - lam
@@ -165,16 +157,6 @@ def make_outer(kind: str, param: float | None = None):
     raise ConfigError(f"unknown outer function kind {kind!r}")
 
 
-def outer_to_config(outer) -> tuple[str, float | None]:
-    if isinstance(outer, ScaledHinge):
-        return "scaled_hinge", outer.slope
-    if isinstance(outer, GapHinge):
-        return "gap_hinge", outer.margin
-    if isinstance(outer, Identity):
-        return "identity", None
-    raise ConfigError(f"cannot serialize outer function {outer!r}")
-
-
 def _check_smoothing(outer, lam: float) -> None:
     if lam <= 0:
         raise ConfigError(f"smoothing parameter must be positive, got {lam}")
@@ -189,23 +171,24 @@ def _check_smoothing(outer, lam: float) -> None:
 
 def moreau_grad(outer, lam: float, t) -> np.ndarray:
     """Gradient of the envelope: (t - prox(lam, t)) / lam, a subgradient of f
-    at the prox point; its norm never exceeds outer.lipschitz."""
+    at the prox point, one per row of t; no row's norm exceeds
+    outer.lipschitz."""
     _check_smoothing(outer, lam)
-    t = _as1d(t)
     return (t - outer.prox(lam, t)) / lam
 
 
-def moreau_value(outer, lam: float, t) -> float:
-    """Envelope value f(p) + ||t - p||^2/(2 lam) at p = prox(lam, t)."""
+def moreau_value(outer, lam: float, t):
+    """Envelope value f(p) + ||t - p||^2/(2 lam) at p = prox(lam, t), one
+    per row of t."""
     return _prox_and_envelope(outer, lam, t)[1]
 
 
-def _prox_and_envelope(outer, lam: float, t) -> tuple[np.ndarray, float]:
-    """p = prox(lam, t) and the envelope value at t, from one prox call."""
+def _prox_and_envelope(outer, lam: float, t):
+    """p = prox(lam, t) and the envelope values at t, from one prox call."""
     _check_smoothing(outer, lam)
     t = _as1d(t)
     p = outer.prox(lam, t)
-    return p, float(outer.value(p) + np.sum((t - p) ** 2) / (2.0 * lam))
+    return p, outer.value(p) + np.sum((t - p) ** 2, axis=-1) / (2.0 * lam)
 
 
 def hinge_moreau_grad_closed_form(z: float, lam: float, slope: float) -> float:
@@ -227,7 +210,7 @@ def dual_tracker_update(
     function, track the inner value u <- (1-gamma_hat) u + gamma_hat g_tilde
     (g_tilde already carries the extrapolation) and read the dual variable off
     the envelope gradient y = moreau_grad(u).  Equivalent to the conjugate
-    update for convex outers, and requires no conjugate calculus.
+    update for a convex outer function, and requires no conjugate calculus.
 
     The convergence analysis behind this step additionally assumes the
     implicit dual divergences stay bounded; that holds for every Lipschitz

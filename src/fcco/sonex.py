@@ -187,15 +187,13 @@ def gradient_estimate(
     b1_set: np.ndarray,
     batches: dict,
     lam: float,
-    outers=None,
     additive_batch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Average of the vector-Jacobian products through the tracker envelope
     gradients over the sampled components, plus the additive-term gradient."""
-    outers = problem.outers if outers is None else outers
+    ys = moreau_grad(problem.outer, lam, state.u[b1_set])
     acc = np.zeros(problem.d)
-    for i in b1_set:
-        y = moreau_grad(outers[i], lam, state.u[i])
+    for i, y in zip(b1_set, ys):
         acc += problem.inner_vjp(int(i), state.w, batches[int(i)], y)
     acc /= len(b1_set)
     if problem.additive is not None:

@@ -193,7 +193,7 @@ def test_criterion_06_inner_loop_quality():
     gen = np.random.default_rng(4)
     A = gen.normal(size=(3, 2))
     b = np.array([0.2, -0.1, 0.05])
-    saddle = affine_problem(A, b, [ScaledHinge(2.0)] * 3)
+    saddle = affine_problem(A, b, ScaledHinge(2.0))
     lam2, nu2 = 0.1, 0.5
     w = np.array([1.0, 1.0])
 
@@ -355,7 +355,7 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
     ok = True
     for _ in range(5):
         A = gen.normal(size=(3, 7))
-        prob = affine_problem(A, np.zeros(3), [Identity()] * 3)
+        prob = affine_problem(A, np.zeros(3), Identity())
         rep = stationarity_report(prob, np.zeros(7), 0.1, with_gram=True)
         ref = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
         if abs(rep.gram_min_eig - ref) > 1e-10 * max(1.0, abs(ref)):

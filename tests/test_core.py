@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco import ConfigError, SeededRng, sample_components, sample_data_batch
+from fcco import ConfigError, FccoProblem, GapHinge, SeededRng, sample_components, sample_data_batch
 from fcco.core import TRACE_HEADER, SolverTrace, TraceRow
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 
@@ -69,6 +69,16 @@ def test_spawn_is_deterministic_and_keyed():
     r = SeededRng(5)
     assert r.spawn(3, 7).stream == r.spawn(3, 7).stream
     assert r.spawn(3, 7).stream != r.spawn(7, 3).stream
+
+
+def test_problem_rejects_outer_of_another_dimension():
+    with pytest.raises(ConfigError, match="dimension 2 does not match problem d1=1"):
+        FccoProblem(
+            n=2, d=1, d1=1, outer=GapHinge(0.3),
+            inner_value=lambda i, w, batch: np.array([w[0]]),
+            inner_vjp=lambda i, w, batch, y: np.array([float(y[0])]),
+            populations=(1, 1),
+        )
 
 
 def test_trace_header_and_formatting(tmp_path):

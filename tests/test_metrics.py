@@ -60,7 +60,7 @@ def test_eval_exact_identity_shift():
 
 def test_eval_exact_flat_hinge_region():
     A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    prob = affine_problem(A, [-2.0, -3.0], [ScaledHinge(2.0)] * 2)
+    prob = affine_problem(A, [-2.0, -3.0], ScaledHinge(2.0))
     f, f_lam = eval_exact(prob, np.zeros(2), 0.1)
     assert f == 0.0 and f_lam == 0.0
 
@@ -69,7 +69,7 @@ def test_eval_exact_sandwich_on_random_instances():
     spec = SyntheticFccoSpec(n=6, d=5, d1=1, inner_kind="affine", outer_kind="scaled_hinge", outer_param=2.0, seed=4)
     prob = make_synthetic_fcco(spec)
     gen = np.random.default_rng(0)
-    c_f = prob.max_outer_lipschitz()
+    c_f = prob.outer.lipschitz
     for _ in range(50):
         w = gen.normal(size=5)
         lam = gen.uniform(1e-3, 0.5)
@@ -91,13 +91,13 @@ def test_grad_exact_matches_fd_on_a2_instance():
 
 def test_grad_exact_zero_at_inactive_hinges():
     A = np.eye(3)
-    prob = affine_problem(A, [-5.0, -4.0, -6.0], [ScaledHinge(1.0)] * 3)
+    prob = affine_problem(A, [-5.0, -4.0, -6.0], ScaledHinge(1.0))
     np.testing.assert_allclose(grad_F_lambda_exact(prob, np.zeros(3), 0.1), np.zeros(3))
 
 
 def test_grad_exact_identity_affine_is_mean_row():
     A = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-    prob = affine_problem(A, [0.0, 1.0, -1.0], [Identity()] * 3)
+    prob = affine_problem(A, [0.0, 1.0, -1.0], Identity())
     np.testing.assert_allclose(grad_F_lambda_exact(prob, np.array([0.3, -0.2]), 0.2), A.mean(axis=0))
 
 
@@ -125,7 +125,7 @@ def test_stationarity_residual_bounded_by_lam_times_lipschitz():
     spec = SyntheticFccoSpec(n=5, d=4, d1=1, inner_kind="affine", outer_kind="cvar_hinge", outer_param=0.2, seed=2)
     prob = make_synthetic_fcco(spec)
     gen = np.random.default_rng(3)
-    c_f = prob.max_outer_lipschitz()
+    c_f = prob.outer.lipschitz
     for _ in range(25):
         w, lam = gen.normal(size=4), gen.uniform(1e-3, 0.8)
         rep = stationarity_report(prob, w, lam)
@@ -134,7 +134,7 @@ def test_stationarity_residual_bounded_by_lam_times_lipschitz():
 
 def test_gram_orthonormal_jacobian():
     A = np.eye(2, 4)  # two orthonormal rows in R^4
-    prob = affine_problem(A, [0.0, 0.0], [Identity()] * 2)
+    prob = affine_problem(A, [0.0, 0.0], Identity())
     rep = stationarity_report(prob, np.zeros(4), 0.1, with_gram=True)
     assert rep.gram_min_eig == pytest.approx(1.0)
     assert not rep.gram_rank_deficient
@@ -142,14 +142,14 @@ def test_gram_orthonormal_jacobian():
 
 def test_gram_repeated_row_is_singular():
     A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    prob = affine_problem(A, [0.0, 0.0], [Identity()] * 2)
+    prob = affine_problem(A, [0.0, 0.0], Identity())
     rep = stationarity_report(prob, np.zeros(3), 0.1, with_gram=True)
     assert rep.gram_min_eig == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_shape_deficient_flags():
     A = np.random.default_rng(0).normal(size=(4, 2))
-    prob = affine_problem(A, np.zeros(4), [Identity()] * 4)
+    prob = affine_problem(A, np.zeros(4), Identity())
     rep = stationarity_report(prob, np.zeros(2), 0.1, with_gram=True)
     assert rep.gram_min_eig == 0.0
     assert rep.gram_rank_deficient
@@ -158,7 +158,7 @@ def test_gram_shape_deficient_flags():
 def test_gram_matches_reference_eigensolver():
     gen = np.random.default_rng(11)
     A = gen.normal(size=(3, 7))
-    prob = affine_problem(A, np.zeros(3), [Identity()] * 3)
+    prob = affine_problem(A, np.zeros(3), Identity())
     rep = stationarity_report(prob, np.zeros(7), 0.1, with_gram=True)
     ref = np.linalg.svd(A, compute_uv=False)[-1] ** 2
     assert rep.gram_min_eig == pytest.approx(ref, rel=1e-10, abs=1e-12)

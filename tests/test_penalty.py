@@ -21,8 +21,8 @@ def test_build_penalty_structure():
     cp = make_toy_constrained("qp_box")
     pen = build_penalty_problem(cp, 10.0)
     assert pen.n == 1 and pen.d1 == 1 and pen.is_penalty
-    assert isinstance(pen.outers[0], ScaledHinge)
-    assert pen.outers[0].slope == 10.0
+    assert isinstance(pen.outer, ScaledHinge)
+    assert pen.outer.slope == 10.0
 
 
 def test_penalty_value_matches_hand_computation():

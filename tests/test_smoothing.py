@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from fcco import (
     moreau_value,
 )
 from fcco.metrics import brute_force_prox
-from fcco.smoothing import make_outer, outer_to_config
+from fcco.smoothing import make_outer
 
 CATALOG = [ScaledHinge(1.0), ScaledHinge(4.0), CvarHinge(0.25), GapHinge(0.3), Identity()]
 
@@ -206,13 +207,100 @@ def test_dual_tracker_rejects_nonconvex_outer():
         dual_tracker_update(ConcaveQuadratic(0.5), 0.1, np.array([0.0]), np.array([1.0]), 0.5)
 
 
-def test_catalog_serialization_round_trip():
-    for outer in CATALOG:
-        kind, param = outer_to_config(outer)
-        clone = make_outer(kind, param)
-        assert type(clone) is type(outer)
-        t = np.full(outer.dim, 0.4)
-        assert clone.value(t) == outer.value(t)
+@pytest.mark.parametrize(
+    "kind, param, expected",
+    [
+        ("scaled_hinge", 4.0, ScaledHinge(4.0)),
+        ("scaled_hinge", None, ScaledHinge(1.0)),
+        ("cvar_hinge", 0.25, ScaledHinge(4.0)),
+        ("cvar_hinge", None, ScaledHinge(1.0 / 0.15)),
+        ("gap_hinge", 0.3, GapHinge(0.3)),
+        ("gap_hinge", None, GapHinge(0.0)),
+        ("identity", None, Identity()),
+    ],
+)
+def test_make_outer_table(kind, param, expected):
+    assert make_outer(kind, param) == expected
+
+
+# Plain-float per-point reference for the row-stack catalog: the hinge's three
+# prox regimes and the gap hinge's rotated branches, one Python float at a time.
+def _ref_value(outer, t):
+    if isinstance(outer, ScaledHinge):
+        return outer.slope * max(t[0], 0.0)
+    if isinstance(outer, GapHinge):
+        return max(abs(t[0] - t[1]) - outer.margin, 0.0)
+    return t[0]
+
+
+def _ref_prox(outer, lam, t):
+    if isinstance(outer, ScaledHinge):
+        if t[0] <= 0.0:
+            return [t[0]]
+        if t[0] <= lam * outer.slope:
+            return [0.0]
+        return [t[0] - lam * outer.slope]
+    if isinstance(outer, GapHinge):
+        inv = 1.0 / math.sqrt(2.0)
+        a = (t[0] - t[1]) * inv
+        b = (t[0] + t[1]) * inv
+        thr = outer.margin * inv
+        width = lam * math.sqrt(2.0)
+        s = abs(a)
+        if s <= thr:
+            a_new = a
+        elif s <= thr + width:
+            a_new = math.copysign(thr, a)
+        else:
+            a_new = math.copysign(s - width, a)
+        return [(a_new + b) * inv, (b - a_new) * inv]
+    return [x - lam for x in t]
+
+
+def _ref_moreau(outer, lam, t):
+    p = _ref_prox(outer, lam, t)
+    sq = 0.0
+    for x, q in zip(t, p):
+        sq += (x - q) * (x - q)
+    return [(x - q) / lam for x, q in zip(t, p)], _ref_value(outer, p) + sq / (2.0 * lam)
+
+
+def _kink_rows(outer, lam):
+    """Points on and next to every regime boundary, plus signed zeros; some
+    rotated gap rows land exactly on |a| = margin/sqrt2 and on
+    margin/sqrt2 + lam*sqrt2."""
+    if outer.dim == 1:
+        kink = lam * outer.lipschitz
+        xs = [0.0, -0.0, kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf), -kink, 2.5, -1.0]
+        return [[float(x)] for x in xs]
+    inv = 1.0 / math.sqrt(2.0)
+    thr = outer.margin * inv
+    edges = [thr, thr + lam * math.sqrt(2.0)]
+    gaps = [0.0, -0.0] + [s * x for x in edges for s in (1.0, -1.0)]
+    gaps += [float(np.nextafter(g, d)) for g in gaps[2:] for d in (-np.inf, np.inf)]
+    rows = [[(a + b) * inv, (b - a) * inv] for a in gaps for b in (0.0, -0.7, 1.3)]
+    return rows + [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.4, 0.4]]
+
+
+@pytest.mark.parametrize(
+    "outer", CATALOG + [GapHinge(0.0)], ids=["hinge1", "hinge4", "cvar", "gap", "identity", "gap0"]
+)
+@pytest.mark.parametrize("lam", [1e-3, 0.25, 1.0])
+def test_row_stack_matches_per_point_reference_bit_for_bit(outer, lam):
+    rows = _kink_rows(outer, lam)
+    stack = np.array(rows)
+    ref_prox = np.array([_ref_prox(outer, lam, t) for t in rows])
+    ref_value = np.array([_ref_value(outer, t) for t in rows])
+    ref_grad = np.array([_ref_moreau(outer, lam, t)[0] for t in rows])
+    ref_env = np.array([_ref_moreau(outer, lam, t)[1] for t in rows])
+    assert np.asarray(outer.prox(lam, stack)).tobytes() == ref_prox.tobytes()
+    assert np.asarray(outer.value(stack)).tobytes() == ref_value.tobytes()
+    assert np.asarray(moreau_grad(outer, lam, stack)).tobytes() == ref_grad.tobytes()
+    assert np.asarray(moreau_value(outer, lam, stack)).tobytes() == ref_env.tobytes()
+    # a lone (d1,) point is the one-row case
+    for k, t in enumerate(rows):
+        assert np.asarray(outer.prox(lam, np.array(t))).tobytes() == ref_prox[k].tobytes()
+        assert np.asarray(outer.value(np.array(t))).tobytes() == ref_value[k].tobytes()
 
 
 def test_make_outer_rejects_unknown_kind():

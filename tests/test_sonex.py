@@ -139,7 +139,7 @@ def _state(prob, w, u):
 
 def test_gradient_estimate_identity_affine_mean():
     A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    prob = affine_problem(A, np.zeros(3), [Identity()] * 3)
+    prob = affine_problem(A, np.zeros(3), Identity())
     w = np.array([0.5, -0.5])
     u = np.array([prob.inner_exact(i, w) for i in range(3)])
     b1 = np.array([0, 1, 2])
@@ -150,7 +150,7 @@ def test_gradient_estimate_identity_affine_mean():
 
 def test_gradient_estimate_flat_hinge_is_zero():
     A = np.eye(2)
-    prob = affine_problem(A, [-3.0, -4.0], [ScaledHinge(1.0)] * 2)
+    prob = affine_problem(A, [-3.0, -4.0], ScaledHinge(1.0))
     w = np.zeros(2)
     u = np.array([prob.inner_exact(i, w) for i in range(2)])
     got = gradient_estimate(
@@ -252,7 +252,7 @@ def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
         return np.array([w[0] if abs(w[0]) < 0.05 else np.nan])
 
     prob = FccoProblem(
-        n=1, d=1, d1=1, outers=(Identity(),),
+        n=1, d=1, d1=1, outer=Identity(),
         inner_value=bad_value,
         inner_vjp=lambda i, w, batch, y: np.array([np.nan if abs(w[0]) > 0.05 else 1.0]),
         populations=(1,),
@@ -265,7 +265,7 @@ def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
 
 
 def test_config_validation_gates():
-    prob = affine_problem(np.eye(4), np.zeros(4), [Identity()] * 4)
+    prob = affine_problem(np.eye(4), np.zeros(4), Identity())
     with pytest.raises(ConfigError):
         SonexConfig(lam=0.0, eta=1e-3).validate(prob)
     with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ def scalar_chain_problem(outer, slope=1.0):
         n=1,
         d=1,
         d1=1,
-        outers=(outer,),
+        outer=outer,
         inner_value=lambda i, w, batch: np.array([w[0]]),
         inner_vjp=lambda i, w, batch, y: np.array([float(y[0])]),
         populations=(1,),
@@ -21,7 +21,7 @@ def scalar_chain_problem(outer, slope=1.0):
     )
 
 
-def affine_problem(A, b, outers, noise=None):
+def affine_problem(A, b, outer, noise=None):
     """Deterministic affine inner maps g_i(w) = A_i w + b_i (d1 = 1)."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
@@ -30,7 +30,7 @@ def affine_problem(A, b, outers, noise=None):
         n=n,
         d=d,
         d1=1,
-        outers=tuple(outers),
+        outer=outer,
         inner_value=lambda i, w, batch: np.array([A[i] @ w + b[i]]),
         inner_vjp=lambda i, w, batch, y: float(y[0]) * A[i],
         populations=(1,) * n,
