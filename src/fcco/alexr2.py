@@ -139,7 +139,6 @@ class Alexr2Config:
     warm_start_dual: bool = True
     update_kind: str = "momentum"  # momentum | adam (outer update)
     adam_beta2: float = 0.01
-    adam_eps: float = 1e-8
     adam_clip: tuple[float, float] | None = None
     metric_every: int | None = None
     stop_grad_norm: float | None = None

@@ -26,7 +26,7 @@ from .metrics import (
     grad_F_lambda_exact,
     stationarity_report,
 )
-from .penalty import build_penalty_problem, kkt_report, regularity_check
+from .penalty import build_penalty_problem, kkt_from_stationarity, regularity_check
 from .problems import (
     GdroCvarSpec,
     SyntheticFccoSpec,
@@ -82,9 +82,9 @@ class RunConfig:
         return d
 
 
-def _spec_fields(cls, raw: dict, skip=()):
+def _spec_fields(cls, raw: dict):
     names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names - set(skip)
+    unknown = set(raw) - names
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     return {k: v for k, v in raw.items() if k in names}
@@ -123,11 +123,14 @@ def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
     kind = cfg.pop("kind", None)
     if kind not in ("sonex", "sgd_baseline", "alexr2"):
         raise ConfigError(f"unknown solver kind {kind!r}")
+    for key in ("metric_every", "record_wall_time"):
+        if key in cfg:
+            raise ConfigError(f"{key} is a run-level key")
     if "adam_clip" in cfg and cfg["adam_clip"] is not None:
         cfg["adam_clip"] = tuple(float(x) for x in cfg["adam_clip"])
     if "w0" in cfg and cfg["w0"] is not None:
         cfg["w0"] = np.asarray(cfg["w0"], dtype=float)
-    cfg.setdefault("metric_every", run_cfg.metric_every)
+    cfg["metric_every"] = run_cfg.metric_every
     cfg["record_wall_time"] = run_cfg.record_wall_time
     if kind == "alexr2":
         return kind, Alexr2Config(**_spec_fields(Alexr2Config, cfg))
@@ -166,15 +169,12 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
         "stopped_early": result.stopped_early,
         "wall_seconds": wall_s,
     }
-    lam = solver_cfg.lam
-    rep = stationarity_report(problem, result.w_final, lam, with_gram=True)
+    rep = stationarity_report(problem, result.w_final, solver_cfg.lam, with_gram=True)
     report["gram_min_eig"] = rep.gram_min_eig
     report["gram_rank_deficient"] = rep.gram_rank_deficient
     if "constrained" in extras:
-        cp = extras["constrained"]
-        slope = extras["penalty_slope"]
-        kr = kkt_report(cp, result.w_final, slope, lam)
-        reg = regularity_check(cp, result.w_final)
+        kr = kkt_from_stationarity(rep)
+        reg = regularity_check(extras["constrained"], result.w_final)
         report["kkt"] = {
             "stationarity": kr.stationarity,
             "max_violation": kr.max_violation,

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FccoProblem, OracleError, UnsupportedOperationError
-from .smoothing import _prox_and_envelope, moreau_value
+from .smoothing import _prox_and_envelope
 
 __all__ = [
     "StationarityReport",
@@ -143,23 +143,25 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
     """Population objective and its outer-smoothed value at w.
 
     Returns (F, F_lam) where F averages f_i(g_i(w)) and F_lam averages the
-    envelope values, both plus the additive term when present.  Calls no
-    VJP; stationarity_report computes the same pair alongside the gradient.
+    envelope values, both plus the additive term when present.  This is the
+    value half of stationarity_report's pass and calls no VJP.
     """
-    w = np.asarray(w, dtype=float)
-    g = _exact_inner_values(problem, w)
+    _, _, f, f_lam = _exact_values(problem, np.asarray(w, dtype=float), lam)
+    return f, f_lam
+
+
+def _exact_values(problem: FccoProblem, w: np.ndarray, lam: float):
+    """(g, p, F, F_lam): the (n, d1) stack of full-population inner values,
+    their prox points, and the objective and its outer-smoothed value."""
+    g = np.array([problem.inner_exact(i, w) for i in range(problem.n)])
+    p, envelopes = _prox_and_envelope(problem.outer, lam, g)
     f = _sum_in_order(problem.outer.value(g)) / problem.n
-    f_lam = _sum_in_order(moreau_value(problem.outer, lam, g)) / problem.n
+    f_lam = _sum_in_order(envelopes) / problem.n
     if problem.additive is not None:
         extra = float(problem.additive.value(w))
         f += extra
         f_lam += extra
-    return f, f_lam
-
-
-def _exact_inner_values(problem: FccoProblem, w: np.ndarray) -> np.ndarray:
-    """(n, d1) stack of the full-population inner values."""
-    return np.array([problem.inner_exact(i, w) for i in range(problem.n)])
+    return g, p, f, f_lam
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -183,13 +185,13 @@ class StationarityReport:
     """Exact objective values and computable stationarity surrogates at a
     candidate solution, from one pass over the components.
 
-    grad_F_lambda_norm and approx_grad_residual are the same quantity (the
-    envelope gradient identity makes the subgradient aggregation equal the
-    smoothed gradient); both are reported for trace-schema completeness.
-    approx_t_residual is bounded by lam * the outer Lipschitz constant.
-    f_value and f_lambda_value equal eval_exact's (F, F_lam); max_inner_value
-    is the largest inner-value coordinate over the components (the largest
-    constraint value on a penalty problem).
+    inner_values is the (n, d1) stack of exact g_i(w); envelope_grads holds
+    (g_i - prox(g_i)) / lam, whose VJPs average to grad_F_lambda (plus the
+    additive gradient), and on a penalty problem its column over m gives the
+    multipliers.  approx_t_residual is bounded by lam * the outer Lipschitz
+    constant.  f_value and f_lambda_value equal eval_exact's (F, F_lam);
+    max_inner_value is the largest inner-value coordinate over the components
+    (the largest constraint value on a penalty problem).
     gram_min_eig is the smallest eigenvalue of the stacked-Jacobian Gram
     matrix: a diagnostic for the regularity condition that upgrades these
     surrogates to a nearly-stationary guarantee, not a certificate by itself
@@ -198,11 +200,12 @@ class StationarityReport:
 
     grad_F_lambda_norm: float
     approx_t_residual: float
-    approx_grad_residual: float
     f_value: float
     f_lambda_value: float
     max_inner_value: float
     grad_F_lambda: np.ndarray
+    inner_values: np.ndarray
+    envelope_grads: np.ndarray
     gram_min_eig: float | None = None
     gram_rank_deficient: bool = False
 
@@ -211,28 +214,22 @@ def stationarity_report(
     problem: FccoProblem, w: np.ndarray, lam: float, with_gram: bool = False
 ) -> StationarityReport:
     w = np.asarray(w, dtype=float)
-    g = _exact_inner_values(problem, w)
-    p, envelopes = _prox_and_envelope(problem.outer, lam, g)
-    f = _sum_in_order(problem.outer.value(g)) / problem.n
-    f_lam = _sum_in_order(envelopes) / problem.n
+    g, p, f, f_lam = _exact_values(problem, w, lam)
+    r = g - p
+    y = r / lam
     max_inner = -math.inf
     t_res = 0.0
     acc = np.zeros(problem.d)
     jacs = []
-    r = g - p
     for i in range(problem.n):
         max_inner = max(max_inner, float(np.max(g[i])))
         t_res = max(t_res, float(np.linalg.norm(r[i])))
-        acc += problem.inner_vjp(i, w, problem.full_batch(i), r[i] / lam)
+        acc += problem.inner_vjp(i, w, problem.full_batch(i), y[i])
         if with_gram:
             jacs.append(problem.inner_jacobian_exact(i, w))
     acc /= problem.n
     if problem.additive is not None:
-        extra = float(problem.additive.value(w))
-        f += extra
-        f_lam += extra
         acc = acc + problem.additive.exact_gradient(w)
-    grad_norm = float(np.linalg.norm(acc))
 
     gram_min = None
     deficient = False
@@ -245,13 +242,14 @@ def stationarity_report(
             gram = stacked @ stacked.T
             gram_min = float(np.linalg.eigvalsh(gram)[0])
     return StationarityReport(
-        grad_F_lambda_norm=grad_norm,
+        grad_F_lambda_norm=float(np.linalg.norm(acc)),
         approx_t_residual=t_res,
-        approx_grad_residual=grad_norm,
         f_value=f,
         f_lambda_value=f_lam,
         max_inner_value=max_inner,
         grad_F_lambda=acc,
+        inner_values=g,
+        envelope_grads=y,
         gram_min_eig=gram_min,
         gram_rank_deficient=deficient,
     )

@@ -2,8 +2,8 @@
 
 A constrained problem min g0(w) s.t. g_i(w) <= 0 becomes the compositional
 instance g0(w) + (1/m) sum_i envelope(slope * [.]_+)(g_i(w)); the envelope
-gradient of each hinge yields a Lagrange-multiplier estimate, so KKT residuals
-come for free at any candidate point.
+gradient of each hinge yields a Lagrange-multiplier estimate, so the KKT
+residuals at any candidate point are read off the exact metric pass.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AdditiveTerm, ConfigError, FccoProblem
+from .metrics import StationarityReport, stationarity_report
 from .smoothing import ScaledHinge
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "KktReport",
     "RegularityReport",
     "build_penalty_problem",
+    "kkt_from_stationarity",
     "kkt_report",
     "regularity_check",
     "suggest_penalty_slope",
@@ -63,10 +65,12 @@ class ConstrainedProblem:
 
 @dataclass
 class KktReport:
+    """KKT residuals read off the smoothed-penalty metric pass."""
+
     stationarity: float  # ||grad g0 + sum nu_i grad g_i||
     max_violation: float  # max_i g_i(w)
     complementarity: float  # sum_i |g_i(w) nu_i|
-    multipliers: np.ndarray  # each in [0, slope/m]
+    multipliers: np.ndarray  # envelope gradients / m, in [0, slope/m] up to rounding
 
 
 @dataclass
@@ -75,22 +79,18 @@ class RegularityReport:
     rank_deficient: bool = False
 
 
-def build_penalty_problem(
-    cp: ConstrainedProblem, slope: float, lam: float | None = None
-) -> FccoProblem:
+def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     """FCCO instance of the smoothed hinge penalty.
 
     ``slope`` is the penalty strength; the recommended regime is
     slope > m (C_g + 1) / delta with delta the constraint-Jacobian singular
-    value bound (see suggest_penalty_slope), paired with lam = eps/slope.
+    value bound (see suggest_penalty_slope), paired with solver lam = eps/slope.
     That hypothesis involves the usually-unknown delta, so it is not checked
     here.  The result is solvable by the single-loop solver when constraints
     are smooth and by the double-loop solver when merely weakly convex.
     """
     if slope <= 0:
         raise ConfigError("penalty slope must be positive")
-    if lam is not None and lam <= 0:
-        raise ConfigError("lam must be positive when supplied")
     m, d = cp.m, cp.d
 
     def inner_value(i, w, batch):
@@ -117,21 +117,21 @@ def build_penalty_problem(
 
 
 def kkt_report(cp: ConstrainedProblem, w: np.ndarray, slope: float, lam: float) -> KktReport:
-    """KKT residuals with multipliers read off the hinge envelope gradient:
-    nu_i = min([g_i(w)]_+, lam*slope) / (lam m), each in [0, slope/m].
+    """KKT residuals from one exact pass of the penalty problem at w.
     Feasibility is evaluated deterministically over the full populations (no
     probabilistic certificate)."""
     if lam <= 0 or slope <= 0:
         raise ConfigError("lam and slope must be positive")
-    w = np.asarray(w, dtype=float)
-    g = np.array([cp.constraint_value_exact(i, w) for i in range(cp.m)])
-    nu = np.minimum(np.maximum(g, 0.0), lam * slope) / (lam * cp.m)
-    resid = cp.objective.exact_gradient(w).astype(float)
-    for i in range(cp.m):
-        resid = resid + nu[i] * np.asarray(cp.constraint_grad_exact(i, w), dtype=float)
+    return kkt_from_stationarity(stationarity_report(build_penalty_problem(cp, slope), w, lam))
+
+
+def kkt_from_stationarity(rep: StationarityReport) -> KktReport:
+    """KKT residuals of a penalty problem, read off its stationarity report."""
+    g = rep.inner_values[:, 0]
+    nu = rep.envelope_grads[:, 0] / g.size
     return KktReport(
-        stationarity=float(np.linalg.norm(resid)),
-        max_violation=float(np.max(g)),
+        stationarity=rep.grad_F_lambda_norm,
+        max_violation=rep.max_inner_value,
         complementarity=float(np.sum(np.abs(g * nu))),
         multipliers=nu,
     )

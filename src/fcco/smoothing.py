@@ -69,10 +69,10 @@ class ScaledHinge:
         return self.slope * _relu(_as1d(t)[..., 0])
 
     def prox(self, lam: float, t) -> np.ndarray:
-        # argmin_v slope*[v]_+ + (v-t)^2/(2 lam): t up to 0, then 0.0 (t - t)
-        # up to lam*slope, then t - lam*slope
+        # argmin_v slope*[v]_+ + (v-t)^2/(2 lam): t up to 0 (t - 0.0), then
+        # 0.0 (t - t) up to lam*slope, then t - lam*slope
         t = _as1d(t)
-        return np.where(t <= 0.0, t, t - np.minimum(t, lam * self.slope))
+        return t - np.minimum(np.maximum(t, 0.0), lam * self.slope)
 
 
 def CvarHinge(ratio: float) -> ScaledHinge:

@@ -51,6 +51,7 @@ __all__ = [
 _INIT, _COMPONENTS, _BATCH, _ADDITIVE, _TAU = 0, 1, 2, 3, 4
 
 UPDATE_KINDS = ("momentum", "adam", "sgd_baseline")
+_ADAM_EPS = 1e-8  # keeps the Adam-type rate eta/(sqrt(s)+eps) finite at s = 0
 
 
 @dataclass
@@ -65,7 +66,6 @@ class SonexConfig:
     iters: int = 100
     update_kind: str = "momentum"
     adam_beta2: float = 0.01  # weight on the squared gradient in the EMA
-    adam_eps: float = 1e-8
     adam_clip: tuple[float, float] | None = None
     metric_every: int | None = None
     stop_grad_norm: float | None = None
@@ -280,7 +280,7 @@ def _metric_row(
         f_lambda_value=rep.f_lambda_value,
         grad_norm=rep.grad_F_lambda_norm,
         stat_t_residual=rep.approx_t_residual,
-        stat_grad_residual=rep.approx_grad_residual,
+        stat_grad_residual=rep.grad_F_lambda_norm,
         max_violation=rep.max_inner_value if problem.is_penalty else None,
         wall_ms=wall_ms,
     )
@@ -345,7 +345,7 @@ def _run_outer_loop(
             if config.update_kind == "adam":
                 state.v, state.w, state.s = adam_step(
                     state.v, state.w, state.s, grad, beta,
-                    config.adam_beta2, config.adam_eps, eta, config.adam_clip,
+                    config.adam_beta2, _ADAM_EPS, eta, config.adam_clip,
                 )
             else:
                 state.v, state.w = momentum_step(state.v, state.w, grad, beta, eta)

@@ -142,7 +142,7 @@ def test_criterion_04_sonex_convergence():
     # conditions: small aggregated gradient and prox displacements <= lam*C_f
     rep = stationarity_report(prob, res.w_final, cfg.lam)
     noiseless_ok = noiseless_ok and rep.approx_t_residual <= cfg.lam * 1.0 + 1e-12
-    noiseless_ok = noiseless_ok and rep.approx_grad_residual <= 0.05
+    noiseless_ok = noiseless_ok and rep.grad_F_lambda_norm <= 0.05
 
     noisy = make_synthetic_fcco(_criterion4_spec(0.1, 200))
     cfg2 = theory_hyperparams(0.05, n=20, b1=20, b2=25, outer_lipschitz=1.0, scale=3.0, iters=16_000)
@@ -234,7 +234,7 @@ def _solve_toy_alexr2(kind, nu, k_inner, iters, seed=7):
     cp = make_toy_constrained(kind)
     slope, eps = 20.0, 0.01
     lam = eps / slope
-    pen = build_penalty_problem(cp, slope, lam)
+    pen = build_penalty_problem(cp, slope)
     theta = stable_extrapolation(pen, lam, nu, 1)
     eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(pen), pen.n, 1)
     cfg = Alexr2Config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, beta=0.5,
@@ -283,7 +283,7 @@ def test_criterion_08_penalty_exactness_along_trace():
     cp = make_toy_constrained("circle")
     slope = 20.0
     lam = 5e-4
-    pen = build_penalty_problem(cp, slope, lam)
+    pen = build_penalty_problem(cp, slope)
     cfg = SonexConfig(lam=lam, eta=5e-3, beta=0.2, gamma=0.5, b1=1, b2=1, iters=3000,
                       update_kind="adam", adam_beta2=0.1, adam_clip=(1e-4, 1.0),
                       metric_every=50)

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from fcco.cli import RunConfig, build_problem, cmd_bench, cmd_gradcheck, cmd_run
 from fcco.core import TRACE_HEADER
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
 
 
 def write_config(path, payload):
@@ -142,6 +146,20 @@ def test_gradcheck_config_error_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_gradcheck_passes_on_shipped_configs(path):
+    assert cmd_gradcheck(path) == 0
+
+
+@pytest.mark.parametrize("key, value", [("metric_every", 100), ("record_wall_time", True)])
+def test_run_level_key_in_solver_block_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", synthetic_run_config(iters=5, **{key: value}))
+    out = tmp_path / "out"
+    assert cmd_run(cfg, out) == 1
+    assert capsys.readouterr().err == f"config error: {key} is a run-level key\n"
+    assert not out.exists()
 
 
 def test_bench_empty_directory(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_stationarity_identity_t_residual_is_lam():
     prob = scalar_chain_problem(Identity())
     rep = stationarity_report(prob, np.array([0.4]), 0.25)
     assert rep.approx_t_residual == pytest.approx(0.25)
-    assert rep.approx_grad_residual == rep.grad_F_lambda_norm
+    np.testing.assert_allclose(rep.envelope_grads, [[1.0]])
 
 
 def test_stationarity_residual_bounded_by_lam_times_lipschitz():

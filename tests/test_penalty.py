@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcco import ConfigError, ScaledHinge, SeededRng
-from fcco.metrics import eval_exact
+from fcco.metrics import eval_exact, stationarity_report
 from fcco.penalty import (
     ConstrainedProblem,
     build_penalty_problem,
@@ -12,8 +12,8 @@ from fcco.penalty import (
     regularity_check,
     suggest_penalty_slope,
 )
-from fcco.problems import make_toy_constrained
-from fcco.smoothing import moreau_value
+from fcco.problems import make_roc_fairness_toy, make_toy_constrained
+from fcco.smoothing import hinge_moreau_grad_closed_form, moreau_value
 from fcco.sonex import SonexConfig, run_sonex
 
 
@@ -107,6 +107,24 @@ def test_multiplier_formula_consistency(w0, slope, lam):
     assert rep.multipliers[0] * cp.m * lam == pytest.approx(min(max(g, 0.0), lam * slope), abs=1e-12)
 
 
+def test_kkt_report_reads_the_metric_pass():
+    # m = 6 rate-gap constraints; lam*slope = 0.02 leaves inactive, unsaturated
+    # and saturated hinges at these points
+    cp = make_roc_fairness_toy(thresholds=[-1.0, 0.0, 1.0])
+    slope, lam = 10.0, 0.002
+    pen = build_penalty_problem(cp, slope)
+    gen = np.random.default_rng(0)
+    for _ in range(4):
+        w = 2.0 * gen.normal(size=cp.d)
+        kkt = kkt_report(cp, w, slope, lam)
+        rep = stationarity_report(pen, w, lam)
+        assert kkt.stationarity == rep.grad_F_lambda_norm
+        assert kkt.max_violation == rep.max_inner_value
+        expect = [hinge_moreau_grad_closed_form(cp.constraint_value_exact(i, w), lam, slope) / cp.m
+                  for i in range(cp.m)]
+        np.testing.assert_allclose(kkt.multipliers, expect, rtol=1e-12)
+
+
 def _cp_with_grads(rows):
     rows = np.asarray(rows, float)
     m, d = rows.shape
@@ -155,8 +173,6 @@ def test_build_rejects_bad_params():
     cp = make_toy_constrained("qp_box")
     with pytest.raises(ConfigError):
         build_penalty_problem(cp, 0.0)
-    with pytest.raises(ConfigError):
-        build_penalty_problem(cp, 1.0, lam=-0.1)
 
 
 def test_violation_decreases_along_epsilon_grid():
