@@ -23,6 +23,7 @@ from .core import (
     SolverResult,
     TraceRow,
     UnsupportedOperationError,
+    _check_field_types,
     ensure_finite,
 )
 from .sonex import (
@@ -153,8 +154,9 @@ class Alexr2Config:
         return self.k_inner * (1 + t) if self.k_growth else self.k_inner
 
     def validate(self, problem: FccoProblem) -> None:
-        if self.lam <= 0 or self.nu <= 0 or self.eta <= 0:
-            raise ConfigError("lam, nu, eta must be positive")
+        _check_field_types(self)
+        if self.nu <= 0 or self.eta <= 0:
+            raise ConfigError("nu, eta must be positive")
         if not 0 <= self.theta < 1:
             raise ConfigError("theta must lie in [0, 1)")
         if self.gamma <= 0:
@@ -264,7 +266,6 @@ def run_inner_alexr(
             batch0 = _draw_batch(rng, (_ADDITIVE, step), pop0, min(config.b2, pop0))
             grad = grad + problem.additive.grad(z, batch0)
             calls += 1
-        ensure_finite(grad, "inner gradient estimate")
         z_prev = z
         z = inner_primal_step(z, w_t, grad, config.nu, config.eta)
         ensure_finite(z, "inner iterate")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, SeededRng, SolverAbort
+from .core import ConfigError, SeededRng, SolverAbort, _check_field_types
 from .metrics import (
     brute_force_prox,
     eval_exact,
@@ -62,14 +62,16 @@ class RunConfig:
         for key in ("seed", "problem", "solver"):
             if key not in raw:
                 raise ConfigError(f"config missing required key {key!r}")
-        return cls(
-            seed=int(raw["seed"]),
+        cfg = cls(
+            seed=raw["seed"],
             problem=dict(raw["problem"]),
             solver=dict(raw["solver"]),
             metric_every=raw.get("metric_every"),
-            record_wall_time=bool(raw.get("record_wall_time", False)),
+            record_wall_time=raw.get("record_wall_time", False),
             out=raw.get("out"),
         )
+        _check_field_types(cfg)
+        return cfg
 
     def to_dict(self) -> dict:
         d = {"seed": self.seed, "problem": self.problem, "solver": self.solver}

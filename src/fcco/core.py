@@ -14,7 +14,9 @@ bit-for-bit from (seed, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +48,7 @@ class OracleError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A NaN/Inf appeared in solver state or a gradient estimate."""
+    """A NaN/Inf appeared in a solver iterate."""
 
 
 class UnsupportedOperationError(RuntimeError):
@@ -59,6 +61,35 @@ class SolverAbort(RuntimeError):
     def __init__(self, message: str, trace: "SolverTrace | None" = None):
         super().__init__(message)
         self.trace = trace
+
+
+# field annotation -> (what the value must be, test)
+_FIELD_KINDS = {
+    "int": (
+        "an integer",
+        lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    ),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, (bool, np.bool_))),
+}
+
+
+def _check_field_types(config) -> None:
+    """Reject a malformed field of a config dataclass before any range check
+    compares it.  The kind of each int, float and bool field is read off its
+    annotation, a string under ``from __future__ import annotations``; None
+    passes only where the annotation allows it."""
+    for f in fields(config):
+        kind, _, rest = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if kind not in _FIELD_KINDS or (value is None and rest == "None"):
+            continue
+        what, ok = _FIELD_KINDS[kind]
+        if not ok(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
 _MASK64 = (1 << 64) - 1
@@ -299,5 +330,5 @@ class SolverResult:
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")

@@ -119,9 +119,8 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
 def kkt_report(cp: ConstrainedProblem, w: np.ndarray, slope: float, lam: float) -> KktReport:
     """KKT residuals from one exact pass of the penalty problem at w.
     Feasibility is evaluated deterministically over the full populations (no
-    probabilistic certificate)."""
-    if lam <= 0 or slope <= 0:
-        raise ConfigError("lam and slope must be positive")
+    probabilistic certificate).  ``build_penalty_problem`` rejects a
+    nonpositive slope and the metric pass a nonpositive lam."""
     return kkt_from_stationarity(stationarity_report(build_penalty_problem(cp, slope), w, lam))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, UnsupportedOperationError
+from .core import ConfigError
 
 __all__ = [
     "ScaledHinge",
@@ -201,6 +201,7 @@ def hinge_moreau_grad_closed_form(z: float, lam: float, slope: float) -> float:
         raise ConfigError("lam and slope must be positive")
     return min(max(float(z), 0.0), lam * slope) / lam
 
+
 def dual_tracker_update(
     outer, lam: float, u_prev: np.ndarray, g_tilde: np.ndarray, gamma_hat: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -212,19 +213,13 @@ def dual_tracker_update(
     the envelope gradient y = moreau_grad(u).  Equivalent to the conjugate
     update for a convex outer function, and requires no conjugate calculus.
 
-    The convergence analysis behind this step additionally assumes the
-    implicit dual divergences stay bounded; that holds for every Lipschitz
-    entry in this catalog and is treated as a documented assumption, never a
-    runtime check.
+    Preconditions, proven once per run by ``Alexr2Config.validate`` and
+    ``alexr2.check_assumptions`` rather than on every step: ``outer`` is
+    convex, ``0 < gamma_hat <= 1`` and ``u_prev``, ``g_tilde`` are float
+    arrays.  The convergence analysis behind this step additionally assumes
+    the implicit dual divergences stay bounded; that holds for every
+    Lipschitz entry in this catalog and is treated as a documented
+    assumption, never a runtime check.
     """
-    if outer.weak_convexity > 0:
-        raise UnsupportedOperationError(
-            "dual tracking requires a convex outer function"
-        )
-    if not 0.0 < gamma_hat <= 1.0:
-        raise ConfigError(f"tracker mixing must lie in (0, 1], got {gamma_hat}")
-    u_new = (1.0 - gamma_hat) * np.asarray(u_prev, float) + gamma_hat * np.asarray(
-        g_tilde, float
-    )
-    y_new = moreau_grad(outer, lam, u_new)
-    return u_new, y_new
+    u_new = (1.0 - gamma_hat) * u_prev + gamma_hat * g_tilde
+    return u_new, moreau_grad(outer, lam, u_new)

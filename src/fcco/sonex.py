@@ -27,12 +27,13 @@ from .core import (
     SolverResult,
     SolverTrace,
     TraceRow,
+    _check_field_types,
     ensure_finite,
     sample_components,
     sample_data_batch,
 )
 from .metrics import stationarity_report
-from .smoothing import moreau_grad
+from .smoothing import _check_smoothing, moreau_grad
 
 __all__ = [
     "SonexConfig",
@@ -78,8 +79,7 @@ class SonexConfig:
         return float(self.gamma_prime)
 
     def validate(self, problem: FccoProblem) -> None:
-        if self.lam <= 0:
-            raise ConfigError("lam must be positive")
+        _check_field_types(self)
         if self.eta < 0:
             raise ConfigError("eta must be nonnegative")
         if not 0 < self.beta <= 1:
@@ -104,20 +104,29 @@ class SonexConfig:
 
 
 def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
-    """Checks both solver configs share: batch sizes against the problem,
-    and the Adam-type rate bounds."""
+    """Run-wide checks both solver configs share, made once so the step code
+    can take them as given: lam against the outer function (positive, and
+    below 1/weak_convexity), the starting point (``w0``, else
+    ``problem.initial_point()``: shape (d,) and finite), the batch sizes
+    against the problem, the metric cadence and the Adam-type rate bounds.
+    Expects ``_check_field_types`` to have passed."""
+    _check_smoothing(problem.outer, config.lam)
+    w0 = problem.initial_point() if config.w0 is None else np.asarray(config.w0, dtype=float)
+    if w0.shape != (problem.d,) or not np.isfinite(w0).all():
+        raise ConfigError(f"w0 must be a finite vector of length d={problem.d}")
     if not 1 <= config.b1 <= problem.n:
         raise ConfigError(f"b1 must lie in [1, n={problem.n}]")
     smallest = min(problem.batch_domain(i) for i in range(problem.n))
     if not 1 <= config.b2 <= smallest:
         raise ConfigError(f"b2 must lie in [1, smallest population={smallest}]")
+    if config.metric_every is not None and config.metric_every < 1:
+        raise ConfigError("metric_every must be at least 1")
     adam = config.update_kind == "adam" or config.adam_clip is not None
     if adam and not 0 < config.adam_beta2 < 1:
         raise ConfigError("adam_beta2 must lie in (0, 1)")
-    if config.adam_clip is not None:
-        lo, hi = config.adam_clip
-        if not 0 < lo <= hi:
-            raise ConfigError("adam_clip bounds must satisfy 0 < low <= high")
+    clip = config.adam_clip
+    if clip is not None and not (len(clip) == 2 and 0 < clip[0] <= clip[1]):
+        raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
 
 
 @dataclass
@@ -304,10 +313,10 @@ def _run_outer_loop(
     momentum or Adam-type step with mixing ``beta`` and step size ``eta``,
     logs a metric row on the configured cadence, and keeps the iterate at a
     step drawn uniformly from {1..iters} off stream ``tau_stream``.
-    ``init_u(w0)``, when given, fills state.u for n oracle calls.
+    ``init_u(w0)``, when given, fills state.u for n oracle calls.  The
+    config is validated; each step checks only that the new iterate is finite.
     """
     w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
-    ensure_finite(w, "initial point")
     state = SonexState(
         w=w,
         u=None if init_u is None else init_u(w),
@@ -340,7 +349,6 @@ def _run_outer_loop(
             grad, step_calls, step_draws = step(state, t)
             calls += step_calls
             draws += step_draws
-            ensure_finite(grad, "gradient estimate")
             state.prev_w = state.w
             if config.update_kind == "adam":
                 state.v, state.w, state.s = adam_step(
@@ -384,7 +392,8 @@ def run_sonex(
 
     Returns the trace, the final iterate, and one iterate sampled uniformly
     from {1..T} (the output the convergence guarantee concerns).  A non-finite
-    gradient or iterate raises SolverAbort carrying the partial trace.
+    iterate raises SolverAbort carrying the partial trace, at the step where
+    it appears.
     ``callback(row, w)`` runs at every metric row; a truthy return stops the
     run early, as does ``config.stop_grad_norm``.
     """

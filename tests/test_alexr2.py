@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fcco import (
     ConfigError,
     ScaledHinge,
     SeededRng,
+    SolverAbort,
     UnsupportedOperationError,
 )
 from fcco.alexr2 import (
@@ -152,6 +155,19 @@ def test_run_alexr2_single_noop_step():
     cfg = default_config(iters=1, k_inner=0, w0=np.array([0.7]))
     res = run_alexr2(prob, cfg, SeededRng(0))
     np.testing.assert_allclose(res.w_final, [0.7])  # v = (1-beta)*0 + beta*0
+
+
+def test_run_alexr2_aborts_on_nonfinite_vjp_with_partial_trace():
+    # z falls from 1 by about 0.04 per inner step; once it is below 0.9 the
+    # VJP is NaN, and so is the next inner iterate
+    prob = replace(
+        hinge_chain(),
+        inner_vjp=lambda i, w, batch, y: np.array([float(y[0]) if w[0] > 0.9 else np.nan]),
+    )
+    cfg = default_config(w0=np.array([1.0]))
+    with pytest.raises(SolverAbort) as exc:
+        run_alexr2(prob, cfg, SeededRng(0))
+    assert [row.iteration for row in exc.value.trace.rows] == [0]
 
 
 def test_run_alexr2_deterministic_replay():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -199,9 +200,11 @@ def test_bench_runs_all_configs_and_is_reproducible(tmp_path):
 def test_bench_records_failures(tmp_path):
     write_config(tmp_path / "ok.json", synthetic_run_config(iters=3))
     (tmp_path / "broken.json").write_text("{oops")
+    write_config(tmp_path / "fractional_iters.json", synthetic_run_config(iters=2.5))
     assert cmd_bench(tmp_path) == 2
     lines = (tmp_path / "bench_summary.csv").read_text().splitlines()
     assert any("error:1" in line for line in lines)
+    assert "fractional_iters.json,,error:1,,,,," in lines
 
 
 def test_config_round_trip():
@@ -239,6 +242,18 @@ def test_run_solver_abort_exit_code(tmp_path):
     out = tmp_path / "out"
     assert cmd_run(cfg, out) == 2
     assert (out / "trace.csv").exists()  # partial trace still written
+
+    # alpha 1e308 throws the outer iterate so far that the next inner loop's
+    # iterate is non-finite, long before the first metric row after row 0
+    payload = json.loads((ROOT / "configs" / "circle_alexr2.json").read_text())
+    payload["solver"].update(alpha=1e308, iters=20, k_inner=5)
+    del payload["solver"]["stop_grad_norm"]
+    cfg = write_config(tmp_path / "alexr2.json", payload)
+    out = tmp_path / "alexr2_out"
+    assert cmd_run(cfg, out) == 2
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"]
 
 
 def test_console_entry_point(tmp_path):
@@ -337,6 +352,22 @@ def test_roc_fairness_problem_kinds(tmp_path):
     assert cmd_gradcheck(cfg2) == 0
 
 
+_SONEX = {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5}
+_ALEXR2 = {"kind": "alexr2", "lam": 0.0075, "nu": 0.05, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
+           "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5}
+# keys of a case that go to the config root instead of the solver block
+_RUN_LEVEL = "run_level"
+_GDRO = {"kind": "gdro_cvar", "n_groups": 8, "p": 4, "samples_per_group": 200, "ratio": 0.15,
+         "seed": 2}
+
+
+@pytest.mark.parametrize("solver", [_SONEX, _ALEXR2], ids=["sonex", "alexr2"])
+def test_run_phase_config_error_bases_run(tmp_path, solver):
+    # the malformed cases below each change one field of these valid configs
+    cfg = write_config(tmp_path / "cfg.json", {"seed": 11, "problem": _GDRO, "solver": solver})
+    assert cmd_run(cfg, tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize(
     "solver",
     [
@@ -351,15 +382,42 @@ def test_roc_fairness_problem_kinds(tmp_path):
         # Adam second-moment weight outside (0, 1), without rate clipping
         {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5,
          "update_kind": "adam", "adam_beta2": 1.5},
+        # malformed fields: an integer field given a fraction or a string
+        {**_SONEX, "iters": 2.5},
+        {**_SONEX, "b1": 2.5},
+        {**_SONEX, "b2": 2.5},
+        {**_SONEX, "b1": "4"},
+        {**_ALEXR2, "k_inner": 2.5},
+        # ... or a float field given NaN
+        {**_SONEX, "lam": math.nan},
+        {**_SONEX, "eta": math.nan},
+        {**_ALEXR2, "lam": math.nan},
+        {**_ALEXR2, "nu": math.nan},
+        {**_ALEXR2, "eta": math.nan},
+        {**_ALEXR2, "alpha": math.nan},
+        # the run-level metric cadence: not a positive integer
+        {**_SONEX, _RUN_LEVEL: {"metric_every": "5"}},
+        {**_SONEX, _RUN_LEVEL: {"metric_every": 0}},
+        {**_SONEX, _RUN_LEVEL: {"metric_every": -3}},
+        {**_SONEX, _RUN_LEVEL: {"metric_every": 2.5}},
+        # run-level keys are not coerced: 2.5 is no seed, "false" no bool
+        {**_SONEX, _RUN_LEVEL: {"seed": 2.5}},
+        {**_SONEX, _RUN_LEVEL: {"record_wall_time": "false"}},
+        # a starting point with a NaN, or of the wrong length (d = 5)
+        {**_SONEX, "w0": [math.nan, 0.0, 0.0, 0.0, 0.0]},
+        {**_ALEXR2, "w0": [0.0, 0.0]},
+        # Adam rate bounds that are not a pair
+        {**_SONEX, "update_kind": "adam", "adam_clip": [1e-4, 1.0, 2.0]},
     ],
 )
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
     from fcco.cli import main
 
+    solver = dict(solver)
     payload = {
         "seed": 11,
-        "problem": {"kind": "gdro_cvar", "n_groups": 8, "p": 4, "samples_per_group": 200,
-                     "ratio": 0.15, "seed": 2},
+        "problem": _GDRO,
+        **solver.pop(_RUN_LEVEL, {}),
         "solver": solver,
     }
     cfg = write_config(tmp_path / "cfg.json", payload)

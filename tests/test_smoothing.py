@@ -18,8 +18,11 @@ from fcco import (
     moreau_grad,
     moreau_value,
 )
+from fcco.alexr2 import Alexr2Config, check_assumptions
 from fcco.metrics import brute_force_prox
 from fcco.smoothing import make_outer
+from fcco.sonex import SonexConfig
+from util import scalar_chain_problem
 
 CATALOG = [ScaledHinge(1.0), ScaledHinge(4.0), CvarHinge(0.25), GapHinge(0.3), Identity()]
 
@@ -203,8 +206,21 @@ def test_dual_tracker_geometric_convergence():
 
 
 def test_dual_tracker_rejects_nonconvex_outer():
+    # the tracker step takes a convex outer as given: the double loop proves
+    # it once per run, in check_assumptions, which its validate() calls
+    prob = scalar_chain_problem(ConcaveQuadratic(0.5))
     with pytest.raises(UnsupportedOperationError):
-        dual_tracker_update(ConcaveQuadratic(0.5), 0.1, np.array([0.0]), np.array([1.0]), 0.5)
+        check_assumptions(prob)
+    cfg = Alexr2Config(lam=0.1, nu=0.5, eta=0.05, theta=0.9, gamma=0.1, beta=0.5, alpha=0.1)
+    with pytest.raises(UnsupportedOperationError):
+        cfg.validate(prob)
+
+
+def test_sonex_validate_applies_weakly_convex_lam_gate():
+    prob = scalar_chain_problem(ConcaveQuadratic(2.0))
+    SonexConfig(lam=0.4, eta=1e-3).validate(prob)
+    with pytest.raises(ConfigError):
+        SonexConfig(lam=0.5, eta=1e-3).validate(prob)
 
 
 @pytest.mark.parametrize(
