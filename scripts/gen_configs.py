@@ -6,15 +6,18 @@ so the JSON stays consistent with the solver defaults if those change.
 """
 
 import json
+import sys
 from pathlib import Path
 
-from fcco.alexr2 import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fcco.alexr2 import (  # noqa: E402
     rho_outer_smoothed,
     stable_extrapolation,
     theory_inner_params,
 )
-from fcco.penalty import build_penalty_problem
-from fcco.problems import make_toy_constrained
+from fcco.penalty import build_penalty_problem  # noqa: E402
+from fcco.problems import make_toy_constrained  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "configs"
 

@@ -27,8 +27,7 @@ from .core import (
     ensure_finite,
 )
 from .sonex import (
-    _draw_batch,
-    _draw_components,
+    _Draws,
     _run_outer_loop,
     _validate_sampling_and_adam,
     init_trackers,
@@ -240,31 +239,28 @@ def run_inner_alexr(
     z_prev = z.copy()
     gamma_hat = config.gamma_hat
     theta = config.theta
+    draws = _Draws(problem, rng, config.b1, config.b2)
 
     for step in range(k):
-        b1_set = _draw_components(rng, (_COMPONENTS, step), problem.n, config.b1)
-        grad = np.zeros(problem.d)
-        for i in b1_set:
-            i = int(i)
-            pop = problem.batch_domain(i)
-            batch_val = _draw_batch(rng, (_BATCH_VAL, step, i), pop, config.b2)
-            batch_jac = _draw_batch(rng, (_BATCH_JAC, step, i), pop, config.b2)
-            g_now = problem.inner_value(i, z, batch_val)
-            calls += 1
-            if theta != 0.0 and step > 0:
-                g_prev = problem.inner_value(i, z_prev, batch_val)
-                calls += 1
-            else:
-                g_prev = g_now  # z_prev == z at step 0 by initialization
-            g_tilde = extrapolated_inner_value(g_now, g_prev, theta)
-            u[i], y = dual_tracker_update(problem.outer, config.lam, u[i], g_tilde, gamma_hat)
-            grad += problem.inner_vjp(i, z, batch_jac, y)
-            calls += 1
-        grad /= len(b1_set)
-        if problem.additive is not None:
-            pop0 = problem.additive.population
-            batch0 = _draw_batch(rng, (_ADDITIVE, step), pop0, min(config.b2, pop0))
-            grad = grad + problem.additive.grad(z, batch0)
+        idx = draws.components(_COMPONENTS, step)
+        batch_val = draws.batches(_BATCH_VAL, step, idx)
+        batch_jac = draws.batches(_BATCH_JAC, step, idx)
+        g_now = problem.inner_value(idx, z, batch_val)
+        calls += len(idx)
+        if theta != 0.0 and step > 0:
+            g_prev = problem.inner_value(idx, z_prev, batch_val)
+            calls += len(idx)
+        else:
+            g_prev = g_now  # z_prev == z at step 0 by initialization
+        g_tilde = extrapolated_inner_value(g_now, g_prev, theta)
+        if draws.every:
+            u, y = dual_tracker_update(problem.outer, config.lam, u, g_tilde, gamma_hat)
+        else:
+            u[idx], y = dual_tracker_update(problem.outer, config.lam, u[idx], g_tilde, gamma_hat)
+        grad = problem.inner_vjp(idx, z, batch_jac, y)
+        calls += len(idx)
+        if draws.additive:
+            grad = grad + problem.additive.grad(z, draws.additive_batch(_ADDITIVE, step))
             calls += 1
         z_prev = z
         z = inner_primal_step(z, w_t, grad, config.nu, config.eta)

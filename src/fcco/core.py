@@ -2,11 +2,11 @@
 
 Decision vectors are plain float64 numpy arrays; solvers reject non-finite
 states instead of wrapping arrays in a dedicated type.  A problem is a bundle
-of per-component batch oracles over finite populations, one outer function
-shared by every component, and an optional smooth additive term (an
-objective g0 in penalty problems, or a threshold coordinate in CVaR
-problems).  Exact values and Jacobians for metrics are the
-same batch oracles called on a whole population.
+of batched oracles over finite populations (one call evaluates a whole stack
+of components, each on its own data batch), one outer function shared by
+every component, and an optional smooth additive term (an objective g0 in
+penalty problems, or a threshold coordinate in CVaR problems).  Exact values
+and Jacobians for metrics are the same oracles called on whole populations.
 
 All randomness flows through :class:`SeededRng` so a run is reproducible
 bit-for-bit from (seed, config).
@@ -102,14 +102,20 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _mix(stream: int, k: int) -> int:
+    return _splitmix64((stream * 0x9E3779B97F4A7C15 + k + 1) & _MASK64)
+
+
 @dataclass
 class SeededRng:
     """Deterministic RNG stream keyed by (seed, stream).
 
     Identical (seed, stream) pairs reproduce the same draw sequence; distinct
     streams are statistically independent.  ``spawn`` derives child streams by
-    hashing integer ids, which is how solvers get one independent stream per
-    (iteration, component) without any shared mutable state.
+    hashing integer ids.  The solvers' per-step draws come from ``philox``:
+    a counter-based generator (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11) keyed by (seed, stream, purpose) whose counter
+    is the step, so no generator is built per step or per component.
     """
 
     seed: int
@@ -117,6 +123,7 @@ class SeededRng:
     _gen: np.random.Generator | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _philox: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gen(self) -> np.random.Generator:
@@ -130,11 +137,63 @@ class SeededRng:
     def spawn(self, *ids: int) -> "SeededRng":
         stream = self.stream
         for k in ids:
-            stream = _splitmix64((stream * 0x9E3779B97F4A7C15 + k + 1) & _MASK64)
+            stream = _mix(stream, k)
         return SeededRng(self.seed, stream)
 
+    def philox(self, purpose: int, counter: int) -> np.random.Generator:
+        """The Philox generator keyed by (seed, stream, purpose), rewound to
+        the start of block ``counter``: what is drawn from it next depends on
+        (seed, stream, purpose, counter) alone.
 
-def sample_components(rng: SeededRng, n: int, b1: int) -> np.ndarray:
+        One generator per purpose is built on first use and rewound by every
+        later call, so finish one block's draws before asking for the next.
+        """
+        entry = self._philox.get(purpose)
+        if entry is None:
+            bits = np.random.Philox(key=[self.seed & _MASK64, _mix(self.stream, purpose)])
+            entry = self._philox[purpose] = (bits, np.random.Generator(bits), bits.state)
+        bits, gen, state = entry
+        # the counter's low words run within the block; setting the state
+        # also drops any buffered output
+        state["state"]["counter"] = np.array([0, 0, counter & _MASK64, 0], dtype=np.uint64)
+        bits.state = state
+        return gen
+
+
+def _subsets(gen: np.random.Generator, populations: np.ndarray, size: int) -> np.ndarray:
+    """One sorted uniform size-``size`` subset of range(populations[r]) per
+    row r, each read off a fixed block of ``gen``'s output.
+
+    Rows whose population is at most size**2 rank one uniform per element
+    and keep the ``size`` smallest.  The others draw ``size`` integers and
+    are redrawn, all together, until none holds a repeat: a uniform tuple of
+    distinct elements is a uniform subset, a repeat has probability below
+    1/2, and no population-sized array is built.  Every row is completed
+    whichever rows the caller keeps, so row r depends on the generator's
+    block and r only.
+    """
+    out = np.empty((len(populations), size), dtype=np.int64)
+    ranked = populations <= size * size
+    if ranked.any():
+        pops = populations[ranked]
+        width = int(pops.max())
+        u = gen.random((len(pops), width))
+        if pops.min() < width:
+            u[np.arange(width) >= pops[:, None]] = 2.0  # never among the smallest
+        out[ranked] = np.sort(np.argpartition(u, size - 1, axis=1)[:, :size], axis=1)
+    if not ranked.all():
+        high = populations[~ranked][:, None]
+        rows = np.sort(gen.integers(0, high, size=(len(high), size)), axis=1)
+        repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        while repeat.any():
+            fresh = np.sort(gen.integers(0, high, size=(len(high), size)), axis=1)
+            rows[repeat] = fresh[repeat]
+            repeat &= (fresh[:, 1:] == fresh[:, :-1]).any(axis=1)
+        out[~ranked] = rows
+    return out
+
+
+def sample_components(gen: np.random.Generator, n: int, b1: int) -> np.ndarray:
     """Uniform size-``b1`` subset of {0,..,n-1} without replacement, sorted.
 
     Sorted order keeps per-component reductions deterministic regardless of
@@ -142,18 +201,21 @@ def sample_components(rng: SeededRng, n: int, b1: int) -> np.ndarray:
     """
     if not 1 <= b1 <= n:
         raise ConfigError(f"component batch size must satisfy 1 <= b1 <= n, got b1={b1}, n={n}")
-    idx = rng.gen.choice(n, size=b1, replace=False)
-    return np.sort(idx)
+    return _subsets(gen, np.array([n]), b1)[0]
 
 
-def sample_data_batch(rng: SeededRng, population: int, b2: int) -> np.ndarray:
-    """Uniform size-``b2`` index subset of a finite population, sorted."""
-    if not 1 <= b2 <= population:
+def sample_data_batch(gen: np.random.Generator, populations, b2: int) -> np.ndarray:
+    """(len(populations), b2) int array: row i is a uniform size-``b2`` index
+    subset of component i's population, sorted.  Row i comes from its own
+    block of ``gen``'s output, so it is the same whichever components the
+    caller goes on to use."""
+    populations = np.asarray(populations, dtype=np.int64)
+    smallest = int(populations.min())
+    if not 1 <= b2 <= smallest:
         raise ConfigError(
-            f"data batch size must satisfy 1 <= b2 <= population, got b2={b2}, population={population}"
+            f"data batch size must satisfy 1 <= b2 <= population, got b2={b2}, population={smallest}"
         )
-    idx = rng.gen.choice(population, size=b2, replace=False)
-    return np.sort(idx)
+    return _subsets(gen, populations, b2)
 
 
 @dataclass
@@ -184,12 +246,21 @@ class FccoProblem:
     (1/n) sum_i f(g_i(w)) with one outer function ``outer`` shared by every
     component.
 
-    ``inner_value(i, w, batch)`` returns the batch average of the i-th inner
-    map (shape (d1,)); ``inner_vjp(i, w, batch, y)`` returns the batch-average
-    vector-Jacobian product, i.e. the transposed (d1, d) Jacobian applied to
-    ``y``.  Oracles must be pure (safe to call concurrently).  The exact
-    inner value and Jacobian are these oracles over the full population, so
-    metrics step along the same vector-Jacobian products as the solvers.
+    The oracles are batched over a stack of k components:
+
+    - ``inner_value(idx, w, batches)`` returns the (k, d1) array whose row j
+      is the average of inner map ``idx[j]`` over the data indices
+      ``batches[j]``;
+    - ``inner_vjp(idx, w, batches, Y)`` returns the (d,) mean over j of the
+      batch-average vector-Jacobian products, the transposed (d1, d)
+      Jacobian of component ``idx[j]`` on ``batches[j]`` applied to ``Y[j]``.
+
+    ``idx`` is an int array of k components and ``batches`` a (k, b) int
+    array, so every row holds the same number of indices, each within its
+    own component's population.  Oracles must be pure (safe to call
+    concurrently).  The exact inner values and Jacobians are these oracles
+    over whole populations, so metrics step along the same vector-Jacobian
+    products as the solvers.
 
     Declared constants (`lipschitz_inner`, `smoothness_inner`,
     `weak_convexity_inner`) feed theory-driven defaults and validation; they
@@ -200,8 +271,8 @@ class FccoProblem:
     d: int
     d1: int
     outer: object
-    inner_value: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    inner_vjp: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    inner_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    inner_vjp: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
     additive: AdditiveTerm | None = None
     lipschitz_inner: float | None = None
@@ -232,16 +303,27 @@ class FccoProblem:
     def batch_domain(self, i: int) -> int:
         return int(self.populations[i])
 
-    def full_batch(self, i: int) -> np.ndarray:
-        return np.arange(self.batch_domain(i))
+    def population_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(idx, batches) per population size: the components of that size
+        and their whole populations as a (k, size) batch array, the
+        arguments of one exact oracle call."""
+        pops = np.asarray(self.populations)
+        groups = []
+        for size in sorted(set(pops.tolist())):
+            idx = np.flatnonzero(pops == size)
+            groups.append((idx, np.tile(np.arange(size), (len(idx), 1))))
+        return groups
 
     def inner_exact(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.inner_value(i, w, self.full_batch(i))
+        """Component i's exact inner value, shape (d1,): one oracle call over
+        its whole population."""
+        return self.inner_value(np.array([i]), w, np.arange(self.batch_domain(i))[None])[0]
 
     def inner_jacobian_exact(self, i: int, w: np.ndarray) -> np.ndarray:
-        """(d1, d) Jacobian, one full-population VJP per unit vector."""
-        batch = self.full_batch(i)
-        return np.vstack([self.inner_vjp(i, w, batch, e) for e in np.eye(self.d1)])
+        """(d1, d) Jacobian of component i, one whole-population VJP per unit
+        vector."""
+        idx, batch = np.array([i]), np.arange(self.batch_domain(i))[None]
+        return np.vstack([self.inner_vjp(idx, w, batch, e[None]) for e in np.eye(self.d1)])
 
     def initial_point(self) -> np.ndarray:
         if self.default_w0 is not None:

@@ -146,14 +146,18 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
     envelope values, both plus the additive term when present.  This is the
     value half of stationarity_report's pass and calls no VJP.
     """
-    _, _, f, f_lam = _exact_values(problem, np.asarray(w, dtype=float), lam)
+    w = np.asarray(w, dtype=float)
+    _, _, f, f_lam = _exact_values(problem, problem.population_groups(), w, lam)
     return f, f_lam
 
 
-def _exact_values(problem: FccoProblem, w: np.ndarray, lam: float):
-    """(g, p, F, F_lam): the (n, d1) stack of full-population inner values,
-    their prox points, and the objective and its outer-smoothed value."""
-    g = np.array([problem.inner_exact(i, w) for i in range(problem.n)])
+def _exact_values(problem: FccoProblem, groups, w: np.ndarray, lam: float):
+    """(g, p, F, F_lam): the (n, d1) stack of full-population inner values
+    (one oracle call per group of ``problem.population_groups()``), their
+    prox points, and the objective and its outer-smoothed value."""
+    g = np.empty((problem.n, problem.d1))
+    for idx, batches in groups:
+        g[idx] = problem.inner_value(idx, w, batches)
     p, envelopes = _prox_and_envelope(problem.outer, lam, g)
     f = _sum_in_order(problem.outer.value(g)) / problem.n
     f_lam = _sum_in_order(envelopes) / problem.n
@@ -214,27 +218,19 @@ def stationarity_report(
     problem: FccoProblem, w: np.ndarray, lam: float, with_gram: bool = False
 ) -> StationarityReport:
     w = np.asarray(w, dtype=float)
-    g, p, f, f_lam = _exact_values(problem, w, lam)
+    groups = problem.population_groups()
+    g, p, f, f_lam = _exact_values(problem, groups, w, lam)
     r = g - p
     y = r / lam
-    max_inner = -math.inf
-    t_res = 0.0
-    acc = np.zeros(problem.d)
-    jacs = []
-    for i in range(problem.n):
-        max_inner = max(max_inner, float(np.max(g[i])))
-        t_res = max(t_res, float(np.linalg.norm(r[i])))
-        acc += problem.inner_vjp(i, w, problem.full_batch(i), y[i])
-        if with_gram:
-            jacs.append(problem.inner_jacobian_exact(i, w))
-    acc /= problem.n
+    vjps = [len(idx) * problem.inner_vjp(idx, w, batches, y[idx]) for idx, batches in groups]
+    acc = sum(vjps) / problem.n
     if problem.additive is not None:
         acc = acc + problem.additive.exact_gradient(w)
 
     gram_min = None
     deficient = False
     if with_gram:
-        stacked = np.vstack(jacs)
+        stacked = np.vstack([problem.inner_jacobian_exact(i, w) for i in range(problem.n)])
         if stacked.shape[0] > problem.d:
             gram_min = 0.0
             deficient = True
@@ -243,10 +239,10 @@ def stationarity_report(
             gram_min = float(np.linalg.eigvalsh(gram)[0])
     return StationarityReport(
         grad_F_lambda_norm=float(np.linalg.norm(acc)),
-        approx_t_residual=t_res,
+        approx_t_residual=float(np.max(np.linalg.norm(r, axis=1))),
         f_value=f,
         f_lambda_value=f_lam,
-        max_inner_value=max_inner,
+        max_inner_value=float(np.max(g)),
         grad_F_lambda=acc,
         inner_values=g,
         envelope_grads=y,

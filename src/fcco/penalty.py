@@ -8,6 +8,7 @@ residuals at any candidate point are read off the exact metric pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -89,15 +90,23 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     here.  The result is solvable by the single-loop solver when constraints
     are smooth and by the double-loop solver when merely weakly convex.
     """
-    if slope <= 0:
-        raise ConfigError("penalty slope must be positive")
+    if not 0 < slope < math.inf:
+        raise ConfigError("penalty slope must be positive and finite")
     m, d = cp.m, cp.d
 
-    def inner_value(i, w, batch):
-        return np.array([cp.constraint_value(i, w, batch)], dtype=float)
+    # the constraint oracles are scalar and per constraint, so the batched
+    # oracles loop over their k rows; cp's attributes are read per call
+    def inner_value(idx, w, batches):
+        out = np.empty((len(idx), 1))
+        for j, (i, batch) in enumerate(zip(idx.tolist(), batches)):
+            out[j] = cp.constraint_value(i, w, batch)
+        return out
 
-    def inner_vjp(i, w, batch, y):
-        return float(y[0]) * np.asarray(cp.constraint_grad(i, w, batch), dtype=float)
+    def inner_vjp(idx, w, batches, Y):
+        acc = np.zeros(d)
+        for i, batch, y in zip(idx.tolist(), batches, Y[:, 0].tolist()):
+            acc += y * np.asarray(cp.constraint_grad(i, w, batch), dtype=float)
+        return acc / len(idx)
 
     return FccoProblem(
         n=m,

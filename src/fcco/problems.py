@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem, SeededRng
+from .core import AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types
 from .penalty import ConstrainedProblem
 from .smoothing import CvarHinge, GapHinge, make_outer
 
@@ -67,6 +67,7 @@ class SyntheticFccoSpec:
     jacobian_corruption: float = 0.0
 
     def validate(self) -> None:
+        _check_field_types(self)
         if self.inner_kind not in ("affine", "quadratic", "sigmoid"):
             raise ConfigError(f"unknown inner family {self.inner_kind!r}")
         if self.population < 1:
@@ -123,39 +124,49 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
                 m = rng.normal(size=(d, d)) / math.sqrt(d)
                 quad[i, j] = 0.5 * (m @ m.T)
 
+    # per-sample linear terms and offsets of the k drawn components on their
+    # batches: (k, b, d1, d) and (k, b, d1)
+    def samples(idx, batches):
+        rows = (idx[:, None], batches)
+        return lin_samp[rows], off_samp[rows]
+
     if spec.inner_kind == "affine":
 
-        def values(i, w, batch):
-            return lin_samp[i, batch] @ w + off_samp[i, batch]
+        def values(idx, w, batches):
+            lin, off = samples(idx, batches)
+            return (lin @ w + off).mean(axis=1)
 
-        def jacobians(i, w, batch):
-            return np.broadcast_to(lin_samp[i, batch], (len(batch), d1, d))
+        def jacobians(idx, w, batches):
+            return samples(idx, batches)[0].mean(axis=1)
 
     elif spec.inner_kind == "quadratic":
 
-        def values(i, w, batch):
-            base = 0.5 * np.einsum("kab,a,b->k", quad[i], w, w)
-            return base[None, :] + lin_samp[i, batch] @ w + off_samp[i, batch]
+        def values(idx, w, batches):
+            lin, off = samples(idx, batches)
+            base = 0.5 * np.einsum("kabc,b,c->ka", quad[idx], w, w)
+            return base + (lin @ w + off).mean(axis=1)
 
-        def jacobians(i, w, batch):
-            base = np.einsum("kab,b->ka", quad[i], w)
-            return base[None, :, :] + lin_samp[i, batch]
+        def jacobians(idx, w, batches):
+            base = np.einsum("kabc,c->kab", quad[idx], w)
+            return base + samples(idx, batches)[0].mean(axis=1)
 
     else:  # sigmoid
 
-        def values(i, w, batch):
-            return _sigmoid(lin_samp[i, batch] @ w + off_samp[i, batch])
+        def values(idx, w, batches):
+            lin, off = samples(idx, batches)
+            return _sigmoid(lin @ w + off).mean(axis=1)
 
-        def jacobians(i, w, batch):
-            z = lin_samp[i, batch] @ w + off_samp[i, batch]
-            return _sigmoid_prime(z)[:, :, None] * lin_samp[i, batch]
+        def jacobians(idx, w, batches):
+            lin, off = samples(idx, batches)
+            return (_sigmoid_prime(lin @ w + off)[..., None] * lin).mean(axis=1)
 
-    def inner_value(i, w, batch):
-        return values(i, np.asarray(w, float), batch).mean(axis=0)
+    def inner_value(idx, w, batches):
+        return values(idx, np.asarray(w, float), batches)
 
-    def inner_vjp(i, w, batch, y):
-        jac = jacobians(i, np.asarray(w, float), batch)
-        return jac_factor * np.einsum("pkd,k->d", jac, np.asarray(y, float)) / len(batch)
+    def inner_vjp(idx, w, batches, Y):
+        # jacobians: the (k, d1, d) batch-average Jacobians
+        jac = jacobians(idx, np.asarray(w, float), batches)
+        return jac_factor * np.einsum("kad,ka->d", jac, np.asarray(Y, float)) / len(idx)
 
     c_g, l_g = _synthetic_constants(spec, lin, lin_samp, quad)
     problem = FccoProblem(
@@ -217,6 +228,7 @@ class GdroCvarSpec:
     group_shift: float = 1.0
 
     def validate(self) -> None:
+        _check_field_types(self)
         if self.n_groups < 1 or self.samples_per_group < 1:
             raise ConfigError("empty group")
         if not 0 < self.ratio <= 1:
@@ -238,25 +250,25 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
         y = np.where(rng.uniform(size=m) < _sigmoid(x @ w_true), 1.0, -1.0)
         xs.append(x)
         ys.append(y)
+    feats, labels = np.stack(xs), np.stack(ys)  # (n, m, p), (n, m)
 
-    def losses(g, theta, batch):
-        margin = ys[g][batch] * (xs[g][batch] @ theta)
-        return np.logaddexp(0.0, -margin)
+    def margins(idx, theta, batches):
+        rows = (idx[:, None], batches)
+        x, lab = feats[rows], labels[rows]
+        return x, lab, lab * (x @ theta)
 
-    def inner_value(g, w, batch):
-        theta, s = w[:p], w[p]
-        return np.array([losses(g, theta, batch).mean() - s])
+    def inner_value(idx, w, batches):
+        _, _, margin = margins(idx, w[:p], batches)
+        return (np.logaddexp(0.0, -margin).mean(axis=1) - w[p])[:, None]
 
-    def loss_grad_theta(g, theta, batch):
-        margin = ys[g][batch] * (xs[g][batch] @ theta)
-        coef = -ys[g][batch] * _sigmoid(-margin)
-        return (coef[:, None] * xs[g][batch]).mean(axis=0)
-
-    def inner_vjp(g, w, batch, y):
+    def inner_vjp(idx, w, batches, Y):
+        x, lab, margin = margins(idx, w[:p], batches)
+        loss_grad = ((-lab * _sigmoid(-margin))[..., None] * x).mean(axis=1)  # (k, p)
+        y = Y[:, 0]
         out = np.empty(d)
-        out[:p] = loss_grad_theta(g, w[:p], batch)
-        out[p] = -1.0
-        return float(y[0]) * out
+        out[:p] = y @ loss_grad / len(idx)
+        out[p] = -y.mean()
+        return out
 
     additive = AdditiveTerm(
         value=lambda w: float(w[p]),
@@ -396,8 +408,8 @@ class _RocData:
     def __init__(self, thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift):
         if len(thresholds) < 1:
             raise ConfigError("need at least one threshold")
-        if margin <= 0:
-            raise ConfigError("margin must be positive")
+        if not 0 < margin < math.inf:
+            raise ConfigError("margin must be positive and finite")
         if n_pos < 1 or n_neg < 1:
             raise ConfigError("degenerate group: every group needs positives and negatives")
         rng = SeededRng(seed).gen
@@ -418,30 +430,27 @@ class _RocData:
         self.n_neg = n_neg
         self.all_pos = np.vstack(self.pos)
         self.all_neg = np.vstack(self.neg)
-
-    def samples(self, k):
         # constraint k covers threshold k//2; even k compares positives
-        # (true-positive rates), odd k negatives (false-positive rates)
-        tau = self.thresholds[k // 2]
-        bank = self.pos if k % 2 == 0 else self.neg
-        return tau, bank
+        # (true-positive rates), odd k negatives (false-positive rates).
+        # feats[c] holds class c's samples of both groups side by side,
+        # zero-padded to the larger class size: (2, rows, 2, dim)
+        self.tau = np.repeat(self.thresholds, 2)
+        self.feats = np.zeros((2, max(n_pos, n_neg), 2, dim))
+        self.feats[0, :n_pos] = np.stack(self.pos, axis=1)
+        self.feats[1, :n_neg] = np.stack(self.neg, axis=1)
 
-    def rate_pair(self, k, w, batch):
-        tau, bank = self.samples(k)
-        return np.array(
-            [
-                _sigmoid(bank[0][batch] @ w - tau).mean(),
-                _sigmoid(bank[1][batch] @ w - tau).mean(),
-            ]
-        )
+    def _scores(self, idx, w, batches):
+        x = self.feats[(idx % 2)[:, None], batches]  # (k, b, 2, dim)
+        return x, x @ w - self.tau[idx][:, None, None]
 
-    def rate_jacobian(self, k, w, batch):
-        tau, bank = self.samples(k)
-        jac = np.empty((2, self.dim))
-        for g in (0, 1):
-            x = bank[g][batch]
-            jac[g] = (_sigmoid_prime(x @ w - tau)[:, None] * x).mean(axis=0)
-        return jac
+    def rates(self, idx, w, batches):
+        """(k, 2) group rates of constraints ``idx`` on their batches."""
+        return _sigmoid(self._scores(idx, w, batches)[1]).mean(axis=1)
+
+    def rate_jacobians(self, idx, w, batches):
+        """(k, 2, dim) Jacobians of ``rates``."""
+        x, z = self._scores(idx, w, batches)
+        return (_sigmoid_prime(z)[..., None] * x).mean(axis=1)
 
     def population(self, k):
         return self.n_pos if k % 2 == 0 else self.n_neg
@@ -489,13 +498,13 @@ def make_roc_fairness_toy(
     m = 2 * len(data.thresholds)
 
     def h_value(k, w, batch):
-        r = data.rate_pair(k, np.asarray(w, float), batch)
+        r = data.rates(np.array([k]), np.asarray(w, float), batch[None])[0]
         return float(abs(r[0] - r[1]) - data.margin)
 
     def h_grad(k, w, batch):
-        w = np.asarray(w, float)
-        r = data.rate_pair(k, w, batch)
-        jac = data.rate_jacobian(k, w, batch)
+        idx, w, batches = np.array([k]), np.asarray(w, float), batch[None]
+        r = data.rates(idx, w, batches)[0]
+        jac = data.rate_jacobians(idx, w, batches)[0]
         return float(np.sign(r[0] - r[1])) * (jac[0] - jac[1])
 
     scale = data.feature_scale()
@@ -529,12 +538,12 @@ def make_roc_fairness_fcco(
     data = _RocData(thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift)
     m = 2 * len(data.thresholds)
 
-    def inner_value(k, w, batch):
-        return data.rate_pair(k, np.asarray(w, float), batch)
+    def inner_value(idx, w, batches):
+        return data.rates(idx, np.asarray(w, float), batches)
 
-    def inner_vjp(k, w, batch, y):
-        jac = data.rate_jacobian(k, np.asarray(w, float), batch)
-        return jac.T @ np.asarray(y, float)
+    def inner_vjp(idx, w, batches, Y):
+        jac = data.rate_jacobians(idx, np.asarray(w, float), batches)
+        return np.einsum("kgd,kg->d", jac, np.asarray(Y, float)) / len(idx)
 
     scale = data.feature_scale()
     problem = FccoProblem(

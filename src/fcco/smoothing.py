@@ -58,8 +58,8 @@ class ScaledHinge:
     weak_convexity: float = 0.0
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ConfigError("hinge slope must be positive")
+        if not 0 < self.slope < math.inf:
+            raise ConfigError("hinge slope must be positive and finite")
 
     @property
     def lipschitz(self) -> float:
@@ -100,8 +100,8 @@ class GapHinge:
     weak_convexity: float = 0.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ConfigError("gap margin must be nonnegative")
+        if not 0 <= self.margin < math.inf:
+            raise ConfigError("gap margin must be nonnegative and finite")
 
     @property
     def lipschitz(self) -> float:

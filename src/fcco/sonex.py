@@ -152,59 +152,85 @@ def msvr_correction_default(n: int, b1: int, gamma: float) -> float:
 
 
 def msvr_update(
-    u_i: np.ndarray,
+    u: np.ndarray,
     g_new: np.ndarray,
     g_prev: np.ndarray,
     gamma: float,
     gamma_prime: float,
 ) -> np.ndarray:
-    """(1-gamma) u + gamma g_new + gamma_prime (g_new - g_prev); both inner
-    values must come from the same data batch at the current and previous
-    iterate."""
-    return (1.0 - gamma) * u_i + gamma * g_new + gamma_prime * (g_new - g_prev)
+    """(1-gamma) u + gamma g_new + gamma_prime (g_new - g_prev), row by row
+    over a (k, d1) tracker stack; both inner values must come from the same
+    data batches at the current and previous iterate."""
+    return (1.0 - gamma) * u + gamma * g_new + gamma_prime * (g_new - g_prev)
 
 
-def _draw_batch(rng_parent: SeededRng, ids: tuple, population: int, b2: int) -> np.ndarray:
-    # a full-population "draw" is forced, so skip generator construction
-    if b2 == population:
-        return np.arange(population)
-    return sample_data_batch(rng_parent.spawn(*ids), population, b2)
+class _Draws:
+    """A solver loop's random draws, made at step t from ``rng.philox(purpose,
+    t)``: the component set, one (k, b2) batch array per oracle use and the
+    additive term's batch.  Component i's batch row depends on (seed,
+    purpose, t, i) only, never on which other components were drawn.
 
+    Forced draws are built once here and touch no generator: every
+    component when b1 == n, and the whole population when b2 equals every
+    component's (or the additive term's) population size.  Otherwise each
+    batch draw makes a row for all n components and keeps the ``idx`` rows,
+    so its cost grows with n, not b1.
+    """
 
-def _draw_components(rng_parent: SeededRng, ids: tuple, n: int, b1: int) -> np.ndarray:
-    # selecting every component is forced too
-    if b1 == n:
-        return np.arange(n)
-    return sample_components(rng_parent.spawn(*ids), n, b1)
+    def __init__(self, problem: FccoProblem, rng: SeededRng, b1: int, b2: int):
+        self.rng = rng
+        self.n, self.b1, self.b2 = problem.n, b1, b2
+        self.pops = np.asarray(problem.populations, dtype=np.int64)
+        self.every = b1 == problem.n
+        self.all = np.arange(problem.n)
+        self.full = np.tile(np.arange(b2), (problem.n, 1)) if (self.pops == b2).all() else None
+        self.additive = problem.additive is not None
+        if self.additive:
+            self.pop0 = problem.additive.population
+            self.b0 = min(b2, self.pop0)
+            self.full0 = np.arange(self.pop0) if self.b0 == self.pop0 else None
+
+    def components(self, purpose: int, t: int) -> np.ndarray:
+        if self.every:
+            return self.all
+        return sample_components(self.rng.philox(purpose, t), self.n, self.b1)
+
+    def batches(self, purpose: int, t: int, idx: np.ndarray) -> np.ndarray:
+        rows = self.full
+        if rows is None:
+            rows = sample_data_batch(self.rng.philox(purpose, t), self.pops, self.b2)
+        return rows if self.every else rows[idx]
+
+    def additive_batch(self, purpose: int, t: int) -> np.ndarray | None:
+        if not self.additive:
+            return None
+        if self.full0 is not None:
+            return self.full0
+        return sample_data_batch(self.rng.philox(purpose, t), [self.pop0], self.b0)[0]
 
 
 def init_trackers(
-    problem: FccoProblem, w0: np.ndarray, b2: int, rng: SeededRng, ids: tuple = (_INIT,)
+    problem: FccoProblem, w0: np.ndarray, b2: int, rng: SeededRng, key: tuple = (_INIT, 0)
 ) -> np.ndarray:
-    """One batch estimate of each inner value at w0; component i draws its
-    batch from stream ``ids + (i,)``."""
-    u = np.empty((problem.n, problem.d1))
-    for i in range(problem.n):
-        batch = _draw_batch(rng, ids + (i,), problem.batch_domain(i), b2)
-        u[i] = problem.inner_value(i, w0, batch)
-    return u
+    """One batch estimate of every inner value at w0, from one oracle call;
+    the batches are drawn at ``key`` = (purpose, counter)."""
+    draws = _Draws(problem, rng, problem.n, b2)
+    return problem.inner_value(draws.all, w0, draws.batches(*key, draws.all))
 
 
 def gradient_estimate(
     problem: FccoProblem,
     state: SonexState,
     b1_set: np.ndarray,
-    batches: dict,
+    batches: np.ndarray,
     lam: float,
     additive_batch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Average of the vector-Jacobian products through the tracker envelope
-    gradients over the sampled components, plus the additive-term gradient."""
-    ys = moreau_grad(problem.outer, lam, state.u[b1_set])
-    acc = np.zeros(problem.d)
-    for i, y in zip(b1_set, ys):
-        acc += problem.inner_vjp(int(i), state.w, batches[int(i)], y)
-    acc /= len(b1_set)
+    """Mean of the vector-Jacobian products through the tracker envelope
+    gradients over the sampled components, plus the additive-term gradient;
+    ``batches`` holds one row per sampled component."""
+    y = moreau_grad(problem.outer, lam, state.u[b1_set])
+    acc = problem.inner_vjp(b1_set, state.w, batches, y)
     if problem.additive is not None:
         if additive_batch is None:
             additive_batch = np.arange(problem.additive.population)
@@ -401,32 +427,24 @@ def run_sonex(
     n = problem.n
     gamma_prime = config.resolved_gamma_prime(n)
 
+    draws = _Draws(problem, rng, config.b1, config.b2)
+
     def step(state: SonexState, t: int):
-        b1_set = _draw_components(rng, (_COMPONENTS, t), n, config.b1)
-        calls = 0
-        batches: dict[int, np.ndarray] = {}
-        for i in b1_set:
-            i = int(i)
-            batches[i] = _draw_batch(
-                rng, (_BATCH, t, i), problem.batch_domain(i), config.b2
-            )
-            g_new = problem.inner_value(i, state.w, batches[i])
-            calls += 1
-            if gamma_prime != 0.0:
-                g_prev = problem.inner_value(i, state.prev_w, batches[i])
-                calls += 1
-            else:
-                g_prev = g_new
-            state.u[i] = msvr_update(state.u[i], g_new, g_prev, config.gamma, gamma_prime)
-        additive_batch = None
-        if problem.additive is not None:
-            pop0 = problem.additive.population
-            additive_batch = _draw_batch(rng, (_ADDITIVE, t), pop0, min(config.b2, pop0))
+        idx = draws.components(_COMPONENTS, t)
+        batches = draws.batches(_BATCH, t, idx)
+        g_new = problem.inner_value(idx, state.w, batches)
+        if gamma_prime != 0.0:
+            g_prev = problem.inner_value(idx, state.prev_w, batches)
+        else:
+            g_prev = g_new
+        state.u[idx] = msvr_update(state.u[idx], g_new, g_prev, config.gamma, gamma_prime)
         grad = gradient_estimate(
-            problem, state, b1_set, batches, config.lam, additive_batch=additive_batch
+            problem, state, idx, batches, config.lam,
+            additive_batch=draws.additive_batch(_ADDITIVE, t),
         )
-        calls += len(b1_set) + (1 if problem.additive is not None else 0)
-        return grad, calls, len(b1_set)
+        k = len(idx)
+        calls = (3 if gamma_prime != 0.0 else 2) * k + (1 if draws.additive else 0)
+        return grad, calls, k
 
     # the plain-SGD comparator shares the whole code path: it is the momentum
     # update with full mixing

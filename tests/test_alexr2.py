@@ -162,7 +162,7 @@ def test_run_alexr2_aborts_on_nonfinite_vjp_with_partial_trace():
     # VJP is NaN, and so is the next inner iterate
     prob = replace(
         hinge_chain(),
-        inner_vjp=lambda i, w, batch, y: np.array([float(y[0]) if w[0] > 0.9 else np.nan]),
+        inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean() if w[0] > 0.9 else np.nan]),
     )
     cfg = default_config(w0=np.array([1.0]))
     with pytest.raises(SolverAbort) as exc:

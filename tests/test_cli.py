@@ -132,11 +132,17 @@ def test_gradcheck_identity_outer_tiny_error(tmp_path, capsys):
     assert max(errs) <= 1e-8
 
 
-def test_gradcheck_corrupted_jacobian_fails(tmp_path):
+def test_gradcheck_corrupted_jacobian_fails(tmp_path, capsys):
     payload = synthetic_run_config()
     payload["problem"]["jacobian_corruption"] = 0.05
     cfg = write_config(tmp_path / "cfg.json", payload)
     assert cmd_gradcheck(cfg) == 2
+    # it fails for the corrupted VJPs: the gradient checks miss, the prox check passes
+    out = capsys.readouterr().out.splitlines()
+    grad = [float(line.rsplit(" ", 1)[1]) for line in out if line.startswith("grad check")]
+    prox = [float(line.rsplit(" ", 1)[1]) for line in out if line.startswith("prox check")]
+    assert len(grad) == 3 and min(grad) > 1e-4
+    assert len(prox) == 1 and prox[0] <= 1e-4
 
 
 def test_gradcheck_config_error_exits_1(tmp_path, capsys):
@@ -427,3 +433,52 @@ def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_SYNTHETIC = {"kind": "synthetic", "n": 4, "d": 3, "d1": 1, "inner_kind": "affine",
+              "outer_kind": "scaled_hinge", "outer_param": 1.0, "sigma0": 0.2,
+              "population": 8, "seed": 1}
+_ROC_FCCO = {"kind": "roc_fairness_fcco", "thresholds": [0.0], "margin": 0.05, "n_pos": 8,
+             "n_neg": 8, "seed": 1}
+_SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma": 0.4, "b1": 1,
+                "b2": 1, "iters": 5}
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # non-finite problem fields are config errors, not solver failures
+        {**_SYNTHETIC, "outer_param": math.nan},
+        {**_SYNTHETIC, "sigma0": math.nan},
+        {**_SYNTHETIC, "box_radius": math.inf},
+        {**_SYNTHETIC, "population": 8.0},
+        {**_GDRO, "group_shift": math.nan},
+        {"kind": "toy_constrained", "which": "circle", "penalty_slope": math.nan},
+        {**_ROC_FCCO, "margin": math.nan},
+        {**_ROC_FCCO, "kind": "roc_fairness", "margin": math.nan},
+    ],
+    ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
+         "margin", "penalty_margin"],
+)
+def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
+    from fcco.cli import main
+
+    cfg = write_config(tmp_path / "cfg.json", {"seed": 3, "problem": problem, "solver": _SONEX_SMALL})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [_SYNTHETIC, _GDRO, {"kind": "toy_constrained", "which": "circle"}, _ROC_FCCO,
+     {**_ROC_FCCO, "kind": "roc_fairness"}],
+    ids=["synthetic", "gdro_cvar", "toy_constrained", "roc_fairness_fcco", "roc_fairness"],
+)
+def test_run_nonfinite_problem_field_bases_run(tmp_path, problem):
+    # each malformed case above changes one field of one of these valid problems
+    cfg = write_config(tmp_path / "cfg.json", {"seed": 3, "problem": problem, "solver": _SONEX_SMALL})
+    assert cmd_run(cfg, tmp_path / "out") == 0

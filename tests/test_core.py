@@ -8,18 +8,22 @@ from fcco.core import TRACE_HEADER, SolverTrace, TraceRow
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 
 
+def _gen(seed, counter=0):
+    return SeededRng(seed).philox(0, counter)
+
+
 def test_sample_components_full_set_is_forced():
-    got = sample_components(SeededRng(0), 5, 5)
+    got = sample_components(_gen(0), 5, 5)
     assert np.array_equal(got, np.arange(5))
 
 
 def test_sample_components_singleton():
-    assert np.array_equal(sample_components(SeededRng(0), 1, 1), [0])
+    assert np.array_equal(sample_components(_gen(0), 1, 1), [0])
 
 
 def test_sample_components_deterministic():
-    a = sample_components(SeededRng(42), 100, 10)
-    b = sample_components(SeededRng(42), 100, 10)
+    a = sample_components(_gen(42), 100, 10)
+    b = sample_components(_gen(42), 100, 10)
     assert np.array_equal(a, b)
     assert len(np.unique(a)) == 10
     assert a.min() >= 0 and a.max() < 100
@@ -28,17 +32,17 @@ def test_sample_components_deterministic():
 @pytest.mark.parametrize("b1", [0, 6])
 def test_sample_components_bad_sizes(b1):
     with pytest.raises(ConfigError):
-        sample_components(SeededRng(0), 5, b1)
+        sample_components(_gen(0), 5, b1)
 
 
 def test_sample_data_batch_full_population():
-    assert np.array_equal(sample_data_batch(SeededRng(1), 3, 3), [0, 1, 2])
+    assert np.array_equal(sample_data_batch(_gen(1), [3], 3), [[0, 1, 2]])
 
 
 def test_sample_data_batch_singleton_in_range():
-    got = sample_data_batch(SeededRng(7), 10, 1)
-    assert got.shape == (1,)
-    assert 0 <= got[0] < 10
+    got = sample_data_batch(_gen(7), [10], 1)
+    assert got.shape == (1, 1)
+    assert 0 <= got[0, 0] < 10
 
 
 def test_sample_data_batch_uniform_frequencies():
@@ -47,10 +51,59 @@ def test_sample_data_batch_uniform_frequencies():
     counts = np.zeros(population)
     rng = SeededRng(123)
     for t in range(trials):
-        counts[sample_data_batch(rng.spawn(t), population, b2)] += 1
+        counts[sample_data_batch(rng.philox(0, t), [population], b2)[0]] += 1
     p = b2 / population
     sigma = np.sqrt(trials * p * (1 - p))
     assert np.all(np.abs(counts - trials * p) < 3.5 * sigma)
+
+
+@pytest.mark.parametrize(
+    "populations, b2",
+    [((50, 70), 10), ((7, 5, 9), 5), ((50, 70, 14_400), 4), ((14_400,), 10), ((20, 14_400), 20)],
+    ids=["ranked", "ranked-near-full", "redrawn", "large-population", "mixed"],
+)
+def test_sample_data_batch_rows_sorted_distinct_in_own_population(populations, b2):
+    rng = SeededRng(5)
+    pops = np.array(populations)
+    for t in range(300):
+        rows = sample_data_batch(rng.philox(3, t), pops, b2)
+        assert rows.shape == (len(pops), b2)
+        assert np.all(np.diff(rows, axis=1) > 0)  # sorted and distinct
+        assert np.all(rows >= 0) and np.all(rows < pops[:, None])
+
+
+@pytest.mark.parametrize("populations, b2", [((5, 8), 3), ((40, 60), 2)], ids=["ranked", "redrawn"])
+def test_sample_data_batch_ragged_uniform_frequencies(populations, b2):
+    # on ragged populations every row is uniform over its own population
+    trials = 6000
+    rng = SeededRng(77)
+    counts = [np.zeros(pop) for pop in populations]
+    for t in range(trials):
+        for row, count in zip(sample_data_batch(rng.philox(1, t), populations, b2), counts):
+            count[row] += 1
+    for pop, count in zip(populations, counts):
+        p = b2 / pop
+        sigma = np.sqrt(trials * p * (1 - p))
+        assert np.all(np.abs(count - trials * p) < 4.0 * sigma)
+
+
+@pytest.mark.parametrize("b2", [0, 6])
+def test_sample_data_batch_bad_sizes(b2):
+    # b2 must fit the smallest population
+    with pytest.raises(ConfigError):
+        sample_data_batch(_gen(0), [9, 5, 7], b2)
+
+
+def test_philox_draws_depend_on_key_and_counter_only():
+    rng = SeededRng(9, 4)
+    first = rng.philox(2, 17).random(6)
+    rng.philox(2, 3).random(50)  # another block in between
+    rng.philox(5, 17).random(3)  # another purpose
+    assert np.array_equal(SeededRng(9, 4).philox(2, 17).random(6), first)
+    assert not np.array_equal(rng.philox(2, 18).random(6), first)
+    assert not np.array_equal(rng.philox(3, 17).random(6), first)
+    assert not np.array_equal(SeededRng(10, 4).philox(2, 17).random(6), first)
+    assert not np.array_equal(SeededRng(9, 5).philox(2, 17).random(6), first)
 
 
 def test_seeded_rng_same_stream_same_sequence():
@@ -75,8 +128,8 @@ def test_problem_rejects_outer_of_another_dimension():
     with pytest.raises(ConfigError, match="dimension 2 does not match problem d1=1"):
         FccoProblem(
             n=2, d=1, d1=1, outer=GapHinge(0.3),
-            inner_value=lambda i, w, batch: np.array([w[0]]),
-            inner_vjp=lambda i, w, batch, y: np.array([float(y[0])]),
+            inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
+            inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
             populations=(1, 1),
         )
 
@@ -117,10 +170,10 @@ def test_inner_vjp_linear_in_y(alpha, beta, seed):
     prob = make_synthetic_fcco(spec)
     gen = np.random.default_rng(seed)
     w = gen.normal(size=4)
-    batch = np.array([0, 2, 5])
-    y1, y2 = gen.normal(size=2), gen.normal(size=2)
-    lhs = prob.inner_vjp(1, w, batch, alpha * y1 + beta * y2)
-    rhs = alpha * prob.inner_vjp(1, w, batch, y1) + beta * prob.inner_vjp(1, w, batch, y2)
+    idx, batches = np.array([1, 2]), np.array([[0, 2, 5], [1, 3, 4]])
+    y1, y2 = gen.normal(size=(2, 2)), gen.normal(size=(2, 2))
+    lhs = prob.inner_vjp(idx, w, batches, alpha * y1 + beta * y2)
+    rhs = alpha * prob.inner_vjp(idx, w, batches, y1) + beta * prob.inner_vjp(idx, w, batches, y2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -142,9 +195,9 @@ def test_inner_vjp_linear_for_every_registered_problem():
     gen = np.random.default_rng(0)
     for prob in problems:
         w = gen.normal(size=prob.d)
-        batch = np.array([0, min(2, prob.batch_domain(0) - 1)])
-        y1, y2 = gen.normal(size=prob.d1), gen.normal(size=prob.d1)
+        idx, batches = np.array([0]), np.array([[0, min(2, prob.batch_domain(0) - 1)]])
+        y1, y2 = gen.normal(size=(1, prob.d1)), gen.normal(size=(1, prob.d1))
         a, b = 1.7, -0.4
-        lhs = prob.inner_vjp(0, w, batch, a * y1 + b * y2)
-        rhs = a * prob.inner_vjp(0, w, batch, y1) + b * prob.inner_vjp(0, w, batch, y2)
+        lhs = prob.inner_vjp(idx, w, batches, a * y1 + b * y2)
+        rhs = a * prob.inner_vjp(idx, w, batches, y1) + b * prob.inner_vjp(idx, w, batches, y2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)

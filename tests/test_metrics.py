@@ -106,7 +106,7 @@ def test_metric_gradient_follows_the_solvers_vjp():
     # since the solvers step along that VJP
     prob = dataclasses.replace(
         scalar_chain_problem(Identity()),
-        inner_vjp=lambda i, w, batch, y: 1.1 * np.asarray(y, float),
+        inner_vjp=lambda idx, w, batches, Y: 1.1 * Y.mean(axis=0),
     )
     w, lam = np.array([0.4]), 0.2
     exact = grad_F_lambda_exact(prob, w, lam)
@@ -167,18 +167,20 @@ def test_gram_matches_reference_eigensolver():
 def _one_pass_row_case(problem, w, lam):
     from fcco.sonex import _metric_row
 
-    exact = problem.inner_exact
+    value = problem.inner_value
     seen = []
 
-    def counting(i, v):
-        seen.append(i)
-        return exact(i, v)
+    def counting(idx, v, batches):
+        for i, batch in zip(idx, batches):
+            assert np.array_equal(batch, np.arange(problem.batch_domain(i)))  # whole population
+            seen.append(int(i))
+        return value(idx, v, batches)
 
-    problem.inner_exact = counting
+    problem.inner_value = counting
     try:
         row = _metric_row(problem, w, lam, 7, 11, 3, None)
     finally:
-        problem.inner_exact = exact
+        problem.inner_value = value
     assert sorted(seen) == list(range(problem.n))  # one exact value per component
     f, f_lam = eval_exact(problem, w, lam)
     assert row.f_value == f
@@ -207,3 +209,25 @@ def test_metric_row_is_one_pass_without_penalty():
     w = np.random.default_rng(5).normal(size=prob.d)
     row = _one_pass_row_case(prob, w, 0.05)
     assert row.max_violation is None
+
+
+def test_stationarity_report_on_ragged_populations_matches_component_loop():
+    from fcco.problems import make_roc_fairness_fcco
+    from fcco.smoothing import moreau_grad
+
+    prob = make_roc_fairness_fcco(thresholds=[-1.0, 0.0, 1.0], n_pos=50, n_neg=70, seed=4)
+    assert len(set(prob.populations)) == 2
+    lam = 0.05
+    for w in np.random.default_rng(6).normal(size=(3, prob.d)):
+        rep = stationarity_report(prob, w, lam)
+        g = np.array([prob.inner_exact(i, w) for i in range(prob.n)])
+        y = moreau_grad(prob.outer, lam, g)
+        grad = np.zeros(prob.d)
+        for i in range(prob.n):
+            whole = np.arange(prob.batch_domain(i))[None]
+            grad += prob.inner_vjp(np.array([i]), w, whole, y[i][None])
+        grad = grad / prob.n + prob.additive.exact_gradient(w)
+        f = float(np.mean(prob.outer.value(g))) + prob.additive.value(w)
+        assert np.linalg.norm(rep.inner_values - g) <= 1e-12 * np.linalg.norm(g)
+        assert np.linalg.norm(rep.grad_F_lambda - grad) <= 1e-12 * np.linalg.norm(grad)
+        assert rep.f_value == pytest.approx(f, rel=1e-12, abs=1e-12)

@@ -28,7 +28,7 @@ def test_noiseless_batch_equals_exact():
     w = gen.normal(size=5)
     for i in range(4):
         for batch in (np.array([0]), np.array([2, 5, 8])):
-            np.testing.assert_allclose(prob.inner_value(i, w, batch), prob.inner_exact(i, w))
+            np.testing.assert_allclose(prob.inner_value(np.array([i]), w, batch[None])[0], prob.inner_exact(i, w))
 
 
 def test_affine_identity_outer_has_constant_gradient():
@@ -72,9 +72,8 @@ def test_noise_is_unbiased():
     prob = make_synthetic_fcco(spec)
     w = np.array([0.2, -0.1, 0.4])
     rng = SeededRng(0)
-    draws = np.array(
-        [prob.inner_value(0, w, np.array([rng.spawn(t).gen.integers(10_000)])) for t in range(10_000)]
-    )
+    picks = np.array([rng.spawn(t).gen.integers(10_000) for t in range(10_000)])
+    draws = prob.inner_value(np.zeros(10_000, dtype=int), w, picks[:, None])
     assert abs(draws.mean() - prob.inner_exact(0, w)[0]) < 4 * 0.5 / 100
 
 
@@ -243,3 +242,83 @@ def test_roc_fcco_view_matches_constrained_view():
         assert gap == pytest.approx(cp.constraint_value_exact(k, w), abs=1e-12)
     # objective agrees too
     assert prob.additive.value(w) == pytest.approx(cp.objective.value(w))
+
+
+def _per_component_reference(prob, idx, w, batches, Y):
+    """Values and mean VJP assembled by hand from one-component, one-sample
+    oracle calls: the batch average per component, then the mean over the
+    components of J_i^T y_i, with J_i's rows read off unit-vector VJPs."""
+    values, vjps = [], []
+    for i, batch, y in zip(idx, batches, Y):
+        one = np.array([i])
+        values.append(np.mean([prob.inner_value(one, w, np.array([[s]]))[0] for s in batch], axis=0))
+        jac = np.mean(
+            [[prob.inner_vjp(one, w, np.array([[s]]), e[None]) for e in np.eye(prob.d1)] for s in batch],
+            axis=0,
+        )
+        vjps.append(jac.T @ y)
+    return np.array(values), np.mean(vjps, axis=0)
+
+
+def _random_call(prob, gen, k, b):
+    idx = np.sort(gen.choice(prob.n, size=k, replace=False))
+    batches = np.array([np.sort(gen.choice(prob.batch_domain(i), size=b, replace=False)) for i in idx])
+    return idx, gen.normal(size=prob.d), batches, gen.normal(size=(k, prob.d1))
+
+
+def _assert_close(got, ref, rel=1e-12):
+    assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_synthetic_fcco(SyntheticFccoSpec(
+            n=5, d=4, d1=2, inner_kind="affine", outer_kind="gap_hinge", outer_param=0.1,
+            sigma0=0.3, sigma1=0.2, population=9, seed=1)),
+        lambda: make_synthetic_fcco(SyntheticFccoSpec(
+            n=5, d=4, d1=2, inner_kind="quadratic", outer_kind="gap_hinge", outer_param=0.1,
+            sigma0=0.3, sigma1=0.2, population=9, seed=2)),
+        lambda: make_synthetic_fcco(SyntheticFccoSpec(
+            n=5, d=4, d1=2, inner_kind="sigmoid", outer_kind="gap_hinge", outer_param=0.1,
+            sigma0=0.3, sigma1=0.2, population=9, seed=3)),
+        lambda: make_gdro_cvar(GdroCvarSpec(n_groups=5, p=3, samples_per_group=12, ratio=0.4, seed=4)),
+        lambda: make_roc_fairness_fcco(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5),
+    ],
+    ids=["affine", "quadratic", "sigmoid", "gdro_cvar", "roc_fairness_fcco"],
+)
+def test_batched_oracles_match_per_component_reference(make):
+    prob = make()
+    gen = np.random.default_rng(8)
+    for k, b in ((1, 1), (3, 4), (prob.n, 6)):
+        idx, w, batches, Y = _random_call(prob, gen, k, b)
+        ref_values, ref_vjp = _per_component_reference(prob, idx, w, batches, Y)
+        values = prob.inner_value(idx, w, batches)
+        assert values.shape == (k, prob.d1)
+        _assert_close(values, ref_values)
+        _assert_close(prob.inner_vjp(idx, w, batches, Y), ref_vjp)
+    # the one-sample Jacobian rows the reference is built from match finite
+    # differences of the one-sample values
+    one, sample = idx[:1], batches[:1, :1]
+    jac = np.array([prob.inner_vjp(one, w, sample, e[None]) for e in np.eye(prob.d1)])
+    fd = np.array([
+        finite_difference_gradient(lambda v, a=a: prob.inner_value(one, v, sample)[0, a], w)
+        for a in range(prob.d1)
+    ])
+    np.testing.assert_allclose(jac, fd, atol=1e-6)
+
+
+def test_penalty_wrapper_matches_constraint_oracles():
+    from fcco.penalty import build_penalty_problem
+
+    cp = make_roc_fairness_toy(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)
+    prob = build_penalty_problem(cp, 4.0)
+    gen = np.random.default_rng(9)
+    for k, b in ((1, 2), (3, 5), (prob.n, 7)):
+        idx, w, batches, Y = _random_call(prob, gen, k, b)
+        ref_values = np.array([[cp.constraint_value(i, w, batch)] for i, batch in zip(idx, batches)])
+        ref_vjp = np.mean(
+            [y[0] * cp.constraint_grad(i, w, batch) for i, batch, y in zip(idx, batches, Y)], axis=0
+        )
+        _assert_close(prob.inner_value(idx, w, batches), ref_values)
+        _assert_close(prob.inner_vjp(idx, w, batches, Y), ref_vjp)

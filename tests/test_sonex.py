@@ -10,6 +10,7 @@ from fcco import (
     ScaledHinge,
     SeededRng,
     SolverAbort,
+    sample_data_batch,
 )
 from fcco.metrics import grad_F_lambda_exact
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
@@ -143,7 +144,7 @@ def test_gradient_estimate_identity_affine_mean():
     w = np.array([0.5, -0.5])
     u = np.array([prob.inner_exact(i, w) for i in range(3)])
     b1 = np.array([0, 1, 2])
-    batches = {i: np.array([0]) for i in range(3)}
+    batches = np.zeros((3, 1), dtype=int)
     got = gradient_estimate(prob, _state(prob, w, u), b1, batches, lam=0.1)
     np.testing.assert_allclose(got, A.mean(axis=0))
 
@@ -153,9 +154,7 @@ def test_gradient_estimate_flat_hinge_is_zero():
     prob = affine_problem(A, [-3.0, -4.0], ScaledHinge(1.0))
     w = np.zeros(2)
     u = np.array([prob.inner_exact(i, w) for i in range(2)])
-    got = gradient_estimate(
-        prob, _state(prob, w, u), np.array([0, 1]), {0: np.array([0]), 1: np.array([0])}, 0.2
-    )
+    got = gradient_estimate(prob, _state(prob, w, u), np.array([0, 1]), np.zeros((2, 1), dtype=int), 0.2)
     np.testing.assert_allclose(got, np.zeros(2))
 
 
@@ -164,7 +163,7 @@ def test_gradient_estimate_chain_rule_single_component():
     lam = 0.3
     w = np.array([0.1])  # inside the envelope's quadratic band
     u = np.array([prob.inner_exact(0, w)])
-    got = gradient_estimate(prob, _state(prob, w, u), np.array([0]), {0: np.array([0])}, lam)
+    got = gradient_estimate(prob, _state(prob, w, u), np.array([0]), np.array([[0]]), lam)
     exact = grad_F_lambda_exact(prob, w, lam)
     np.testing.assert_allclose(got, exact, rtol=1e-12)
 
@@ -248,13 +247,13 @@ def test_run_sonex_stale_trackers_outside_sampled_set():
 
 @pytest.mark.filterwarnings("ignore:beta > 2/7")
 def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
-    def bad_value(i, w, batch):
-        return np.array([w[0] if abs(w[0]) < 0.05 else np.nan])
+    def bad_value(idx, w, batches):
+        return np.full((len(idx), 1), w[0] if abs(w[0]) < 0.05 else np.nan)
 
     prob = FccoProblem(
         n=1, d=1, d1=1, outer=Identity(),
         inner_value=bad_value,
-        inner_vjp=lambda i, w, batch, y: np.array([np.nan if abs(w[0]) > 0.05 else 1.0]),
+        inner_vjp=lambda idx, w, batches, Y: np.array([np.nan if abs(w[0]) > 0.05 else 1.0]),
         populations=(1,),
     )
     cfg = SonexConfig(lam=0.1, eta=1.0, beta=1.0, gamma=1.0, gamma_prime=0.0, b1=1, b2=1, iters=50)
@@ -335,12 +334,39 @@ def test_tracker_error_nonincreasing_and_hits_noise_floor():
         g_exact = np.array([prob.inner_exact(i, w) for i in range(n_comp)])
         rng = SeededRng(seed)
         u = init_trackers(prob, w, b2, rng)
+        every = np.arange(n_comp)
         for t in range(1, 1001):
-            for i in range(n_comp):
-                batch = np.sort(rng.spawn(7, t, i).gen.choice(400, size=b2, replace=False))
-                u[i] = msvr_update(u[i], prob.inner_value(i, w, batch), u[i] * 0, gamma, 0.0)
+            batches = sample_data_batch(rng.philox(7, t), prob.populations, b2)
+            u = msvr_update(u, prob.inner_value(every, w, batches), u * 0, gamma, 0.0)
             if t in totals:
                 totals[t] += float(np.mean((u - g_exact) ** 2)) / seeds
     errs = [totals[t] for t in checkpoints]
     assert all(b <= a * 1.1 for a, b in zip(errs[:4], errs[1:4]))  # decay phase
     assert errs[-1] < 2 * gamma * sigma0**2 / b2  # settles at the noise floor
+
+
+def test_component_batches_do_not_depend_on_the_drawn_set():
+    import dataclasses
+
+    prob = make_synthetic_fcco(SyntheticFccoSpec(n=6, d=3, d1=1, inner_kind="affine",
+                                                 sigma0=0.3, population=40, seed=1))
+
+    def step_calls(b1):
+        calls = []
+
+        def value(idx, w, batches):
+            calls.append((idx.copy(), batches.copy()))
+            return prob.inner_value(idx, w, batches)
+
+        cfg = SonexConfig(lam=0.1, eta=1e-3, gamma_prime=0.0, b1=b1, b2=5, iters=30, metric_every=30)
+        run_sonex(dataclasses.replace(prob, inner_value=value), cfg, SeededRng(4))
+        return [call for call in calls if call[1].shape[1] == 5][1:]  # drop init_trackers
+
+    full, subset = step_calls(6), step_calls(2)
+    assert len(full) == len(subset) == 30
+    drawn = set()
+    for (idx_full, rows_full), (idx, rows) in zip(full, subset):
+        assert np.array_equal(idx_full, np.arange(6)) and len(idx) == 2
+        np.testing.assert_array_equal(rows, rows_full[idx])
+        drawn.update(idx.tolist())
+    assert len(drawn) == 6

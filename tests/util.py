@@ -12,8 +12,8 @@ def scalar_chain_problem(outer, slope=1.0):
         d=1,
         d1=1,
         outer=outer,
-        inner_value=lambda i, w, batch: np.array([w[0]]),
-        inner_vjp=lambda i, w, batch, y: np.array([float(y[0])]),
+        inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
+        inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
         populations=(1,),
         lipschitz_inner=1.0,
         smoothness_inner=0.0,
@@ -31,8 +31,8 @@ def affine_problem(A, b, outer, noise=None):
         d=d,
         d1=1,
         outer=outer,
-        inner_value=lambda i, w, batch: np.array([A[i] @ w + b[i]]),
-        inner_vjp=lambda i, w, batch, y: float(y[0]) * A[i],
+        inner_value=lambda idx, w, batches: (A[idx] @ w + b[idx])[:, None],
+        inner_vjp=lambda idx, w, batches, Y: Y[:, 0] @ A[idx] / len(idx),
         populations=(1,) * n,
         lipschitz_inner=float(max(np.linalg.norm(A[i]) for i in range(n))),
         smoothness_inner=0.0,
