@@ -279,7 +279,6 @@ class FccoProblem:
     smoothness_inner: float | None = None
     weak_convexity_inner: float | None = None
     is_penalty: bool = False
-    default_w0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.d1 < 1:
@@ -326,8 +325,6 @@ class FccoProblem:
         return np.vstack([self.inner_vjp(idx, w, batch, e[None]) for e in np.eye(self.d1)])
 
     def initial_point(self) -> np.ndarray:
-        if self.default_w0 is not None:
-            return np.array(self.default_w0, dtype=float)
         return np.zeros(self.d)
 
 

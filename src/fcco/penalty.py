@@ -32,22 +32,27 @@ __all__ = [
 
 @dataclass
 class ConstrainedProblem:
-    """Objective + m scalar inequality-constraint oracles over finite
-    populations, with declared constraint constants.  The exact constraint
-    value and gradient are the batch oracles over the full population.
-    ``known_solution`` / ``known_multipliers`` are optional hand-computed KKT
-    data on toy instances, used by tests only."""
+    """Objective + m scalar inequality constraints over finite populations,
+    with declared constraint constants.
+
+    The constraint oracles are batched like ``FccoProblem``'s:
+    ``constraint_value(idx, w, batches)`` returns the (k,) batch-average
+    values of constraints ``idx`` and ``constraint_grad(idx, w, batches)``
+    their (k, d) batch-average gradients, ``batches`` being a (k, b) int
+    array.  The exact value and gradient of one constraint are a one-row call
+    over its whole population.  ``known_solution`` / ``known_multipliers``
+    are optional hand-computed KKT data on toy instances, used by tests
+    only."""
 
     d: int
     m: int
     objective: AdditiveTerm
-    constraint_value: Callable[[int, np.ndarray, np.ndarray], float]
-    constraint_grad: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    constraint_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    constraint_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
     lipschitz_constraints: float | None = None
     smoothness_constraints: float | None = None
     weak_convexity_constraints: float | None = None
-    default_w0: np.ndarray | None = None
     known_solution: np.ndarray | None = None
     known_multipliers: np.ndarray | None = None
 
@@ -58,10 +63,10 @@ class ConstrainedProblem:
             raise ConfigError("one population per constraint required")
 
     def constraint_value_exact(self, i: int, w: np.ndarray) -> float:
-        return self.constraint_value(i, w, np.arange(self.populations[i]))
+        return float(self.constraint_value(np.array([i]), w, np.arange(self.populations[i])[None])[0])
 
     def constraint_grad_exact(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.constraint_grad(i, w, np.arange(self.populations[i]))
+        return self.constraint_grad(np.array([i]), w, np.arange(self.populations[i])[None])[0]
 
 
 @dataclass
@@ -92,25 +97,18 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     """
     if not 0 < slope < math.inf:
         raise ConfigError("penalty slope must be positive and finite")
-    m, d = cp.m, cp.d
 
-    # the constraint oracles are scalar and per constraint, so the batched
-    # oracles loop over their k rows; cp's attributes are read per call
+    # the constraints are the d1 = 1 inner maps; cp's oracles are looked up
+    # per call, so rebinding them after the problem is built takes effect
     def inner_value(idx, w, batches):
-        out = np.empty((len(idx), 1))
-        for j, (i, batch) in enumerate(zip(idx.tolist(), batches)):
-            out[j] = cp.constraint_value(i, w, batch)
-        return out
+        return cp.constraint_value(idx, w, batches)[:, None]
 
     def inner_vjp(idx, w, batches, Y):
-        acc = np.zeros(d)
-        for i, batch, y in zip(idx.tolist(), batches, Y[:, 0].tolist()):
-            acc += y * np.asarray(cp.constraint_grad(i, w, batch), dtype=float)
-        return acc / len(idx)
+        return Y[:, 0] @ cp.constraint_grad(idx, w, batches) / len(idx)
 
     return FccoProblem(
-        n=m,
-        d=d,
+        n=cp.m,
+        d=cp.d,
         d1=1,
         outer=ScaledHinge(slope),
         inner_value=inner_value,
@@ -121,7 +119,6 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
         smoothness_inner=cp.smoothness_constraints,
         weak_convexity_inner=cp.weak_convexity_constraints,
         is_penalty=True,
-        default_w0=cp.default_w0,
     )
 
 
@@ -150,9 +147,7 @@ def regularity_check(cp: ConstrainedProblem, w: np.ndarray) -> RegularityReport:
     matrix; a diagnostic run at candidate solutions, never a precondition
     gate.  m > d is rank-deficient by shape and reports 0."""
     w = np.asarray(w, dtype=float)
-    jac = np.column_stack(
-        [np.asarray(cp.constraint_grad_exact(i, w), dtype=float) for i in range(cp.m)]
-    )
+    jac = np.column_stack([cp.constraint_grad_exact(i, w) for i in range(cp.m)])
     if cp.m > cp.d:
         return RegularityReport(sigma_min=0.0, rank_deficient=True)
     sigma = np.linalg.svd(jac, compute_uv=False)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types
-from .penalty import ConstrainedProblem
+from .core import _FIELD_KINDS, AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types
+from .penalty import ConstrainedProblem, build_penalty_problem
 from .smoothing import CvarHinge, GapHinge, make_outer
 
 __all__ = [
@@ -290,7 +290,6 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
             max((np.linalg.norm(x, axis=1) ** 2).mean() for x in xs) / 4.0
         ),
         weak_convexity_inner=0.0,
-        default_w0=np.zeros(d),
     )
     return _validate_declared_lipschitz(problem, 2.0, spec.seed)
 
@@ -317,8 +316,28 @@ def _deterministic_term(value_fn, grad_fn):
     )
 
 
+# the parameters each toy takes
+_TOY_PARAMS = {"qp_box": {"center", "bound"}, "circle": {"center"}, "weakly_convex_1d": {"curvature"}}
+
+
+def _check_kinds(kind: str, **values) -> None:
+    """Reject a parameter that is not of ``kind``, one of core's field kinds."""
+    what, ok = _FIELD_KINDS[kind]
+    for name, value in values.items():
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _validate_constraint_lipschitz(cp: ConstrainedProblem) -> ConstrainedProblem:
+    # the constraints are the penalty problem's inner maps; radius 2 is the
+    # ball the circle's constant is stated for
+    _validate_declared_lipschitz(build_penalty_problem(cp, 1.0), 2.0, 0)
+    return cp
+
+
 def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
-    """Hand-solvable constrained fixtures.
+    """Hand-solvable constrained fixtures, each with one constraint on a
+    population of one.
 
     qp_box:  min (w-c)^2 s.t. w <= bound (1-D); active case has w*=bound,
              multiplier 2(c-bound).
@@ -328,86 +347,98 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
              (w-1) + a(1-cos(w-1)) <= 0, weakly convex with modulus a but
              strictly increasing, so w*=1 with multiplier 2 as in qp_box.
     """
+    if kind not in _TOY_PARAMS:
+        raise ConfigError(f"unknown toy kind {kind!r}")
+    unknown = set(params) - _TOY_PARAMS[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} parameters: {sorted(unknown)}")
     if kind == "qp_box":
-        c = float(params.get("center", 2.0))
-        bound = float(params.get("bound", 1.0))
+        c, bound = params.get("center", 2.0), params.get("bound", 1.0)
+        _check_kinds("float", center=c, bound=bound)
+        c, bound = float(c), float(bound)
         if c <= bound:
             w_star, nu_star = np.array([c]), np.array([0.0])
         else:
             w_star, nu_star = np.array([bound]), np.array([2.0 * (c - bound)])
-        return ConstrainedProblem(
+        cp = ConstrainedProblem(
             d=1,
             m=1,
             objective=_deterministic_term(
                 lambda w: (w[0] - c) ** 2, lambda w: np.array([2.0 * (w[0] - c)])
             ),
-            constraint_value=lambda i, w, batch: float(w[0] - bound),
-            constraint_grad=lambda i, w, batch: np.array([1.0]),
+            constraint_value=lambda idx, w, batches: np.full(len(idx), w[0] - bound),
+            constraint_grad=lambda idx, w, batches: np.ones((len(idx), 1)),
             populations=(1,),
             lipschitz_constraints=1.0,
             smoothness_constraints=0.0,
             weak_convexity_constraints=0.0,
-            default_w0=np.array([0.0]),
             known_solution=w_star,
             known_multipliers=nu_star,
         )
-    if kind == "circle":
-        c = np.asarray(params.get("center", (2.0, 0.0)), dtype=float)
+    elif kind == "circle":
+        center = params.get("center", (2.0, 0.0))
+        if np.shape(center) != (2,):
+            raise ConfigError(f"circle center must be two numbers, got {center!r}")
+        _check_kinds("float", **{f"center[{j}]": x for j, x in enumerate(center)})
+        c = np.asarray(center, dtype=float)
         norm_c = float(np.linalg.norm(c))
         if norm_c <= 1.0:
             w_star, nu_star = c.copy(), np.array([0.0])
         else:
             w_star, nu_star = c / norm_c, np.array([norm_c - 1.0])
-        return ConstrainedProblem(
+        cp = ConstrainedProblem(
             d=2,
             m=1,
             objective=_deterministic_term(
                 lambda w: float(np.sum((w - c) ** 2)), lambda w: 2.0 * (w - c)
             ),
-            constraint_value=lambda i, w, batch: float(np.sum(w**2) - 1.0),
-            constraint_grad=lambda i, w, batch: 2.0 * np.asarray(w, float),
+            constraint_value=lambda idx, w, batches: np.full(len(idx), np.sum(w**2) - 1.0),
+            constraint_grad=lambda idx, w, batches: np.tile(2.0 * np.asarray(w, float), (len(idx), 1)),
             populations=(1,),
             lipschitz_constraints=4.0,  # over the ball of radius 2
             smoothness_constraints=2.0,
             weak_convexity_constraints=0.0,
-            default_w0=np.zeros(2),
             known_solution=w_star,
             known_multipliers=nu_star,
         )
-    if kind == "weakly_convex_1d":
-        a = float(params.get("curvature", 0.3))
+    else:  # weakly_convex_1d
+        a = params.get("curvature", 0.3)
+        _check_kinds("float", curvature=a)
         if not 0 < a < 1:
             raise ConfigError("curvature must lie in (0, 1) to keep the constraint increasing")
 
         def g1(w):
-            return float((w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0)))
+            return (w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0))
 
         def g1_grad(w):
             return np.array([1.0 + a * math.sin(w[0] - 1.0)])
 
-        return ConstrainedProblem(
+        cp = ConstrainedProblem(
             d=1,
             m=1,
             objective=_deterministic_term(
                 lambda w: (w[0] - 2.0) ** 2, lambda w: np.array([2.0 * (w[0] - 2.0)])
             ),
-            constraint_value=lambda i, w, batch: g1(w),
-            constraint_grad=lambda i, w, batch: g1_grad(w),
+            constraint_value=lambda idx, w, batches: np.full(len(idx), g1(w)),
+            constraint_grad=lambda idx, w, batches: np.tile(g1_grad(w), (len(idx), 1)),
             populations=(1,),
             lipschitz_constraints=1.0 + a,
             smoothness_constraints=None,  # exercised as the weakly convex regime
             weak_convexity_constraints=a,
-            default_w0=np.array([0.0]),
             known_solution=np.array([1.0]),
             known_multipliers=np.array([2.0]),
         )
-    raise ConfigError(f"unknown toy kind {kind!r}")
+    return _validate_constraint_lipschitz(cp)
 
 
 class _RocData:
     def __init__(self, thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift):
         if len(thresholds) < 1:
             raise ConfigError("need at least one threshold")
+        _check_kinds("float", margin=margin, shift=shift,
+                     **{f"thresholds[{j}]": t for j, t in enumerate(thresholds)})
+        _check_kinds("int", n_pos=n_pos, n_neg=n_neg, dim=dim, seed=seed)
+        _check_kinds("bool", identical_groups=identical_groups)
         if not 0 < margin < math.inf:
             raise ConfigError("margin must be positive and finite")
         if n_pos < 1 or n_neg < 1:
@@ -469,7 +500,12 @@ class _RocData:
             sp = _sigmoid_prime(pos[i] @ w - neg[j] @ w)
             return -(sp[:, None] * delta).mean(axis=0)
 
-        return AdditiveTerm(value=value, grad=grad, population=n_pairs)
+        def grad_exact(w):
+            # the pair sum of sp_ij (pos_i - neg_j), grouped by class sample
+            sp = _sigmoid_prime((pos @ w)[:, None] - (neg @ w)[None, :])
+            return -(sp.sum(axis=1) @ pos - sp.sum(axis=0) @ neg) / sp.size
+
+        return AdditiveTerm(value=value, grad=grad, population=n_pairs, grad_exact=grad_exact)
 
     def feature_scale(self):
         return float(
@@ -497,18 +533,18 @@ def make_roc_fairness_toy(
     data = _RocData(thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift)
     m = 2 * len(data.thresholds)
 
-    def h_value(k, w, batch):
-        r = data.rates(np.array([k]), np.asarray(w, float), batch[None])[0]
-        return float(abs(r[0] - r[1]) - data.margin)
+    def h_value(idx, w, batches):
+        r = data.rates(idx, np.asarray(w, float), batches)
+        return np.abs(r[:, 0] - r[:, 1]) - data.margin
 
-    def h_grad(k, w, batch):
-        idx, w, batches = np.array([k]), np.asarray(w, float), batch[None]
-        r = data.rates(idx, w, batches)[0]
-        jac = data.rate_jacobians(idx, w, batches)[0]
-        return float(np.sign(r[0] - r[1])) * (jac[0] - jac[1])
+    def h_grad(idx, w, batches):
+        w = np.asarray(w, float)
+        r = data.rates(idx, w, batches)
+        jac = data.rate_jacobians(idx, w, batches)
+        return np.sign(r[:, 0] - r[:, 1])[:, None] * (jac[:, 0] - jac[:, 1])
 
     scale = data.feature_scale()
-    return ConstrainedProblem(
+    cp = ConstrainedProblem(
         d=dim,
         m=m,
         objective=data.auc_term(),
@@ -518,8 +554,8 @@ def make_roc_fairness_toy(
         lipschitz_constraints=scale / 2.0,
         smoothness_constraints=None,  # the gap has an absolute-value kink
         weak_convexity_constraints=0.2 * scale**2,
-        default_w0=np.zeros(dim),
     )
+    return _validate_constraint_lipschitz(cp)
 
 
 def make_roc_fairness_fcco(
@@ -558,6 +594,5 @@ def make_roc_fairness_fcco(
         lipschitz_inner=math.sqrt(2.0) * scale / 4.0,
         smoothness_inner=0.15 * scale**2,
         weak_convexity_inner=None,
-        default_w0=np.zeros(dim),
     )
     return _validate_declared_lipschitz(problem, 2.0, seed)

@@ -364,8 +364,8 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
         rows = gen.normal(size=(3, 5))
         cp2 = ConstrainedProblem(
             d=5, m=3, objective=make_toy_constrained("qp_box").objective,
-            constraint_value=lambda i, w, batch: 0.0,
-            constraint_grad=lambda i, w, batch, rows=rows: rows[i],
+            constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
+            constraint_grad=lambda idx, w, batches, rows=rows: rows[idx],
             populations=(1,) * 3,
         )
         got = regularity_check(cp2, np.zeros(5)).sigma_min

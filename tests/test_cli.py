@@ -456,9 +456,21 @@ _SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma":
         {"kind": "toy_constrained", "which": "circle", "penalty_slope": math.nan},
         {**_ROC_FCCO, "margin": math.nan},
         {**_ROC_FCCO, "kind": "roc_fairness", "margin": math.nan},
+        # malformed toy parameters, unknown ones included
+        {"kind": "toy_constrained", "which": "circle", "centre": [3, 0]},
+        {"kind": "toy_constrained", "which": "qp_box", "center": math.nan},
+        {"kind": "toy_constrained", "which": "qp_box", "bound": math.nan},
+        {"kind": "toy_constrained", "which": "circle", "center": [math.nan, 0]},
+        {"kind": "toy_constrained", "which": "circle", "center": [3, 0, 0]},
+        {**_ROC_FCCO, "thresholds": [0.0, math.nan]},
+        {**_ROC_FCCO, "shift": math.nan},
+        {**_ROC_FCCO, "n_pos": 8.5},
+        {**_ROC_FCCO, "kind": "roc_fairness", "thresholds": [math.nan]},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
-         "margin", "penalty_margin"],
+         "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
+         "circle_center", "circle_center_size", "thresholds", "shift", "n_pos",
+         "penalty_thresholds"],
 )
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
     from fcco.cli import main

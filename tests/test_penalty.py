@@ -132,8 +132,8 @@ def _cp_with_grads(rows):
         d=d,
         m=m,
         objective=make_toy_constrained("qp_box").objective,
-        constraint_value=lambda i, w, batch: 0.0,
-        constraint_grad=lambda i, w, batch: rows[i],
+        constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
+        constraint_grad=lambda idx, w, batches: rows[idx],
         populations=(1,) * m,
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fcco.metrics import (
 from fcco.problems import (
     GdroCvarSpec,
     SyntheticFccoSpec,
+    _validate_constraint_lipschitz,
     cvar_from_losses,
     make_gdro_cvar,
     make_roc_fairness_fcco,
@@ -316,9 +319,56 @@ def test_penalty_wrapper_matches_constraint_oracles():
     gen = np.random.default_rng(9)
     for k, b in ((1, 2), (3, 5), (prob.n, 7)):
         idx, w, batches, Y = _random_call(prob, gen, k, b)
-        ref_values = np.array([[cp.constraint_value(i, w, batch)] for i, batch in zip(idx, batches)])
+        rows = [(np.array([i]), batch[None]) for i, batch in zip(idx, batches)]
+        ref_values = np.array([cp.constraint_value(i, w, batch) for i, batch in rows])
         ref_vjp = np.mean(
-            [y[0] * cp.constraint_grad(i, w, batch) for i, batch, y in zip(idx, batches, Y)], axis=0
+            [y[0] * cp.constraint_grad(i, w, batch)[0] for (i, batch), y in zip(rows, Y)], axis=0
         )
         _assert_close(prob.inner_value(idx, w, batches), ref_values)
         _assert_close(prob.inner_vjp(idx, w, batches, Y), ref_vjp)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_toy_constrained("qp_box"),
+        lambda: make_toy_constrained("circle", center=[1.5, -0.5]),
+        lambda: make_toy_constrained("weakly_convex_1d"),
+        lambda: make_roc_fairness_toy(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5),
+    ],
+    ids=["qp_box", "circle", "weakly_convex_1d", "roc_fairness"],
+)
+def test_batched_constraint_oracles_match_one_row_calls(make):
+    from fcco.penalty import build_penalty_problem
+
+    cp = make()
+    prob = build_penalty_problem(cp, 1.0)
+    gen = np.random.default_rng(10)
+    for k, b in ((1, 1), (cp.m, 1), (cp.m, min(cp.populations))):
+        idx, w, batches, _ = _random_call(prob, gen, k, b)
+        values = cp.constraint_value(idx, w, batches)
+        grads = cp.constraint_grad(idx, w, batches)
+        assert values.shape == (k,) and grads.shape == (k, cp.d)
+        for j, (i, batch) in enumerate(zip(idx, batches)):
+            one = np.array([i]), w, batch[None]
+            _assert_close(values[j], cp.constraint_value(*one)[0])
+            _assert_close(grads[j], cp.constraint_grad(*one)[0])
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(9, 9), (7, 11)])
+def test_auc_exact_gradient_matches_pair_gradient(n_pos, n_neg):
+    auc = make_roc_fairness_fcco(thresholds=[0.0], n_pos=n_pos, n_neg=n_neg, seed=6).additive
+    assert auc.grad_exact is not None
+    gen = np.random.default_rng(11)
+    for _ in range(3):
+        w = gen.normal(size=4)
+        _assert_close(auc.exact_gradient(w), auc.grad(w, np.arange(auc.population)))
+
+
+def test_declared_constraint_lipschitz_is_checked():
+    # every constrained toy passes at construction; the circle's constant
+    # understated as 1.0 (it is 4 over the radius-2 ball) fails
+    circle = make_toy_constrained("circle")
+    assert _validate_constraint_lipschitz(circle) is circle
+    with pytest.raises(ConfigError, match="Lipschitz"):
+        _validate_constraint_lipschitz(dataclasses.replace(circle, lipschitz_constraints=1.0))
