@@ -16,6 +16,7 @@ from .core import (
     SolverTrace,
     TraceRow,
     UnsupportedOperationError,
+    parse_fields,
     sample_components,
     sample_data_batch,
 )
@@ -73,6 +74,7 @@ from .penalty import (
 )
 from .problems import (
     GdroCvarSpec,
+    RocFairnessSpec,
     SyntheticFccoSpec,
     cvar_from_losses,
     make_gdro_cvar,

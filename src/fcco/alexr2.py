@@ -139,7 +139,7 @@ class Alexr2Config:
     warm_start_dual: bool = True
     update_kind: str = "momentum"  # momentum | adam (outer update)
     adam_beta2: float = 0.01
-    adam_clip: tuple[float, float] | None = None
+    adam_clip: tuple[float, ...] | None = None
     metric_every: int | None = None
     stop_grad_norm: float | None = None
     record_wall_time: bool = False

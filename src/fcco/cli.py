@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, SeededRng, SolverAbort, _check_field_types
+from .core import ConfigError, SeededRng, SolverAbort, parse_fields
 from .metrics import (
     brute_force_prox,
     eval_exact,
@@ -29,6 +29,7 @@ from .metrics import (
 from .penalty import build_penalty_problem, kkt_from_stationarity, regularity_check
 from .problems import (
     GdroCvarSpec,
+    RocFairnessSpec,
     SyntheticFccoSpec,
     make_gdro_cvar,
     make_roc_fairness_fcco,
@@ -39,8 +40,6 @@ from .problems import (
 from .sonex import SonexConfig, run_sonex
 
 __all__ = ["RunConfig", "cmd_run", "cmd_gradcheck", "cmd_bench", "main"]
-
-_RUN_KEYS = {"seed", "problem", "solver", "metric_every", "record_wall_time", "out"}
 
 
 @dataclasses.dataclass
@@ -54,42 +53,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        unknown = set(raw) - _RUN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("seed", "problem", "solver"):
-            if key not in raw:
-                raise ConfigError(f"config missing required key {key!r}")
-        cfg = cls(
-            seed=raw["seed"],
-            problem=dict(raw["problem"]),
-            solver=dict(raw["solver"]),
-            metric_every=raw.get("metric_every"),
-            record_wall_time=raw.get("record_wall_time", False),
-            out=raw.get("out"),
-        )
-        _check_field_types(cfg)
-        return cfg
+        return parse_fields(cls, raw)
 
     def to_dict(self) -> dict:
-        d = {"seed": self.seed, "problem": self.problem, "solver": self.solver}
-        if self.metric_every is not None:
-            d["metric_every"] = self.metric_every
-        if self.record_wall_time:
-            d["record_wall_time"] = True
-        if self.out is not None:
-            d["out"] = self.out
-        return d
+        """The fields that differ from their defaults, in field order."""
+        values = ((f, getattr(self, f.name)) for f in dataclasses.fields(self))
+        return {f.name: v for f, v in values if v != f.default}
 
 
-def _spec_fields(cls, raw: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return {k: v for k, v in raw.items() if k in names}
+# problem kind -> (parameter dataclass, maker)
+_PROBLEMS = {
+    "synthetic": (SyntheticFccoSpec, make_synthetic_fcco),
+    "gdro_cvar": (GdroCvarSpec, make_gdro_cvar),
+    "roc_fairness_fcco": (RocFairnessSpec, make_roc_fairness_fcco),
+}
+# constrained kind -> maker of the ConstrainedProblem behind the penalty
+_CONSTRAINED = {
+    "toy_constrained": lambda cfg: make_toy_constrained(cfg.pop("which", "qp_box"), **cfg),
+    "roc_fairness": lambda cfg: make_roc_fairness_toy(parse_fields(RocFairnessSpec, cfg)),
+}
 
 
 def build_problem(problem_cfg: dict):
@@ -97,27 +79,14 @@ def build_problem(problem_cfg: dict):
     view and penalty parameters when applicable."""
     cfg = dict(problem_cfg)
     kind = cfg.pop("kind", None)
-    extras: dict = {}
-    if kind == "synthetic":
-        spec = SyntheticFccoSpec(**_spec_fields(SyntheticFccoSpec, cfg))
-        return make_synthetic_fcco(spec), extras
-    if kind == "gdro_cvar":
-        spec = GdroCvarSpec(**_spec_fields(GdroCvarSpec, cfg))
-        return make_gdro_cvar(spec), extras
-    if kind == "toy_constrained":
-        slope = float(cfg.pop("penalty_slope", 10.0))
-        which = cfg.pop("which", "qp_box")
-        cp = make_toy_constrained(which, **cfg)
-        extras = {"constrained": cp, "penalty_slope": slope}
-        return build_penalty_problem(cp, slope), extras
-    if kind == "roc_fairness":
-        slope = float(cfg.pop("penalty_slope", 10.0))
-        cp = make_roc_fairness_toy(**cfg)
-        extras = {"constrained": cp, "penalty_slope": slope}
-        return build_penalty_problem(cp, slope), extras
-    if kind == "roc_fairness_fcco":
-        return make_roc_fairness_fcco(**cfg), extras
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    if kind not in (*_PROBLEMS, *_CONSTRAINED):
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    if kind in _CONSTRAINED:
+        slope = cfg.pop("penalty_slope", 10.0)
+        cp = _CONSTRAINED[kind](cfg)
+        return build_penalty_problem(cp, slope), {"constrained": cp, "penalty_slope": slope}
+    spec_cls, make = _PROBLEMS[kind]
+    return make(parse_fields(spec_cls, cfg)), {}
 
 
 def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
@@ -128,19 +97,10 @@ def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
     for key in ("metric_every", "record_wall_time"):
         if key in cfg:
             raise ConfigError(f"{key} is a run-level key")
-    if "adam_clip" in cfg and cfg["adam_clip"] is not None:
-        cfg["adam_clip"] = tuple(float(x) for x in cfg["adam_clip"])
-    if "w0" in cfg and cfg["w0"] is not None:
-        cfg["w0"] = np.asarray(cfg["w0"], dtype=float)
-    cfg["metric_every"] = run_cfg.metric_every
-    cfg["record_wall_time"] = run_cfg.record_wall_time
-    if kind == "alexr2":
-        return kind, Alexr2Config(**_spec_fields(Alexr2Config, cfg))
-    if kind == "sgd_baseline":
-        cfg["update_kind"] = "sgd_baseline"
-    else:
-        cfg.setdefault("update_kind", "momentum")
-    return kind, SonexConfig(**_spec_fields(SonexConfig, cfg))
+    if kind == "sgd_baseline" and cfg.setdefault("update_kind", kind) != kind:
+        raise ConfigError(f"solver kind sgd_baseline conflicts with update_kind {cfg['update_kind']!r}")
+    cfg.update(metric_every=run_cfg.metric_every, record_wall_time=run_cfg.record_wall_time)
+    return kind, parse_fields(Alexr2Config if kind == "alexr2" else SonexConfig, cfg)
 
 
 def _load_config(path) -> RunConfig:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "ConfigError",
+    "parse_fields",
     "OracleError",
     "NonFiniteError",
     "SolverAbort",
@@ -63,25 +64,37 @@ class SolverAbort(RuntimeError):
         self.trace = trace
 
 
+def _finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _finite_numbers(v) -> bool:
+    vector = isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1
+    return vector and all(_finite_number(x) for x in v)
+
+
+_NUMBERS = ("a list of finite numbers", _finite_numbers)
+
 # field annotation -> (what the value must be, test)
 _FIELD_KINDS = {
     "int": (
         "an integer",
         lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     ),
-    "float": (
-        "a finite number",
-        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
-    ),
+    "float": ("a finite number", _finite_number),
     "bool": ("true or false", lambda v: isinstance(v, (bool, np.bool_))),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "tuple[float, ...]": _NUMBERS,
+    "np.ndarray": _NUMBERS,
 }
 
 
 def _check_field_types(config) -> None:
     """Reject a malformed field of a config dataclass before any range check
-    compares it.  The kind of each int, float and bool field is read off its
-    annotation, a string under ``from __future__ import annotations``; None
-    passes only where the annotation allows it."""
+    compares it.  The kind of each field is read off its annotation, a
+    string under ``from __future__ import annotations``; None passes only
+    where the annotation allows it."""
     for f in fields(config):
         kind, _, rest = f.type.partition(" | ")
         value = getattr(config, f.name)
@@ -90,6 +103,23 @@ def _check_field_types(config) -> None:
         what, ok = _FIELD_KINDS[kind]
         if not ok(value):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+def parse_fields(cls, raw):
+    """The config dataclass ``cls`` built from one JSON object ``raw``: the
+    one boundary every config block passes.  Rejects a block that is not an
+    object, unknown keys, missing required keys and malformed fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} block must be an object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ConfigError(f"{cls.__name__} missing required keys: {missing}")
+    config = cls(**raw)
+    _check_field_types(config)
+    return config
 
 
 _MASK64 = (1 << 64) - 1

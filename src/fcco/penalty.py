@@ -8,13 +8,12 @@ residuals at any candidate point are read off the exact metric pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem
+from .core import AdditiveTerm, ConfigError, FccoProblem, _finite_number
 from .metrics import StationarityReport, stationarity_report
 from .smoothing import ScaledHinge
 
@@ -95,8 +94,8 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     here.  The result is solvable by the single-loop solver when constraints
     are smooth and by the double-loop solver when merely weakly convex.
     """
-    if not 0 < slope < math.inf:
-        raise ConfigError("penalty slope must be positive and finite")
+    if not (_finite_number(slope) and slope > 0):
+        raise ConfigError(f"penalty slope must be a positive finite number, got {slope!r}")
 
     # the constraints are the d1 = 1 inner maps; cp's oracles are looked up
     # per call, so rebinding them after the problem is built takes effect

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FIELD_KINDS, AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types
+from .core import AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types, parse_fields
 from .penalty import ConstrainedProblem, build_penalty_problem
 from .smoothing import CvarHinge, GapHinge, make_outer
 
 __all__ = [
     "SyntheticFccoSpec",
     "GdroCvarSpec",
+    "RocFairnessSpec",
     "make_synthetic_fcco",
     "make_gdro_cvar",
     "make_toy_constrained",
@@ -316,16 +317,24 @@ def _deterministic_term(value_fn, grad_fn):
     )
 
 
-# the parameters each toy takes
-_TOY_PARAMS = {"qp_box": {"center", "bound"}, "circle": {"center"}, "weakly_convex_1d": {"curvature"}}
+# the parameters of each make_toy_constrained kind, with their defaults
+@dataclass
+class QpBoxToy:
+    center: float = 2.0
+    bound: float = 1.0
 
 
-def _check_kinds(kind: str, **values) -> None:
-    """Reject a parameter that is not of ``kind``, one of core's field kinds."""
-    what, ok = _FIELD_KINDS[kind]
-    for name, value in values.items():
-        if not ok(value):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
+@dataclass
+class CircleToy:
+    center: tuple[float, ...] = (2.0, 0.0)
+
+
+@dataclass
+class WeaklyConvexToy:
+    curvature: float = 0.3
+
+
+_TOYS = {"qp_box": QpBoxToy, "circle": CircleToy, "weakly_convex_1d": WeaklyConvexToy}
 
 
 def _validate_constraint_lipschitz(cp: ConstrainedProblem) -> ConstrainedProblem:
@@ -347,15 +356,11 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
              (w-1) + a(1-cos(w-1)) <= 0, weakly convex with modulus a but
              strictly increasing, so w*=1 with multiplier 2 as in qp_box.
     """
-    if kind not in _TOY_PARAMS:
+    if kind not in tuple(_TOYS):  # compared by ==: a kind read from JSON may be unhashable
         raise ConfigError(f"unknown toy kind {kind!r}")
-    unknown = set(params) - _TOY_PARAMS[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} parameters: {sorted(unknown)}")
+    toy = parse_fields(_TOYS[kind], params)
     if kind == "qp_box":
-        c, bound = params.get("center", 2.0), params.get("bound", 1.0)
-        _check_kinds("float", center=c, bound=bound)
-        c, bound = float(c), float(bound)
+        c, bound = float(toy.center), float(toy.bound)
         if c <= bound:
             w_star, nu_star = np.array([c]), np.array([0.0])
         else:
@@ -376,11 +381,9 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             known_multipliers=nu_star,
         )
     elif kind == "circle":
-        center = params.get("center", (2.0, 0.0))
-        if np.shape(center) != (2,):
-            raise ConfigError(f"circle center must be two numbers, got {center!r}")
-        _check_kinds("float", **{f"center[{j}]": x for j, x in enumerate(center)})
-        c = np.asarray(center, dtype=float)
+        if len(toy.center) != 2:
+            raise ConfigError(f"circle center must be two numbers, got {toy.center!r}")
+        c = np.asarray(toy.center, dtype=float)
         norm_c = float(np.linalg.norm(c))
         if norm_c <= 1.0:
             w_star, nu_star = c.copy(), np.array([0.0])
@@ -402,8 +405,7 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             known_multipliers=nu_star,
         )
     else:  # weakly_convex_1d
-        a = params.get("curvature", 0.3)
-        _check_kinds("float", curvature=a)
+        a = toy.curvature
         if not 0 < a < 1:
             raise ConfigError("curvature must lie in (0, 1) to keep the constraint increasing")
 
@@ -431,32 +433,55 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
     return _validate_constraint_lipschitz(cp)
 
 
-class _RocData:
-    def __init__(self, thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift):
-        if len(thresholds) < 1:
+@dataclass
+class RocFairnessSpec:
+    """ROC fairness instance shared by the penalty and the compositional form.
+
+    ``thresholds`` are the score thresholds (at least one) at which each
+    group's true- and false-positive rates are compared; ``margin`` is the
+    allowed rate gap.  ``n_pos`` and ``n_neg`` are the positives and
+    negatives per group, ``dim`` the feature dimension and ``seed`` the data
+    seed.  Positives of group A are centred at a random mean plus ``shift``
+    and negatives at its opposite; ``identical_groups`` gives group B group
+    A's samples, otherwise group B draws its own mean.
+    """
+
+    thresholds: tuple[float, ...]
+    margin: float = 0.05
+    n_pos: int = 30
+    n_neg: int = 30
+    dim: int = 4
+    seed: int = 0
+    identical_groups: bool = False
+    shift: float = 0.3
+
+    def validate(self) -> None:
+        _check_field_types(self)
+        if len(self.thresholds) < 1:
             raise ConfigError("need at least one threshold")
-        _check_kinds("float", margin=margin, shift=shift,
-                     **{f"thresholds[{j}]": t for j, t in enumerate(thresholds)})
-        _check_kinds("int", n_pos=n_pos, n_neg=n_neg, dim=dim, seed=seed)
-        _check_kinds("bool", identical_groups=identical_groups)
-        if not 0 < margin < math.inf:
-            raise ConfigError("margin must be positive and finite")
-        if n_pos < 1 or n_neg < 1:
+        if self.margin <= 0:
+            raise ConfigError("margin must be positive")
+        if self.n_pos < 1 or self.n_neg < 1:
             raise ConfigError("degenerate group: every group needs positives and negatives")
-        rng = SeededRng(seed).gen
-        mu_a = rng.normal(size=dim) * 0.5 + shift
-        mu_b = mu_a if identical_groups else rng.normal(size=dim) * 0.5
+
+
+class _RocData:
+    def __init__(self, spec: RocFairnessSpec):
+        spec.validate()
+        n_pos, n_neg, dim = spec.n_pos, spec.n_neg, spec.dim
+        rng = SeededRng(spec.seed).gen
+        mu_a = rng.normal(size=dim) * 0.5 + spec.shift
+        mu_b = mu_a if spec.identical_groups else rng.normal(size=dim) * 0.5
         self.pos = [rng.normal(size=(n_pos, dim)) + mu_a, None]
         self.neg = [rng.normal(size=(n_neg, dim)) - mu_a, None]
-        if identical_groups:
+        if spec.identical_groups:
             self.pos[1] = self.pos[0].copy()
             self.neg[1] = self.neg[0].copy()
         else:
             self.pos[1] = rng.normal(size=(n_pos, dim)) + mu_b
             self.neg[1] = rng.normal(size=(n_neg, dim)) - mu_b
-        self.thresholds = [float(t) for t in thresholds]
-        self.margin = float(margin)
-        self.dim = dim
+        self.thresholds = [float(t) for t in spec.thresholds]
+        self.margin = float(spec.margin)
         self.n_pos = n_pos
         self.n_neg = n_neg
         self.all_pos = np.vstack(self.pos)
@@ -516,21 +541,12 @@ class _RocData:
         )
 
 
-def make_roc_fairness_toy(
-    thresholds,
-    margin: float = 0.05,
-    n_pos: int = 30,
-    n_neg: int = 30,
-    dim: int = 4,
-    seed: int = 0,
-    identical_groups: bool = False,
-    shift: float = 0.3,
-) -> ConstrainedProblem:
+def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     """Pairwise ranking objective with 2*len(thresholds) rate-gap constraints
     |rate_groupA - rate_groupB| - margin <= 0, rates being sigmoid means of a
     linear scorer at each threshold.  Groups are generated with equal class
     counts so batches index both groups in lockstep."""
-    data = _RocData(thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift)
+    data = _RocData(spec)
     m = 2 * len(data.thresholds)
 
     def h_value(idx, w, batches):
@@ -545,7 +561,7 @@ def make_roc_fairness_toy(
 
     scale = data.feature_scale()
     cp = ConstrainedProblem(
-        d=dim,
+        d=spec.dim,
         m=m,
         objective=data.auc_term(),
         constraint_value=h_value,
@@ -558,20 +574,11 @@ def make_roc_fairness_toy(
     return _validate_constraint_lipschitz(cp)
 
 
-def make_roc_fairness_fcco(
-    thresholds,
-    margin: float = 0.05,
-    n_pos: int = 30,
-    n_neg: int = 30,
-    dim: int = 4,
-    seed: int = 0,
-    identical_groups: bool = False,
-    shift: float = 0.3,
-) -> FccoProblem:
+def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
     """The same instance in native compositional form: one 2-vector of group
     rates per (threshold, class) through a gap hinge, with the ranking
     objective as the additive term.  Smooth inner maps, convex outer."""
-    data = _RocData(thresholds, margin, n_pos, n_neg, dim, seed, identical_groups, shift)
+    data = _RocData(spec)
     m = 2 * len(data.thresholds)
 
     def inner_value(idx, w, batches):
@@ -584,7 +591,7 @@ def make_roc_fairness_fcco(
     scale = data.feature_scale()
     problem = FccoProblem(
         n=m,
-        d=dim,
+        d=spec.dim,
         d1=2,
         outer=GapHinge(data.margin),
         inner_value=inner_value,
@@ -595,4 +602,4 @@ def make_roc_fairness_fcco(
         smoothness_inner=0.15 * scale**2,
         weak_convexity_inner=None,
     )
-    return _validate_declared_lipschitz(problem, 2.0, seed)
+    return _validate_declared_lipschitz(problem, 2.0, spec.seed)

@@ -67,7 +67,7 @@ class SonexConfig:
     iters: int = 100
     update_kind: str = "momentum"
     adam_beta2: float = 0.01  # weight on the squared gradient in the EMA
-    adam_clip: tuple[float, float] | None = None
+    adam_clip: tuple[float, ...] | None = None
     metric_every: int | None = None
     stop_grad_norm: float | None = None
     record_wall_time: bool = False
@@ -106,14 +106,12 @@ class SonexConfig:
 def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
     """Run-wide checks both solver configs share, made once so the step code
     can take them as given: lam against the outer function (positive, and
-    below 1/weak_convexity), the starting point (``w0``, else
-    ``problem.initial_point()``: shape (d,) and finite), the batch sizes
-    against the problem, the metric cadence and the Adam-type rate bounds.
-    Expects ``_check_field_types`` to have passed."""
+    below 1/weak_convexity), the length of ``w0``, the batch sizes against
+    the problem, the metric cadence and the Adam-type settings.  Expects
+    ``_check_field_types`` to have passed."""
     _check_smoothing(problem.outer, config.lam)
-    w0 = problem.initial_point() if config.w0 is None else np.asarray(config.w0, dtype=float)
-    if w0.shape != (problem.d,) or not np.isfinite(w0).all():
-        raise ConfigError(f"w0 must be a finite vector of length d={problem.d}")
+    if config.w0 is not None and len(config.w0) != problem.d:
+        raise ConfigError(f"w0 must have length d={problem.d}, got {len(config.w0)}")
     if not 1 <= config.b1 <= problem.n:
         raise ConfigError(f"b1 must lie in [1, n={problem.n}]")
     smallest = min(problem.batch_domain(i) for i in range(problem.n))
@@ -121,10 +119,12 @@ def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
         raise ConfigError(f"b2 must lie in [1, smallest population={smallest}]")
     if config.metric_every is not None and config.metric_every < 1:
         raise ConfigError("metric_every must be at least 1")
-    adam = config.update_kind == "adam" or config.adam_clip is not None
+    adam = config.update_kind == "adam"
     if adam and not 0 < config.adam_beta2 < 1:
         raise ConfigError("adam_beta2 must lie in (0, 1)")
     clip = config.adam_clip
+    if clip is not None and not adam:
+        raise ConfigError(f"adam_clip needs update_kind adam, got {config.update_kind!r}")
     if clip is not None and not (len(clip) == 2 and 0 < clip[0] <= clip[1]):
         raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
 

@@ -40,6 +40,7 @@ from fcco.penalty import (
 )
 from fcco.problems import (
     GdroCvarSpec,
+    RocFairnessSpec,
     SyntheticFccoSpec,
     cvar_from_losses,
     make_gdro_cvar,
@@ -91,7 +92,7 @@ def test_criterion_02_gradient_correctness():
         exact = grad_F_lambda_exact(prob, w, lam)
         fd = finite_difference_gradient(lambda v: eval_exact(prob, v, lam)[1], w, h=1e-6)
         worst = max(worst, float(np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact))))
-    roc = make_roc_fairness_fcco(thresholds=[-1.0, 0.0, 1.0], margin=0.05, seed=2)
+    roc = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], margin=0.05, seed=2))
     w = SeededRng(9).gen.normal(size=roc.d) * 0.5
     for lam in (0.05, 0.2):
         exact = grad_F_lambda_exact(roc, w, lam)
@@ -185,7 +186,7 @@ def test_criterion_06_inner_loop_quality():
                        alpha=0.1, k_inner=500, b1=1, b2=1)
     z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(3))
     grid = np.linspace(-1.0, 2.0, 300001)
-    vals = [moreau_value(ScaledHinge(1.0), lam, [g]) + (g - 1.0) ** 2 for g in grid]
+    vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - 1.0) ** 2
     z_star = float(grid[int(np.argmin(vals))])
     inner_err = abs(float(z[0]) - z_star)
 
@@ -198,17 +199,14 @@ def test_criterion_06_inner_loop_quality():
     w = np.array([1.0, 1.0])
 
     def prox_objective(zv):
+        # one value per row of zv, a point or an (N, 2) stack
         return sum(
-            moreau_value(ScaledHinge(2.0), lam2, [A[i] @ zv + b[i]]) for i in range(3)
-        ) / 3 + float(np.sum((zv - w) ** 2)) / (2 * nu2)
+            moreau_value(ScaledHinge(2.0), lam2, (zv @ A[i] + b[i])[..., None]) for i in range(3)
+        ) / 3 + np.sum((zv - w) ** 2, axis=-1) / (2 * nu2)
 
     zs = np.linspace(-1.5, 1.5, 301)
-    best, z_ref = np.inf, None
-    for z1 in zs:
-        for z2 in zs:
-            v = prox_objective(np.array([z1, z2]))
-            if v < best:
-                best, z_ref = v, np.array([z1, z2])
+    grid2 = np.stack(np.meshgrid(zs, zs, indexing="ij"), axis=-1).reshape(-1, 2)
+    z_ref = grid2[int(np.argmin(prox_objective(grid2)))].copy()
     for _ in range(6):
         for dim in (0, 1):
             def slice_fn(a, dim=dim):

@@ -84,7 +84,7 @@ def test_run_inner_hinge_instance_matches_grid_prox():
     cfg = default_config(lam=lam, nu=nu, eta=eta, gamma=gamma, k_inner=500)
     z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(3))
     grid = np.linspace(-1.0, 2.0, 300001)
-    vals = [moreau_value(ScaledHinge(1.0), lam, [g]) + (g - 1.0) ** 2 for g in grid]
+    vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - 1.0) ** 2
     z_star = grid[int(np.argmin(vals))]
     assert z_star == pytest.approx(0.5, abs=1e-5)
     assert abs(z[0] - z_star) <= 1e-4
@@ -140,7 +140,7 @@ def test_prox_residual_matches_envelope_gradient_in_1d():
 
     def nested_value(wv):
         grid = np.linspace(wv[0] - 2.0, wv[0] + 2.0, 80001)
-        vals = [moreau_value(ScaledHinge(1.0), lam, [g]) + (g - wv[0]) ** 2 / (2 * nu) for g in grid]
+        vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - wv[0]) ** 2 / (2 * nu)
         return float(np.min(vals))
 
     w = np.array([0.8])

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcco.cli import RunConfig, build_problem, cmd_bench, cmd_gradcheck, cmd_run
 from fcco.core import TRACE_HEADER
@@ -414,6 +419,14 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         {**_ALEXR2, "w0": [0.0, 0.0]},
         # Adam rate bounds that are not a pair
         {**_SONEX, "update_kind": "adam", "adam_clip": [1e-4, 1.0, 2.0]},
+        # list entries that are not numbers are not coerced
+        {**_SONEX, "w0": ["1", "0", "0", "0", "0"]},
+        {**_SONEX, "w0": [True, False, False, False, False]},
+        {**_SONEX, "update_kind": "adam", "adam_clip": [True, 2]},
+        {**_SONEX, "update_kind": "adam", "adam_clip": ["1e-4", "1"]},
+        # a setting the chosen update would ignore
+        {**_SONEX, "adam_clip": [1e-4, 1.0]},
+        {**_SONEX, "kind": "sgd_baseline", "update_kind": "adam"},
     ],
 )
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
@@ -442,6 +455,7 @@ _ROC_FCCO = {"kind": "roc_fairness_fcco", "thresholds": [0.0], "margin": 0.05, "
              "n_neg": 8, "seed": 1}
 _SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma": 0.4, "b1": 1,
                 "b2": 1, "iters": 5}
+_CIRCLE = {"kind": "toy_constrained", "which": "circle", "center": [2.0, 0.0], "penalty_slope": 10.0}
 
 
 @pytest.mark.parametrize(
@@ -466,11 +480,17 @@ _SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma":
         {**_ROC_FCCO, "shift": math.nan},
         {**_ROC_FCCO, "n_pos": 8.5},
         {**_ROC_FCCO, "kind": "roc_fairness", "thresholds": [math.nan]},
+        # a penalty slope that is not a number is not coerced
+        {**_CIRCLE, "penalty_slope": True},
+        {**_CIRCLE, "penalty_slope": "5"},
+        {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": True},
+        {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": "5"},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
          "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
          "circle_center", "circle_center_size", "thresholds", "shift", "n_pos",
-         "penalty_thresholds"],
+         "penalty_thresholds", "circle_slope_bool", "circle_slope_str", "roc_slope_bool",
+         "roc_slope_str"],
 )
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
     from fcco.cli import main
@@ -486,11 +506,76 @@ def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
 
 @pytest.mark.parametrize(
     "problem",
-    [_SYNTHETIC, _GDRO, {"kind": "toy_constrained", "which": "circle"}, _ROC_FCCO,
-     {**_ROC_FCCO, "kind": "roc_fairness"}],
+    [_SYNTHETIC, _GDRO, _CIRCLE, _ROC_FCCO, {**_ROC_FCCO, "kind": "roc_fairness"}],
     ids=["synthetic", "gdro_cvar", "toy_constrained", "roc_fairness_fcco", "roc_fairness"],
 )
 def test_run_nonfinite_problem_field_bases_run(tmp_path, problem):
     # each malformed case above changes one field of one of these valid problems
     cfg = write_config(tmp_path / "cfg.json", {"seed": 3, "problem": problem, "solver": _SONEX_SMALL})
     assert cmd_run(cfg, tmp_path / "out") == 0
+
+
+# base -> (problem, solver, the block whose field the fuzz replaces; None for
+# a run-level key)
+_FUZZ_BASES = {
+    "sonex": (_GDRO, _SONEX, "solver"),
+    "alexr2": (_GDRO, _ALEXR2, "solver"),
+    "sonex_small": (_SYNTHETIC, _SONEX_SMALL, "solver"),
+    "synthetic": (_SYNTHETIC, _SONEX_SMALL, "problem"),
+    "gdro_cvar": (_GDRO, _SONEX_SMALL, "problem"),
+    "roc_fairness_fcco": (_ROC_FCCO, _SONEX_SMALL, "problem"),
+    "circle": (_CIRCLE, _SONEX_SMALL, "problem"),
+    "run_level": (_SYNTHETIC, _SONEX_SMALL, None),
+}
+# integers only in [-2, 3], so that no drawn count makes a run long or large
+_SCALARS = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-2, 3), st.floats(),
+)
+_FUZZ_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.just({}))
+
+
+def _fuzz_payload(base):
+    problem, solver, _ = _FUZZ_BASES[base]
+    return {"seed": 3, "problem": dict(problem), "solver": dict(solver), "metric_every": 2,
+            "record_wall_time": False, "out": "unused"}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    base = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    payload = _fuzz_payload(base)
+    block = _FUZZ_BASES[base][2]
+    target = payload if block is None else payload[block]
+    target[draw(st.sampled_from(sorted(target)))] = draw(_FUZZ_VALUES)
+    return payload
+
+
+def _run_quietly(payload, tmp):
+    from fcco.cli import main
+
+    cfg = write_config(Path(tmp) / "cfg.json", payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("base", sorted(_FUZZ_BASES))
+def test_fuzz_bases_run(tmp_path, base):
+    assert _run_quietly(_fuzz_payload(base), tmp_path) == (0, "")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:beta > 2/7")
+@settings(max_examples=60)
+@given(_fuzzed_configs())
+def test_run_fuzzed_config_exits_cleanly(payload):
+    # any one malformed field ends the run with 0, 1 or 2 and no traceback,
+    # and a config error writes nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_quietly(payload, tmp)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("config error: ")
+            assert not (Path(tmp) / "out").exists()

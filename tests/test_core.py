@@ -181,6 +181,7 @@ def test_inner_vjp_linear_for_every_registered_problem():
     from fcco.penalty import build_penalty_problem
     from fcco.problems import (
         GdroCvarSpec,
+        RocFairnessSpec,
         make_gdro_cvar,
         make_roc_fairness_fcco,
         make_toy_constrained,
@@ -189,7 +190,7 @@ def test_inner_vjp_linear_for_every_registered_problem():
     problems = [
         make_synthetic_fcco(SyntheticFccoSpec(n=4, d=3, d1=1, inner_kind="quadratic", seed=1)),
         make_gdro_cvar(GdroCvarSpec(n_groups=3, p=2, samples_per_group=15, ratio=0.5, seed=2)),
-        make_roc_fairness_fcco(thresholds=[0.0], margin=0.05, n_pos=8, n_neg=8, seed=3),
+        make_roc_fairness_fcco(RocFairnessSpec(thresholds=[0.0], margin=0.05, n_pos=8, n_neg=8, seed=3)),
         build_penalty_problem(make_toy_constrained("circle"), 5.0),
     ]
     gen = np.random.default_rng(0)

@@ -203,19 +203,19 @@ def test_metric_row_is_one_pass_on_penalty_problem():
 
 
 def test_metric_row_is_one_pass_without_penalty():
-    from fcco.problems import make_roc_fairness_fcco
+    from fcco.problems import RocFairnessSpec, make_roc_fairness_fcco
 
-    prob = make_roc_fairness_fcco(thresholds=[-1.0, 0.0, 1.0], n_pos=12, n_neg=12, seed=6)
+    prob = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=12, n_neg=12, seed=6))
     w = np.random.default_rng(5).normal(size=prob.d)
     row = _one_pass_row_case(prob, w, 0.05)
     assert row.max_violation is None
 
 
 def test_stationarity_report_on_ragged_populations_matches_component_loop():
-    from fcco.problems import make_roc_fairness_fcco
+    from fcco.problems import RocFairnessSpec, make_roc_fairness_fcco
     from fcco.smoothing import moreau_grad
 
-    prob = make_roc_fairness_fcco(thresholds=[-1.0, 0.0, 1.0], n_pos=50, n_neg=70, seed=4)
+    prob = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=50, n_neg=70, seed=4))
     assert len(set(prob.populations)) == 2
     lam = 0.05
     for w in np.random.default_rng(6).normal(size=(3, prob.d)):

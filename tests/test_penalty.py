@@ -12,7 +12,7 @@ from fcco.penalty import (
     regularity_check,
     suggest_penalty_slope,
 )
-from fcco.problems import make_roc_fairness_toy, make_toy_constrained
+from fcco.problems import RocFairnessSpec, make_roc_fairness_toy, make_toy_constrained
 from fcco.smoothing import hinge_moreau_grad_closed_form, moreau_value
 from fcco.sonex import SonexConfig, run_sonex
 
@@ -110,7 +110,7 @@ def test_multiplier_formula_consistency(w0, slope, lam):
 def test_kkt_report_reads_the_metric_pass():
     # m = 6 rate-gap constraints; lam*slope = 0.02 leaves inactive, unsaturated
     # and saturated hinges at these points
-    cp = make_roc_fairness_toy(thresholds=[-1.0, 0.0, 1.0])
+    cp = make_roc_fairness_toy(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0]))
     slope, lam = 10.0, 0.002
     pen = build_penalty_problem(cp, slope)
     gen = np.random.default_rng(0)

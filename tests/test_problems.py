@@ -12,6 +12,7 @@ from fcco.metrics import (
 )
 from fcco.problems import (
     GdroCvarSpec,
+    RocFairnessSpec,
     SyntheticFccoSpec,
     _validate_constraint_lipschitz,
     cvar_from_losses,
@@ -198,7 +199,7 @@ def test_unknown_toy_kind_rejected():
 
 
 def test_roc_identical_groups_have_zero_gaps():
-    cp = make_roc_fairness_toy([-1.0, 0.0, 1.0], margin=0.02, identical_groups=True, seed=3)
+    cp = make_roc_fairness_toy(RocFairnessSpec([-1.0, 0.0, 1.0], margin=0.02, identical_groups=True, seed=3))
     gen = np.random.default_rng(0)
     for _ in range(5):
         w = gen.normal(size=cp.d)
@@ -207,7 +208,7 @@ def test_roc_identical_groups_have_zero_gaps():
 
 
 def test_roc_large_margin_is_vacuous():
-    cp = make_roc_fairness_toy([0.0], margin=1.0, seed=1)
+    cp = make_roc_fairness_toy(RocFairnessSpec([0.0], margin=1.0, seed=1))
     gen = np.random.default_rng(4)
     for _ in range(10):
         w = gen.normal(size=cp.d) * 3
@@ -216,7 +217,7 @@ def test_roc_large_margin_is_vacuous():
 
 
 def test_roc_constraint_gradients_match_fd():
-    cp = make_roc_fairness_toy([-0.5, 0.5], margin=0.01, seed=2)
+    cp = make_roc_fairness_toy(RocFairnessSpec([-0.5, 0.5], margin=0.01, seed=2))
     gen = np.random.default_rng(5)
     w = gen.normal(size=cp.d) * 0.7
     for k in range(cp.m):
@@ -229,13 +230,13 @@ def test_roc_constraint_gradients_match_fd():
 
 def test_roc_degenerate_group_rejected():
     with pytest.raises(ConfigError):
-        make_roc_fairness_toy([0.0], margin=0.1, n_pos=0)
+        make_roc_fairness_toy(RocFairnessSpec([0.0], margin=0.1, n_pos=0))
 
 
 def test_roc_fcco_view_matches_constrained_view():
-    kwargs = dict(thresholds=[-1.0, 1.0], margin=0.05, seed=9)
-    cp = make_roc_fairness_toy(**kwargs)
-    prob = make_roc_fairness_fcco(**kwargs)
+    spec = RocFairnessSpec(thresholds=[-1.0, 1.0], margin=0.05, seed=9)
+    cp = make_roc_fairness_toy(spec)
+    prob = make_roc_fairness_fcco(spec)
     assert prob.n == cp.m
     gen = np.random.default_rng(1)
     w = gen.normal(size=prob.d)
@@ -286,7 +287,7 @@ def _assert_close(got, ref, rel=1e-12):
             n=5, d=4, d1=2, inner_kind="sigmoid", outer_kind="gap_hinge", outer_param=0.1,
             sigma0=0.3, sigma1=0.2, population=9, seed=3)),
         lambda: make_gdro_cvar(GdroCvarSpec(n_groups=5, p=3, samples_per_group=12, ratio=0.4, seed=4)),
-        lambda: make_roc_fairness_fcco(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5),
+        lambda: make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)),
     ],
     ids=["affine", "quadratic", "sigmoid", "gdro_cvar", "roc_fairness_fcco"],
 )
@@ -314,7 +315,7 @@ def test_batched_oracles_match_per_component_reference(make):
 def test_penalty_wrapper_matches_constraint_oracles():
     from fcco.penalty import build_penalty_problem
 
-    cp = make_roc_fairness_toy(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)
+    cp = make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5))
     prob = build_penalty_problem(cp, 4.0)
     gen = np.random.default_rng(9)
     for k, b in ((1, 2), (3, 5), (prob.n, 7)):
@@ -334,7 +335,7 @@ def test_penalty_wrapper_matches_constraint_oracles():
         lambda: make_toy_constrained("qp_box"),
         lambda: make_toy_constrained("circle", center=[1.5, -0.5]),
         lambda: make_toy_constrained("weakly_convex_1d"),
-        lambda: make_roc_fairness_toy(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5),
+        lambda: make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)),
     ],
     ids=["qp_box", "circle", "weakly_convex_1d", "roc_fairness"],
 )
@@ -357,7 +358,7 @@ def test_batched_constraint_oracles_match_one_row_calls(make):
 
 @pytest.mark.parametrize("n_pos, n_neg", [(9, 9), (7, 11)])
 def test_auc_exact_gradient_matches_pair_gradient(n_pos, n_neg):
-    auc = make_roc_fairness_fcco(thresholds=[0.0], n_pos=n_pos, n_neg=n_neg, seed=6).additive
+    auc = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[0.0], n_pos=n_pos, n_neg=n_neg, seed=6)).additive
     assert auc.grad_exact is not None
     gen = np.random.default_rng(11)
     for _ in range(3):
