@@ -23,16 +23,10 @@ from .core import (
     SolverResult,
     TraceRow,
     UnsupportedOperationError,
-    _check_field_types,
+    bounded,
     ensure_finite,
 )
-from .sonex import (
-    _Draws,
-    _run_outer_loop,
-    _validate_sampling_and_adam,
-    init_trackers,
-    momentum_step,
-)
+from .sonex import OuterLoopConfig, _Draws, _run_outer_loop, init_trackers, momentum_step
 from .smoothing import dual_tracker_update
 
 __all__ = [
@@ -114,8 +108,8 @@ def theory_outer_stepsize(beta: float, nu: float, rho: float) -> float:
     return beta / (2.0 * smoothed_objective_smoothness(nu, rho))
 
 
-@dataclass
-class Alexr2Config:
+@dataclass(kw_only=True)
+class Alexr2Config(OuterLoopConfig):
     """Double-loop solver parameters.
 
     ``warm_start_dual`` carries the dual trackers across outer iterations;
@@ -124,26 +118,16 @@ class Alexr2Config:
     iteration).
     """
 
-    lam: float
-    nu: float
-    eta: float  # inner primal step
-    theta: float  # inner extrapolation
-    gamma: float  # dual step; applied as gamma/(1+gamma) in the trackers
-    beta: float  # outer momentum mixing, <= 1/2
-    alpha: float  # outer step size
-    k_inner: int = 100
+    nu: float = bounded("(0, inf)")
+    eta: float = bounded("(0, inf)")  # inner primal step
+    theta: float = bounded("[0, 1)")  # inner extrapolation
+    gamma: float = bounded("(0, inf)")  # dual step; applied as gamma/(1+gamma) in the trackers
+    beta: float = bounded("(0, 0.5]")  # outer momentum mixing
+    alpha: float = bounded("(0, inf)")  # outer step size
+    k_inner: int = bounded("[0, inf)", default=100)
     k_growth: bool = False  # K_t = k_inner * (1 + t) when set
-    iters: int = 50
-    b1: int = 1
-    b2: int = 1
+    iters: int = bounded("[0, inf)", default=50)  # outer iterations; fewer than sonex's default
     warm_start_dual: bool = True
-    update_kind: str = "momentum"  # momentum | adam (outer update)
-    adam_beta2: float = 0.01
-    adam_clip: tuple[float, ...] | None = None
-    metric_every: int | None = None
-    stop_grad_norm: float | None = None
-    record_wall_time: bool = False
-    w0: np.ndarray | None = None
 
     @property
     def gamma_hat(self) -> float:
@@ -153,22 +137,7 @@ class Alexr2Config:
         return self.k_inner * (1 + t) if self.k_growth else self.k_inner
 
     def validate(self, problem: FccoProblem) -> None:
-        _check_field_types(self)
-        if self.nu <= 0 or self.eta <= 0:
-            raise ConfigError("nu, eta must be positive")
-        if not 0 <= self.theta < 1:
-            raise ConfigError("theta must lie in [0, 1)")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if not 0 < self.beta <= 0.5:
-            raise ConfigError("beta must lie in (0, 1/2]")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.k_inner < 0 or self.iters < 0:
-            raise ConfigError("iteration budgets must be nonnegative")
-        if self.update_kind not in ("momentum", "adam"):
-            raise ConfigError("update_kind must be momentum or adam")
-        _validate_sampling_and_adam(self, problem)
+        super().validate(problem)
         check_assumptions(problem)
         rho = rho_outer_smoothed(problem)
         if rho > 0 and self.nu >= 1.0 / rho:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, SeededRng, SolverAbort, parse_fields
+from .core import ConfigError, SeededRng, SolverAbort, _fmt, parse_fields
 from .metrics import (
     brute_force_prox,
     eval_exact,
@@ -248,13 +248,9 @@ def cmd_bench(config_dir) -> int:
             with open(out / "report.json") as f:
                 rep = json.load(f)
             final = rep["final"]
-
-            def fmt(x):
-                return "" if x is None else format(float(x), ".17g")
-
             rows.append(
-                f"{cfg_path.name},{rep['solver']},ok,{fmt(final['F'])},"
-                f"{fmt(final['F_lambda'])},{fmt(final['grad_norm'])},"
+                f"{cfg_path.name},{rep['solver']},ok,{_fmt(final['F'])},"
+                f"{_fmt(final['F_lambda'])},{_fmt(final['grad_norm'])},"
                 f"{rep['inner_oracle_calls']},{rep['component_draws']}"
             )
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -23,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
+    "bounded",
     "parse_fields",
     "OracleError",
     "NonFiniteError",
@@ -90,11 +92,26 @@ _FIELD_KINDS = {
 }
 
 
+def bounded(interval: str, default=MISSING):
+    """A dataclass field whose value must lie in ``interval``, written as in
+    mathematics: ``"(0, 1]"``, ``"[1, inf)"``.  ``_check_field_types``
+    checks it right after the field's kind."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = operator.gt if interval[0] == "(" else operator.ge
+    below = operator.lt if interval[-1] == ")" else operator.le
+
+    def inside(value) -> bool:
+        return above(value, low) and below(value, high)
+
+    return field(default=default, metadata={"interval": (interval, inside)})
+
+
 def _check_field_types(config) -> None:
-    """Reject a malformed field of a config dataclass before any range check
-    compares it.  The kind of each field is read off its annotation, a
-    string under ``from __future__ import annotations``; None passes only
-    where the annotation allows it."""
+    """Reject a malformed or out-of-range field of a config dataclass.  The
+    kind of each field is read off its annotation, a string under ``from
+    __future__ import annotations``; None passes only where the annotation
+    allows it.  A field declared with ``bounded`` must then lie in its
+    interval."""
     for f in fields(config):
         kind, _, rest = f.type.partition(" | ")
         value = getattr(config, f.name)
@@ -103,6 +120,9 @@ def _check_field_types(config) -> None:
         what, ok = _FIELD_KINDS[kind]
         if not ok(value):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        interval, inside = f.metadata.get("interval", ("", None))
+        if inside is not None and not inside(value):
+            raise ConfigError(f"{f.name} must lie in {interval}, got {value!r}")
 
 
 def parse_fields(cls, raw):

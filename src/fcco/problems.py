@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types, parse_fields
+from .core import (
+    AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types, bounded, parse_fields,
+)
 from .penalty import ConstrainedProblem, build_penalty_problem
 from .smoothing import CvarHinge, GapHinge, make_outer
 
@@ -52,17 +54,17 @@ class SyntheticFccoSpec:
     deliberate defect used as the gradient-check negative control.
     """
 
-    n: int = 8
-    d: int = 10
-    d1: int = 1
+    n: int = bounded("[1, inf)", default=8)
+    d: int = bounded("[1, inf)", default=10)
+    d1: int = bounded("[1, inf)", default=1)
     inner_kind: str = "affine"
     outer_kind: str = "identity"
     outer_param: float | None = None
-    sigma0: float = 0.0
-    sigma1: float = 0.0
-    population: int = 50
+    sigma0: float = bounded("[0, inf)", default=0.0)
+    sigma1: float = bounded("[0, inf)", default=0.0)
+    population: int = bounded("[1, inf)", default=50)
     seed: int = 0
-    box_radius: float = 2.0
+    box_radius: float = bounded("(0, inf)", default=2.0)
     linear_scale: float = 1.0
     offset_shift: float = 0.0
     jacobian_corruption: float = 0.0
@@ -71,10 +73,6 @@ class SyntheticFccoSpec:
         _check_field_types(self)
         if self.inner_kind not in ("affine", "quadratic", "sigmoid"):
             raise ConfigError(f"unknown inner family {self.inner_kind!r}")
-        if self.population < 1:
-            raise ConfigError("population must be >= 1")
-        if self.sigma0 < 0 or self.sigma1 < 0:
-            raise ConfigError("noise levels must be nonnegative")
         make_outer(self.outer_kind, self.outer_param)  # raises on bad kind
 
 
@@ -221,19 +219,15 @@ class GdroCvarSpec:
     couplings of the form eps/lipschitz shrink with the ratio; small ratios
     need proportionally smaller smoothing for the same objective accuracy."""
 
-    n_groups: int = 8
-    p: int = 4
-    samples_per_group: int = 200
-    ratio: float = 0.15
+    n_groups: int = bounded("[1, inf)", default=8)
+    p: int = bounded("[1, inf)", default=4)
+    samples_per_group: int = bounded("[1, inf)", default=200)
+    ratio: float = bounded("(0, 1]", default=0.15)
     seed: int = 0
     group_shift: float = 1.0
 
     def validate(self) -> None:
         _check_field_types(self)
-        if self.n_groups < 1 or self.samples_per_group < 1:
-            raise ConfigError("empty group")
-        if not 0 < self.ratio <= 1:
-            raise ConfigError("ratio must lie in (0, 1]")
         if self.ratio * self.n_groups < 1:
             raise ConfigError("ratio * n_groups must be >= 1")
 
@@ -331,7 +325,7 @@ class CircleToy:
 
 @dataclass
 class WeaklyConvexToy:
-    curvature: float = 0.3
+    curvature: float = bounded("(0, 1)", default=0.3)  # keeps the constraint increasing
 
 
 _TOYS = {"qp_box": QpBoxToy, "circle": CircleToy, "weakly_convex_1d": WeaklyConvexToy}
@@ -406,8 +400,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
         )
     else:  # weakly_convex_1d
         a = toy.curvature
-        if not 0 < a < 1:
-            raise ConfigError("curvature must lie in (0, 1) to keep the constraint increasing")
 
         def g1(w):
             return (w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0))
@@ -447,10 +439,10 @@ class RocFairnessSpec:
     """
 
     thresholds: tuple[float, ...]
-    margin: float = 0.05
-    n_pos: int = 30
-    n_neg: int = 30
-    dim: int = 4
+    margin: float = bounded("(0, inf)", default=0.05)
+    n_pos: int = bounded("[1, inf)", default=30)
+    n_neg: int = bounded("[1, inf)", default=30)
+    dim: int = bounded("[1, inf)", default=4)
     seed: int = 0
     identical_groups: bool = False
     shift: float = 0.3
@@ -459,10 +451,6 @@ class RocFairnessSpec:
         _check_field_types(self)
         if len(self.thresholds) < 1:
             raise ConfigError("need at least one threshold")
-        if self.margin <= 0:
-            raise ConfigError("margin must be positive")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ConfigError("degenerate group: every group needs positives and negatives")
 
 
 class _RocData:

@@ -153,6 +153,8 @@ def make_outer(kind: str, param: float | None = None):
     if kind == "gap_hinge":
         return GapHinge(margin=float(param if param is not None else 0.0))
     if kind == "identity":
+        if param is not None:
+            raise ConfigError(f"outer_kind 'identity' takes no outer_param, got {param!r}")
         return Identity()
     raise ConfigError(f"unknown outer function kind {kind!r}")
 

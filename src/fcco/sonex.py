@@ -28,6 +28,7 @@ from .core import (
     SolverTrace,
     TraceRow,
     _check_field_types,
+    bounded,
     ensure_finite,
     sample_components,
     sample_data_batch,
@@ -36,6 +37,7 @@ from .metrics import stationarity_report
 from .smoothing import _check_smoothing, moreau_grad
 
 __all__ = [
+    "OuterLoopConfig",
     "SonexConfig",
     "SonexState",
     "msvr_correction_default",
@@ -51,82 +53,7 @@ __all__ = [
 # stream purposes for child rngs
 _INIT, _COMPONENTS, _BATCH, _ADDITIVE, _TAU = 0, 1, 2, 3, 4
 
-UPDATE_KINDS = ("momentum", "adam", "sgd_baseline")
 _ADAM_EPS = 1e-8  # keeps the Adam-type rate eta/(sqrt(s)+eps) finite at s = 0
-
-
-@dataclass
-class SonexConfig:
-    lam: float
-    eta: float
-    beta: float = 0.1
-    gamma: float = 0.1
-    gamma_prime: float | None = None  # None = variance-reduced default
-    b1: int = 1
-    b2: int = 1
-    iters: int = 100
-    update_kind: str = "momentum"
-    adam_beta2: float = 0.01  # weight on the squared gradient in the EMA
-    adam_clip: tuple[float, ...] | None = None
-    metric_every: int | None = None
-    stop_grad_norm: float | None = None
-    record_wall_time: bool = False
-    w0: np.ndarray | None = None
-
-    def resolved_gamma_prime(self, n: int) -> float:
-        if self.gamma_prime is None:
-            return msvr_correction_default(n, self.b1, self.gamma)
-        return float(self.gamma_prime)
-
-    def validate(self, problem: FccoProblem) -> None:
-        _check_field_types(self)
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
-        if not 0 < self.beta <= 1:
-            raise ConfigError("beta must lie in (0, 1]")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError("gamma must lie in (0, 1]")
-        if self.update_kind not in UPDATE_KINDS:
-            raise ConfigError(f"update_kind must be one of {UPDATE_KINDS}")
-        if self.iters < 0:
-            raise ConfigError("iters must be nonnegative")
-        _validate_sampling_and_adam(self, problem)
-        gp = self.resolved_gamma_prime(problem.n)
-        if gp < 0:
-            raise ConfigError("gamma_prime must be nonnegative")
-        if gp > 0 and self.gamma > 0.5:
-            raise ConfigError("gamma must be <= 1/2 when the tracker correction is active")
-        if self.beta > 2.0 / 7.0:
-            warnings.warn(
-                "beta > 2/7 leaves the analyzed regime of the momentum recursion",
-                stacklevel=2,
-            )
-
-
-def _validate_sampling_and_adam(config, problem: FccoProblem) -> None:
-    """Run-wide checks both solver configs share, made once so the step code
-    can take them as given: lam against the outer function (positive, and
-    below 1/weak_convexity), the length of ``w0``, the batch sizes against
-    the problem, the metric cadence and the Adam-type settings.  Expects
-    ``_check_field_types`` to have passed."""
-    _check_smoothing(problem.outer, config.lam)
-    if config.w0 is not None and len(config.w0) != problem.d:
-        raise ConfigError(f"w0 must have length d={problem.d}, got {len(config.w0)}")
-    if not 1 <= config.b1 <= problem.n:
-        raise ConfigError(f"b1 must lie in [1, n={problem.n}]")
-    smallest = min(problem.batch_domain(i) for i in range(problem.n))
-    if not 1 <= config.b2 <= smallest:
-        raise ConfigError(f"b2 must lie in [1, smallest population={smallest}]")
-    if config.metric_every is not None and config.metric_every < 1:
-        raise ConfigError("metric_every must be at least 1")
-    adam = config.update_kind == "adam"
-    if adam and not 0 < config.adam_beta2 < 1:
-        raise ConfigError("adam_beta2 must lie in (0, 1)")
-    clip = config.adam_clip
-    if clip is not None and not adam:
-        raise ConfigError(f"adam_clip needs update_kind adam, got {config.update_kind!r}")
-    if clip is not None and not (len(clip) == 2 and 0 < clip[0] <= clip[1]):
-        raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
 
 
 @dataclass
@@ -321,9 +248,55 @@ def _metric_row(
     )
 
 
+@dataclass(kw_only=True)
+class OuterLoopConfig:
+    """The settings ``_run_outer_loop`` reads, shared by both solver configs.
+
+    ``validate`` makes the run-wide checks once, so the step code can take
+    them as given: every field's kind and declared range, the update kind,
+    lam against the outer function (positive, and below 1/weak_convexity),
+    the length of ``w0``, the batch sizes against the problem and the
+    Adam-type rate bounds.
+    """
+
+    update_kinds = ("momentum", "adam")  # the outer updates this solver takes
+
+    lam: float
+    b1: int = bounded("[1, inf)", default=1)
+    b2: int = bounded("[1, inf)", default=1)
+    iters: int = bounded("[0, inf)", default=100)
+    update_kind: str = "momentum"
+    adam_beta2: float = bounded("(0, 1)", default=0.01)  # weight on the squared gradient in the EMA
+    adam_clip: tuple[float, ...] | None = None
+    metric_every: int | None = bounded("[1, inf)", default=None)
+    stop_grad_norm: float | None = bounded("[0, inf)", default=None)
+    record_wall_time: bool = False
+    w0: np.ndarray | None = None
+
+    def validate(self, problem: FccoProblem) -> None:
+        _check_field_types(self)
+        if self.update_kind not in self.update_kinds:
+            raise ConfigError(
+                f"update_kind must be one of {self.update_kinds}, got {self.update_kind!r}"
+            )
+        _check_smoothing(problem.outer, self.lam)
+        if self.w0 is not None and len(self.w0) != problem.d:
+            raise ConfigError(f"w0 must have length d={problem.d}, got {len(self.w0)}")
+        if self.b1 > problem.n:
+            raise ConfigError(f"b1 must be at most n={problem.n}, got {self.b1}")
+        smallest = min(problem.batch_domain(i) for i in range(problem.n))
+        if self.b2 > smallest:
+            raise ConfigError(f"b2 must be at most the smallest population {smallest}, got {self.b2}")
+        clip = self.adam_clip
+        if clip is not None and self.update_kind != "adam":
+            raise ConfigError(f"adam_clip needs update_kind adam, got {self.update_kind!r}")
+        if clip is not None and not (len(clip) == 2 and 0 < clip[0] <= clip[1]):
+            raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
+
+
 def _run_outer_loop(
     problem: FccoProblem,
-    config,
+    config: OuterLoopConfig,
     rng: SeededRng,
     tau_stream: int,
     beta: float,
@@ -406,6 +379,31 @@ def _run_outer_loop(
         w_sampled = state.w.copy()
         sampled_iteration = trace.last().iteration
     return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, stopped, state=state)
+
+
+@dataclass(kw_only=True)
+class SonexConfig(OuterLoopConfig):
+    update_kinds = ("momentum", "adam", "sgd_baseline")
+
+    eta: float = bounded("[0, inf)")
+    beta: float = bounded("(0, 1]", default=0.1)
+    gamma: float = bounded("(0, 1]", default=0.1)
+    gamma_prime: float | None = bounded("[0, inf)", default=None)  # None = variance-reduced default
+
+    def resolved_gamma_prime(self, n: int) -> float:
+        if self.gamma_prime is None:
+            return msvr_correction_default(n, self.b1, self.gamma)
+        return float(self.gamma_prime)
+
+    def validate(self, problem: FccoProblem) -> None:
+        super().validate(problem)
+        if self.resolved_gamma_prime(problem.n) > 0 and self.gamma > 0.5:
+            raise ConfigError("gamma must be <= 1/2 when the tracker correction is active")
+        if self.beta > 2.0 / 7.0:
+            warnings.warn(
+                "beta > 2/7 leaves the analyzed regime of the momentum recursion",
+                stacklevel=2,
+            )
 
 
 def run_sonex(

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco.cli import RunConfig, build_problem, cmd_bench, cmd_gradcheck, cmd_run
+from fcco.alexr2 import Alexr2Config
+from fcco.cli import _PROBLEMS, RunConfig, build_problem, cmd_bench, cmd_gradcheck, cmd_run
 from fcco.core import TRACE_HEADER
+from fcco.problems import _TOYS
+from fcco.sonex import SonexConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
@@ -56,11 +60,13 @@ def test_run_reproducible_byte_for_byte(tmp_path):
 
 
 def test_run_malformed_config_no_outputs(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{not json")
-    out = tmp_path / "out"
-    assert cmd_run(cfg, out) == 1
-    assert not out.exists()
+    # not JSON, and JSON whose root is not an object
+    for text in ("{not json", "[1, 2]"):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cmd_run(cfg, out) == 1
+        assert not out.exists()
 
 
 def test_run_unknown_keys_rejected(tmp_path):
@@ -427,6 +433,8 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         # a setting the chosen update would ignore
         {**_SONEX, "adam_clip": [1e-4, 1.0]},
         {**_SONEX, "kind": "sgd_baseline", "update_kind": "adam"},
+        # a solver block without its required lam
+        {k: v for k, v in _SONEX.items() if k != "lam"},
     ],
 )
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
@@ -456,6 +464,8 @@ _ROC_FCCO = {"kind": "roc_fairness_fcco", "thresholds": [0.0], "margin": 0.05, "
 _SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma": 0.4, "b1": 1,
                 "b2": 1, "iters": 5}
 _CIRCLE = {"kind": "toy_constrained", "which": "circle", "center": [2.0, 0.0], "penalty_slope": 10.0}
+_WEAKLY_CONVEX = {"kind": "toy_constrained", "which": "weakly_convex_1d", "curvature": 0.3,
+                  "penalty_slope": 10.0}
 
 
 @pytest.mark.parametrize(
@@ -485,12 +495,14 @@ _CIRCLE = {"kind": "toy_constrained", "which": "circle", "center": [2.0, 0.0], "
         {**_CIRCLE, "penalty_slope": "5"},
         {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": True},
         {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": "5"},
+        # a parameter the identity outer function would ignore
+        {**_SYNTHETIC, "outer_kind": "identity"},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
          "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
          "circle_center", "circle_center_size", "thresholds", "shift", "n_pos",
          "penalty_thresholds", "circle_slope_bool", "circle_slope_str", "roc_slope_bool",
-         "roc_slope_str"],
+         "roc_slope_str", "identity_outer_param"],
 )
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
     from fcco.cli import main
@@ -525,6 +537,7 @@ _FUZZ_BASES = {
     "gdro_cvar": (_GDRO, _SONEX_SMALL, "problem"),
     "roc_fairness_fcco": (_ROC_FCCO, _SONEX_SMALL, "problem"),
     "circle": (_CIRCLE, _SONEX_SMALL, "problem"),
+    "weakly_convex_1d": (_WEAKLY_CONVEX, _SONEX_SMALL, "problem"),
     "run_level": (_SYNTHETIC, _SONEX_SMALL, None),
 }
 # integers only in [-2, 3], so that no drawn count makes a run long or large
@@ -579,3 +592,64 @@ def test_run_fuzzed_config_exits_cleanly(payload):
         if code == 1:
             assert err.startswith("config error: ")
             assert not (Path(tmp) / "out").exists()
+
+
+def _block_class(base):
+    """The config dataclass that reads the block ``base`` fuzzes."""
+    problem, solver, block = _FUZZ_BASES[base]
+    if block == "solver":
+        return Alexr2Config if solver["kind"] == "alexr2" else SonexConfig
+    if problem["kind"] == "toy_constrained":
+        return _TOYS[problem["which"]]
+    return _PROBLEMS[problem["kind"]][0]
+
+
+def _just_outside(f):
+    """One value just outside each finite end of field ``f``'s declared
+    interval: the end itself where it is open, the next integer or float
+    beyond it where it is closed."""
+    interval = f.metadata["interval"][0]
+    ends = [float(end) for end in interval[1:-1].split(",")]
+    integer = f.type.startswith("int")
+    values = []
+    for end, bracket, away in ((ends[0], interval[0], -1), (ends[1], interval[-1], 1)):
+        if not math.isfinite(end):
+            continue
+        if bracket in "()":
+            values.append(int(end) if integer else end)
+        else:
+            values.append(int(end) + away if integer else math.nextafter(end, away * math.inf))
+    return values
+
+
+def _range_cases():
+    """(base, field, value) for every declared interval of every fuzzed
+    block, each block class taken once."""
+    classes = {}
+    for base in sorted(b for b in _FUZZ_BASES if _FUZZ_BASES[b][2] is not None):
+        classes.setdefault(_block_class(base), base)
+    return [
+        (base, f.name, value)
+        for cls, base in classes.items()
+        for f in dataclasses.fields(cls)
+        if "interval" in f.metadata
+        for value in _just_outside(f)
+    ]
+
+
+_RANGE_CASES = _range_cases()
+
+
+@pytest.mark.parametrize(
+    "base, name, value", _RANGE_CASES, ids=[f"{b}-{n}={v!r}" for b, n, v in _RANGE_CASES]
+)
+def test_run_field_outside_declared_range_exits_1(tmp_path, base, name, value):
+    payload = _fuzz_payload(base)
+    block = _FUZZ_BASES[base][2]
+    # the metric cadence is a run-level key, checked with the solver block
+    target = payload if name in payload else payload[block]
+    target[name] = value
+    code, err = _run_quietly(payload, tmp_path)
+    assert code == 1
+    assert err.startswith(f"config error: {name} must lie in "), err
+    assert not (tmp_path / "out").exists()
