@@ -11,7 +11,7 @@ equivalent to the Bregman-prox dual step for convex outer functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .core import (
     ensure_finite,
 )
 from .sonex import OuterLoopConfig, _Draws, _run_outer_loop, init_trackers, momentum_step
-from .smoothing import dual_tracker_update
+from .smoothing import _check_smoothing, dual_tracker_update
 
 __all__ = [
     "Alexr2Config",
@@ -197,6 +197,7 @@ def run_inner_alexr(
     can warm-start the duals and keep its accounting.
     """
     check_assumptions(problem)
+    _check_smoothing(problem.outer, config.lam)  # dual_tracker_update takes lam as given
     k = config.k_inner if k is None else k
     calls = 0
     if u_init is None:
@@ -298,8 +299,6 @@ def refine_with_alexr(
         return np.array(w_tau, dtype=float)
     cfg = config
     if lam_refine is not None and lam_refine != config.lam:
-        from dataclasses import replace
-
         cfg = replace(config, lam=lam_refine)
     z_hat, _, _ = run_inner_alexr(problem, np.asarray(w_tau, float), cfg, rng, k=k)
     return z_hat

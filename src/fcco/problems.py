@@ -83,10 +83,16 @@ def _centered_noise(rng, shape, sigma):
     return noise - noise.mean(axis=1, keepdims=True)
 
 
+@np.errstate(all="ignore")  # non-finite results fail the check below instead
 def _validate_declared_lipschitz(problem: FccoProblem, box_radius: float, seed: int, pairs: int = 100):
     # generated constants are claims; check them against sampled difference
     # quotients of the exact maps inside the stated box before handing the
-    # problem out
+    # problem out.  A non-finite constant, distance or gap fails: a check
+    # that cannot be computed checks nothing.
+    if not math.isfinite(problem.lipschitz_inner):
+        raise ConfigError(
+            f"declared inner Lipschitz constant must be finite, got {problem.lipschitz_inner}"
+        )
     gen = SeededRng(seed, 424242).gen
     bound = problem.lipschitz_inner * (1.0 + 1e-6)
     for _ in range(pairs):
@@ -95,11 +101,17 @@ def _validate_declared_lipschitz(problem: FccoProblem, box_radius: float, seed: 
         a *= box_radius * gen.uniform() ** 0.5 / np.linalg.norm(a)
         b = gen.normal(size=problem.d)
         b *= box_radius * gen.uniform() ** 0.5 / np.linalg.norm(b)
+        dist = np.linalg.norm(a - b)
+        if not math.isfinite(dist):
+            raise ConfigError(
+                f"box_radius {box_radius} is too large to check the declared inner "
+                f"Lipschitz constant: sampled distances overflow"
+            )
         gap = np.linalg.norm(problem.inner_exact(i, a) - problem.inner_exact(i, b))
-        if gap > bound * np.linalg.norm(a - b):
+        if not gap <= bound * dist:  # a NaN gap fails too
             raise ConfigError(
                 f"declared inner Lipschitz constant {problem.lipschitz_inner} violated "
-                f"empirically (ratio {gap / np.linalg.norm(a - b):.4g})"
+                f"empirically (ratio {gap / dist:.4g})"
             )
     return problem
 
@@ -183,6 +195,7 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
     return _validate_declared_lipschitz(problem, spec.box_radius, spec.seed)
 
 
+@np.errstate(over="ignore")  # a huge box overflows c_g to inf, which the check rejects
 def _synthetic_constants(spec, lin, lin_samp, quad):
     n = spec.n
     if spec.inner_kind == "affine":
@@ -303,6 +316,14 @@ def cvar_from_losses(losses, ratio: float) -> float:
     return float(total / count)
 
 
+def _repeat(row, k: int) -> np.ndarray:
+    """``row`` (a number or a 1-D array) stacked k times along a new first
+    axis.  The toy oracles run once per inner step on tiny arrays, where
+    np.full and np.tile cost more in their Python-level wrappers than in
+    the copy."""
+    return np.asarray(row, dtype=float)[None].repeat(k, 0)
+
+
 def _deterministic_term(value_fn, grad_fn):
     return AdditiveTerm(
         value=lambda w: float(value_fn(np.asarray(w, float))),
@@ -365,8 +386,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: (w[0] - c) ** 2, lambda w: np.array([2.0 * (w[0] - c)])
             ),
-            constraint_value=lambda idx, w, batches: np.full(len(idx), w[0] - bound),
-            constraint_grad=lambda idx, w, batches: np.ones((len(idx), 1)),
+            constraint_value=lambda idx, w, batches: _repeat(w[0] - bound, len(idx)),
+            constraint_grad=lambda idx, w, batches: _repeat((1.0,), len(idx)),
             populations=(1,),
             lipschitz_constraints=1.0,
             smoothness_constraints=0.0,
@@ -389,8 +410,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: float(np.sum((w - c) ** 2)), lambda w: 2.0 * (w - c)
             ),
-            constraint_value=lambda idx, w, batches: np.full(len(idx), np.sum(w**2) - 1.0),
-            constraint_grad=lambda idx, w, batches: np.tile(2.0 * np.asarray(w, float), (len(idx), 1)),
+            constraint_value=lambda idx, w, batches: _repeat(np.add.reduce(w * w) - 1.0, len(idx)),
+            constraint_grad=lambda idx, w, batches: _repeat(2.0 * w, len(idx)),
             populations=(1,),
             lipschitz_constraints=4.0,  # over the ball of radius 2
             smoothness_constraints=2.0,
@@ -413,8 +434,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: (w[0] - 2.0) ** 2, lambda w: np.array([2.0 * (w[0] - 2.0)])
             ),
-            constraint_value=lambda idx, w, batches: np.full(len(idx), g1(w)),
-            constraint_grad=lambda idx, w, batches: np.tile(g1_grad(w), (len(idx), 1)),
+            constraint_value=lambda idx, w, batches: _repeat(g1(w), len(idx)),
+            constraint_grad=lambda idx, w, batches: _repeat(g1_grad(w), len(idx)),
             populations=(1,),
             lipschitz_constraints=1.0 + a,
             smoothness_constraints=None,  # exercised as the weakly convex regime

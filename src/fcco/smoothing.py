@@ -176,6 +176,11 @@ def moreau_grad(outer, lam: float, t) -> np.ndarray:
     at the prox point, one per row of t; no row's norm exceeds
     outer.lipschitz."""
     _check_smoothing(outer, lam)
+    return _envelope_grad(outer, lam, t)
+
+
+def _envelope_grad(outer, lam: float, t) -> np.ndarray:
+    """moreau_grad without its check on lam, for callers that made it."""
     return (t - outer.prox(lam, t)) / lam
 
 
@@ -215,13 +220,16 @@ def dual_tracker_update(
     the envelope gradient y = moreau_grad(u).  Equivalent to the conjugate
     update for a convex outer function, and requires no conjugate calculus.
 
-    Preconditions, proven once per run by ``Alexr2Config.validate`` and
-    ``alexr2.check_assumptions`` rather than on every step: ``outer`` is
-    convex, ``0 < gamma_hat <= 1`` and ``u_prev``, ``g_tilde`` are float
-    arrays.  The convergence analysis behind this step additionally assumes
-    the implicit dual divergences stay bounded; that holds for every
-    Lipschitz entry in this catalog and is treated as a documented
-    assumption, never a runtime check.
+    Preconditions, proven once per inner run by ``alexr2.run_inner_alexr``
+    (``check_assumptions`` and the smoothing check) and by
+    ``Alexr2Config.validate`` rather than on every step: ``outer`` is convex,
+    ``lam`` is a valid smoothing parameter for it, ``0 < gamma_hat <= 1`` and
+    ``u_prev``, ``g_tilde`` are float arrays.  This function checks none of
+    them: a ``lam`` of 0 gives inf/nan here, not a ConfigError
+    (``moreau_grad`` is the checked form of ``y``).  The convergence analysis
+    behind this step additionally assumes the implicit dual divergences stay
+    bounded; that holds for every Lipschitz entry in this catalog and is
+    treated as a documented assumption, never a runtime check.
     """
     u_new = (1.0 - gamma_hat) * u_prev + gamma_hat * g_tilde
-    return u_new, moreau_grad(outer, lam, u_new)
+    return u_new, _envelope_grad(outer, lam, u_new)

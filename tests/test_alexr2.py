@@ -265,6 +265,17 @@ def test_refine_requires_smooth_inner():
         refine_with_alexr(prob, np.array([1.0]), default_config(), 10, SeededRng(0))
 
 
+def test_refine_rejects_zero_smoothing_before_any_oracle_call():
+    # the inner loop checks lam once, before its first oracle call
+    prob = hinge_chain()
+    calls = []
+    inner_value = prob.inner_value
+    prob.inner_value = lambda *args: calls.append(args) or inner_value(*args)
+    with pytest.raises(ConfigError):
+        refine_with_alexr(prob, np.array([1.0]), default_config(), 10, SeededRng(0), lam_refine=0.0)
+    assert calls == []
+
+
 def test_refine_does_not_worsen_stationarity():
     spec = SyntheticFccoSpec(
         n=4, d=3, d1=1, inner_kind="quadratic", outer_kind="scaled_hinge", outer_param=1.0,

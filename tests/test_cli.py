@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -230,6 +231,21 @@ def test_config_round_trip():
     again = RunConfig.from_dict(cfg.to_dict())
     assert cfg == again
     assert cfg.to_dict() == again.to_dict()
+
+
+# trace.csv sha256 of the circle configs, unchanged since the batched
+# oracles and Philox sampling came in: the determinism contract, pinned
+_GOLDEN_TRACES = {
+    "circle_alexr2": "19b49616c3431793491e5088f0cf4eb5948d1e25d2bc9d73f096a92f31c5b8f2",
+    "circle_sonex": "3d7c6f88f982f9839ddd1f5c6e1d84b1733bda0536434dfe82a62d774b441267",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_TRACES))
+def test_shipped_circle_trace_matches_golden_hash(tmp_path, name):
+    out = tmp_path / "out"
+    assert cmd_run(ROOT / "configs" / f"{name}.json", out) == 0
+    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == _GOLDEN_TRACES[name]
 
 
 def test_shipped_configs_build(tmp_path):
@@ -497,12 +513,17 @@ _WEAKLY_CONVEX = {"kind": "toy_constrained", "which": "weakly_convex_1d", "curva
         {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": "5"},
         # a parameter the identity outer function would ignore
         {**_SYNTHETIC, "outer_kind": "identity"},
+        # a box so large that the declared-constant check overflows
+        {**_SYNTHETIC, "box_radius": 1e300},
+        {**_SYNTHETIC, "inner_kind": "quadratic", "box_radius": 1e300},
+        {**_SYNTHETIC, "inner_kind": "sigmoid", "box_radius": 1e300},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
          "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
          "circle_center", "circle_center_size", "thresholds", "shift", "n_pos",
          "penalty_thresholds", "circle_slope_bool", "circle_slope_str", "roc_slope_bool",
-         "roc_slope_str", "identity_outer_param"],
+         "roc_slope_str", "identity_outer_param", "affine_huge_box", "quadratic_huge_box",
+         "sigmoid_huge_box"],
 )
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
     from fcco.cli import main
