@@ -26,7 +26,7 @@ from .metrics import (
     grad_F_lambda_exact,
     stationarity_report,
 )
-from .penalty import build_penalty_problem, kkt_from_stationarity, regularity_check
+from .penalty import RegularityReport, build_penalty_problem, kkt_from_stationarity
 from .problems import (
     GdroCvarSpec,
     RocFairnessSpec,
@@ -136,7 +136,7 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
     report["gram_rank_deficient"] = rep.gram_rank_deficient
     if "constrained" in extras:
         kr = kkt_from_stationarity(rep)
-        reg = regularity_check(extras["constrained"], result.w_final)
+        reg = RegularityReport.from_gram(rep.gram_min_eig, rep.gram_rank_deficient)
         report["kkt"] = {
             "stationarity": kr.stationarity,
             "max_violation": kr.max_violation,

@@ -312,12 +312,12 @@ class FccoProblem:
     over whole populations, so metrics step along the same vector-Jacobian
     products as the solvers.
 
+    The component count ``n`` is ``len(populations)``, not a field.
     Declared constants (`lipschitz_inner`, `smoothness_inner`,
     `weak_convexity_inner`) feed theory-driven defaults and validation; they
     are claims made by the problem constructor, not estimated.
     """
 
-    n: int
     d: int
     d1: int
     outer: object
@@ -333,12 +333,14 @@ class FccoProblem:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.d1 < 1:
             raise ConfigError("n, d, d1 must be positive")
-        if len(self.populations) != self.n:
-            raise ConfigError("one population size per component required")
         if self.outer.dim != self.d1:
             raise ConfigError(
                 f"outer function dimension {self.outer.dim} does not match problem d1={self.d1}"
             )
+
+    @property
+    def n(self) -> int:
+        return len(self.populations)
 
     @property
     def outers(self) -> tuple:
@@ -407,21 +409,9 @@ class TraceRow:
     wall_ms: float | None = None
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.iteration,
-                self.inner_oracle_calls,
-                self.component_draws,
-                self.f_value,
-                self.f_lambda_value,
-                self.grad_norm,
-                self.stat_t_residual,
-                self.stat_grad_residual,
-                self.max_violation,
-                self.wall_ms,
-            )
-        )
+        # the field order is TRACE_HEADER's column order; astuple would
+        # deep-copy every value, at over three times the cost per row
+        return ",".join(_fmt(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass

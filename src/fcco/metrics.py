@@ -227,16 +227,7 @@ def stationarity_report(
     if problem.additive is not None:
         acc = acc + problem.additive.exact_gradient(w)
 
-    gram_min = None
-    deficient = False
-    if with_gram:
-        stacked = np.vstack([problem.inner_jacobian_exact(i, w) for i in range(problem.n)])
-        if stacked.shape[0] > problem.d:
-            gram_min = 0.0
-            deficient = True
-        else:
-            gram = stacked @ stacked.T
-            gram_min = float(np.linalg.eigvalsh(gram)[0])
+    gram_min, deficient = _gram_min_eig(problem, w) if with_gram else (None, False)
     return StationarityReport(
         grad_F_lambda_norm=float(np.linalg.norm(acc)),
         approx_t_residual=float(np.max(np.linalg.norm(r, axis=1))),
@@ -249,3 +240,13 @@ def stationarity_report(
         gram_min_eig=gram_min,
         gram_rank_deficient=deficient,
     )
+
+
+def _gram_min_eig(problem: FccoProblem, w: np.ndarray) -> tuple[float, bool]:
+    """(smallest eigenvalue of J J^T, rank-deficient by shape) for the
+    (n d1, d) stack J of the exact inner Jacobians at w.  More rows than d
+    make J J^T singular by shape: that reports (0.0, True) and builds no J."""
+    if problem.n * problem.d1 > problem.d:
+        return 0.0, True
+    stacked = np.vstack([problem.inner_jacobian_exact(i, w) for i in range(problem.n)])
+    return float(np.linalg.eigvalsh(stacked @ stacked.T)[0]), False

@@ -8,13 +8,14 @@ residuals at any candidate point are read off the exact metric pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import AdditiveTerm, ConfigError, FccoProblem, _finite_number
-from .metrics import StationarityReport, stationarity_report
+from .metrics import StationarityReport, _gram_min_eig, stationarity_report
 from .smoothing import ScaledHinge
 
 __all__ = [
@@ -39,12 +40,12 @@ class ConstrainedProblem:
     values of constraints ``idx`` and ``constraint_grad(idx, w, batches)``
     their (k, d) batch-average gradients, ``batches`` being a (k, b) int
     array.  The exact value and gradient of one constraint are a one-row call
-    over its whole population.  ``known_solution`` / ``known_multipliers``
-    are optional hand-computed KKT data on toy instances, used by tests
-    only."""
+    over its whole population.  The constraint count ``m`` is
+    ``len(populations)``, not a field.  ``known_solution`` /
+    ``known_multipliers`` are optional hand-computed KKT data on toy
+    instances, used by tests only."""
 
     d: int
-    m: int
     objective: AdditiveTerm
     constraint_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     constraint_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -58,8 +59,10 @@ class ConstrainedProblem:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("need at least one constraint")
-        if len(self.populations) != self.m:
-            raise ConfigError("one population per constraint required")
+
+    @property
+    def m(self) -> int:
+        return len(self.populations)
 
     def constraint_value_exact(self, i: int, w: np.ndarray) -> float:
         return float(self.constraint_value(np.array([i]), w, np.arange(self.populations[i])[None])[0])
@@ -82,6 +85,13 @@ class KktReport:
 class RegularityReport:
     sigma_min: float
     rank_deficient: bool = False
+
+    @classmethod
+    def from_gram(cls, min_eig: float, rank_deficient: bool) -> "RegularityReport":
+        """sigma_min = sqrt of the Gram matrix's smallest eigenvalue,
+        clamped at 0: on a singular Gram matrix rounding can leave that
+        eigenvalue slightly negative."""
+        return cls(math.sqrt(max(min_eig, 0.0)), rank_deficient)
 
 
 def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
@@ -106,7 +116,6 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
         return Y[:, 0] @ cp.constraint_grad(idx, w, batches) / len(idx)
 
     return FccoProblem(
-        n=cp.m,
         d=cp.d,
         d1=1,
         outer=ScaledHinge(slope),
@@ -143,14 +152,11 @@ def kkt_from_stationarity(rep: StationarityReport) -> KktReport:
 
 def regularity_check(cp: ConstrainedProblem, w: np.ndarray) -> RegularityReport:
     """Smallest singular value of the d x m stacked constraint-gradient
-    matrix; a diagnostic run at candidate solutions, never a precondition
-    gate.  m > d is rank-deficient by shape and reports 0."""
+    matrix, from the Gram pass of ``stationarity_report(with_gram=True)``;
+    a diagnostic run at candidate solutions, never a precondition gate.
+    m > d is rank-deficient by shape and reports 0."""
     w = np.asarray(w, dtype=float)
-    jac = np.column_stack([cp.constraint_grad_exact(i, w) for i in range(cp.m)])
-    if cp.m > cp.d:
-        return RegularityReport(sigma_min=0.0, rank_deficient=True)
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    return RegularityReport(sigma_min=float(sigma[-1]), rank_deficient=False)
+    return RegularityReport.from_gram(*_gram_min_eig(build_penalty_problem(cp, 1.0), w))
 
 
 def suggest_penalty_slope(m: int, lipschitz_constraints: float, delta: float) -> float:

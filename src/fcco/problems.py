@@ -181,7 +181,6 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
 
     c_g, l_g = _synthetic_constants(spec, lin, lin_samp, quad)
     problem = FccoProblem(
-        n=n,
         d=d,
         d1=d1,
         outer=make_outer(spec.outer_kind, spec.outer_param),
@@ -285,7 +284,6 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
     )
     max_mean_norm = max(np.linalg.norm(x, axis=1).mean() for x in xs)
     problem = FccoProblem(
-        n=n,
         d=d,
         d1=1,
         outer=CvarHinge(spec.ratio),
@@ -382,7 +380,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             w_star, nu_star = np.array([bound]), np.array([2.0 * (c - bound)])
         cp = ConstrainedProblem(
             d=1,
-            m=1,
             objective=_deterministic_term(
                 lambda w: (w[0] - c) ** 2, lambda w: np.array([2.0 * (w[0] - c)])
             ),
@@ -406,7 +403,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             w_star, nu_star = c / norm_c, np.array([norm_c - 1.0])
         cp = ConstrainedProblem(
             d=2,
-            m=1,
             objective=_deterministic_term(
                 lambda w: float(np.sum((w - c) ** 2)), lambda w: 2.0 * (w - c)
             ),
@@ -430,7 +426,6 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
 
         cp = ConstrainedProblem(
             d=1,
-            m=1,
             objective=_deterministic_term(
                 lambda w: (w[0] - 2.0) ** 2, lambda w: np.array([2.0 * (w[0] - 2.0)])
             ),
@@ -571,7 +566,6 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     scale = data.feature_scale()
     cp = ConstrainedProblem(
         d=spec.dim,
-        m=m,
         objective=data.auc_term(),
         constraint_value=h_value,
         constraint_grad=h_grad,
@@ -599,7 +593,6 @@ def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
 
     scale = data.feature_scale()
     problem = FccoProblem(
-        n=m,
         d=spec.dim,
         d1=2,
         outer=GapHinge(data.margin),

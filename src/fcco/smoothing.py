@@ -2,12 +2,14 @@
 
 Every catalog entry provides f(t), prox_{lam*f}(t), its Lipschitz constant,
 its weak-convexity modulus (0 for the convex members), and whether it is
-monotone nondecreasing.  ``value`` and ``prox`` take a row stack of shape
-(..., d1) and work row by row: ``value`` returns shape (...,) and ``prox``
-the input's shape, so one call covers a single point, the n exact inner
-values of a metric pass or a brute-force grid.  Each row gets the same
-float64 arithmetic as a lone point.  The Moreau envelope value/gradient are
-derived from the prox:
+monotone nondecreasing.  The dimension, monotonicity and weak-convexity
+modulus (and Identity's Lipschitz constant) are class constants, not
+constructor arguments: ``slope`` and ``margin`` are the only parameters.
+``value`` and ``prox`` take a row stack of shape (..., d1) and work row by
+row: ``value`` returns shape (...,) and ``prox`` the input's shape, so one
+call covers a single point, the n exact inner values of a metric pass or a
+brute-force grid.  Each row gets the same float64 arithmetic as a lone
+point.  The Moreau envelope value/gradient are derived from the prox:
 
     envelope(t)  = f(p) + ||t - p||^2 / (2 lam),   p = prox_{lam*f}(t)
     gradient(t)  = (t - p) / lam,  which is a subgradient of f at p.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,10 +55,11 @@ def _relu(x):
 class ScaledHinge:
     """f(z) = slope * max(z, 0), the exact-penalty hinge (d1 = 1)."""
 
+    dim: ClassVar[int] = 1
+    monotone_nondecreasing: ClassVar[bool] = True
+    weak_convexity: ClassVar[float] = 0.0
+
     slope: float
-    dim: int = 1
-    monotone_nondecreasing: bool = True
-    weak_convexity: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.slope < math.inf:
@@ -94,10 +98,11 @@ class GapHinge:
     soft shift by lam*sqrt2 beyond it.
     """
 
+    dim: ClassVar[int] = 2
+    monotone_nondecreasing: ClassVar[bool] = False
+    weak_convexity: ClassVar[float] = 0.0
+
     margin: float
-    dim: int = 2
-    monotone_nondecreasing: bool = False
-    weak_convexity: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.margin < math.inf:
@@ -132,10 +137,10 @@ class GapHinge:
 class Identity:
     """f(z) = z; flows smooth scalar components through the same machinery."""
 
-    dim: int = 1
-    monotone_nondecreasing: bool = True
-    weak_convexity: float = 0.0
-    lipschitz: float = 1.0
+    dim: ClassVar[int] = 1
+    monotone_nondecreasing: ClassVar[bool] = True
+    weak_convexity: ClassVar[float] = 0.0
+    lipschitz: ClassVar[float] = 1.0
 
     def value(self, t):
         return _as1d(t)[..., 0]

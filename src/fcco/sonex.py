@@ -154,13 +154,12 @@ def gradient_estimate(
     additive_batch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean of the vector-Jacobian products through the tracker envelope
-    gradients over the sampled components, plus the additive-term gradient;
+    gradients over the sampled components, plus the additive-term gradient
+    on ``additive_batch`` (which a problem with an additive term needs);
     ``batches`` holds one row per sampled component."""
     y = moreau_grad(problem.outer, lam, state.u[b1_set])
     acc = problem.inner_vjp(b1_set, state.w, batches, y)
     if problem.additive is not None:
-        if additive_batch is None:
-            additive_batch = np.arange(problem.additive.population)
         acc = acc + problem.additive.grad(state.w, additive_batch)
     return acc
 

@@ -361,7 +361,7 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
     for _ in range(5):
         rows = gen.normal(size=(3, 5))
         cp2 = ConstrainedProblem(
-            d=5, m=3, objective=make_toy_constrained("qp_box").objective,
+            d=5, objective=make_toy_constrained("qp_box").objective,
             constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
             constraint_grad=lambda idx, w, batches, rows=rows: rows[idx],
             populations=(1,) * 3,

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcco.alexr2 import Alexr2Config
-from fcco.cli import _PROBLEMS, RunConfig, build_problem, cmd_bench, cmd_gradcheck, cmd_run
-from fcco.core import TRACE_HEADER
+from fcco.cli import (
+    _PROBLEMS, RunConfig, _solver_config, _write_outputs, build_problem, cmd_bench, cmd_gradcheck, cmd_run,
+)
+from fcco.core import TRACE_HEADER, SeededRng
 from fcco.problems import _TOYS
-from fcco.sonex import SonexConfig
+from fcco.sonex import SonexConfig, run_sonex
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
@@ -106,6 +108,32 @@ def test_run_constrained_reports_kkt(tmp_path):
     # max_violation column populated for penalty problems
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[-1].split(",")[8] != ""
+
+
+def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
+    # the report's regularity diagnostic reads the stationarity report's Gram
+    # pass: one gradient call per constraint for the Jacobian, plus one per
+    # population group for the exact gradient
+    run_cfg = RunConfig.from_dict({
+        "seed": 3,
+        "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
+        "solver": {"kind": "sonex", "lam": 0.01, "eta": 1e-3, "beta": 0.2, "gamma": 0.5,
+                   "b1": 1, "b2": 1, "iters": 5},
+    })
+    problem, extras = build_problem(run_cfg.problem)
+    kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
+    result = run_sonex(problem, solver_cfg, SeededRng(run_cfg.seed))
+    cp = extras["constrained"]
+    calls = []
+
+    def counted(idx, w, batches, grad=cp.constraint_grad):
+        calls.append(len(idx))
+        return grad(idx, w, batches)
+
+    monkeypatch.setattr(cp, "constraint_grad", counted)
+    report = _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
+    assert len(calls) == cp.m + len(problem.population_groups())
+    assert report["kkt"]["regularity_sigma_min"] == pytest.approx(1.0)
 
 
 def test_run_alexr2_solver_kind(tmp_path):
@@ -233,19 +261,70 @@ def test_config_round_trip():
     assert cfg.to_dict() == again.to_dict()
 
 
-# trace.csv sha256 of the circle configs, unchanged since the batched
-# oracles and Philox sampling came in: the determinism contract, pinned
+# trace.csv sha256 of every shipped run, keyed by its config's path from the
+# repository root: the determinism contract, pinned.  A change that moves a
+# trace updates its hash here on purpose.  perfbench/workloads/alexr2-circle
+# is a byte copy of configs/circle_alexr2.json, so it is not run again.
 _GOLDEN_TRACES = {
-    "circle_alexr2": "19b49616c3431793491e5088f0cf4eb5948d1e25d2bc9d73f096a92f31c5b8f2",
-    "circle_sonex": "3d7c6f88f982f9839ddd1f5c6e1d84b1733bda0536434dfe82a62d774b441267",
+    "configs/circle_alexr2.json": "19b49616c3431793491e5088f0cf4eb5948d1e25d2bc9d73f096a92f31c5b8f2",
+    "configs/circle_sonex.json": "3d7c6f88f982f9839ddd1f5c6e1d84b1733bda0536434dfe82a62d774b441267",
+    "configs/gdro_cvar_r015_sgd_baseline.json": "fba5c53fc7842e5bcd5d947f59cd4e03c180c4a7b55dda8990758d264372506e",
+    "configs/gdro_cvar_r015_sonex.json": "07f6d260edb8cb6c91774d258767bd158feb6af858baabdd53617334a4bbefde",
+    "configs/synthetic_a2_sonex.json": "df8b86e7a8b252a0c4ff59263bfb074a92148ec72fd565c9396759dc95c1a813",
+    "perfbench/workloads/sonex-synth.json": "40c0a8d02be7d232c110a44c856975cb1b955a91970046930d2749f19d175595",
+    "perfbench/workloads/roc-metrics.json": "dd5242873765d01ffe68a498743ef806cd605c3359963c07e4dae7dcedd5bf53",
 }
+_CIRCLE_CONFIGS = ("circle_alexr2", "circle_sonex")
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_TRACES))
+def _trace_sha256(out):
+    return hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", _CIRCLE_CONFIGS)
 def test_shipped_circle_trace_matches_golden_hash(tmp_path, name):
     out = tmp_path / "out"
-    assert cmd_run(ROOT / "configs" / f"{name}.json", out) == 0
-    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == _GOLDEN_TRACES[name]
+    path = f"configs/{name}.json"
+    assert cmd_run(ROOT / path, out) == 0
+    assert _trace_sha256(out) == _GOLDEN_TRACES[path]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(_GOLDEN_TRACES) - {f"configs/{name}.json" for name in _CIRCLE_CONFIGS})
+)
+def test_shipped_trace_matches_golden_hash(tmp_path, path):
+    out = tmp_path / "out"
+    assert cmd_run(ROOT / path, out) == 0
+    assert _trace_sha256(out) == _GOLDEN_TRACES[path]
+
+
+def test_every_shipped_run_has_a_golden_hash():
+    copy, original = "perfbench/workloads/alexr2-circle.json", "configs/circle_alexr2.json"
+    assert (ROOT / copy).read_bytes() == (ROOT / original).read_bytes()
+    shipped = {path.relative_to(ROOT).as_posix() for path in SHIPPED}
+    assert shipped == set(_GOLDEN_TRACES) | {copy}
+
+
+def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
+    """Results must not depend on how oracle calls are scheduled: a sampled
+    workload run with a single BLAS thread gives the pinned trace."""
+    import os
+    import subprocess
+    import sys
+
+    import fcco
+
+    path = "perfbench/workloads/sonex-synth.json"
+    package_root = str(Path(fcco.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcco.cli", "run", str(ROOT / path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _trace_sha256(out) == _GOLDEN_TRACES[path]
 
 
 def test_shipped_configs_build(tmp_path):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco import ConfigError, FccoProblem, GapHinge, SeededRng, sample_components, sample_data_batch
+from fcco import (
+    ConfigError, FccoProblem, GapHinge, Identity, SeededRng, sample_components, sample_data_batch,
+)
 from fcco.core import TRACE_HEADER, SolverTrace, TraceRow
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 
@@ -127,11 +129,26 @@ def test_spawn_is_deterministic_and_keyed():
 def test_problem_rejects_outer_of_another_dimension():
     with pytest.raises(ConfigError, match="dimension 2 does not match problem d1=1"):
         FccoProblem(
-            n=2, d=1, d1=1, outer=GapHinge(0.3),
+            d=1, d1=1, outer=GapHinge(0.3),
             inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
             inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
             populations=(1, 1),
         )
+
+
+def test_problem_size_is_the_population_count():
+    oracles = dict(
+        inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
+        inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
+        populations=(1, 1, 1),
+    )
+    assert FccoProblem(d=1, d1=1, outer=Identity(), **oracles).n == 3
+    with pytest.raises(TypeError):
+        FccoProblem(n=3, d=1, d1=1, outer=Identity(), **oracles)
+
+
+def test_trace_row_has_one_field_per_column():
+    assert len(TraceRow(0, 0, 0).to_csv_line().split(",")) == len(TRACE_HEADER.split(","))
 
 
 def test_trace_header_and_formatting(tmp_path):

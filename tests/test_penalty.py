@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,7 +133,6 @@ def _cp_with_grads(rows):
     m, d = rows.shape
     return ConstrainedProblem(
         d=d,
-        m=m,
         objective=make_toy_constrained("qp_box").objective,
         constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
         constraint_grad=lambda idx, w, batches: rows[idx],
@@ -161,6 +163,28 @@ def test_regularity_shape_deficient_flag():
     rep = regularity_check(_cp_with_grads(np.ones((4, 2))), np.zeros(2))
     assert rep.sigma_min == 0.0
     assert rep.rank_deficient
+
+
+def test_regularity_clamps_rounding_below_zero():
+    # g3 = g1 + g2: the Gram matrix is singular, and eigvalsh puts its
+    # smallest eigenvalue at about -2.7e-15, whose plain square root is NaN
+    a, b = np.random.default_rng(4).normal(size=(2, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = regularity_check(_cp_with_grads([a, b, a + b]), np.zeros(5))
+    assert math.isfinite(rep.sigma_min)
+    assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
+    assert not rep.rank_deficient
+
+
+def test_constraint_count_is_the_population_count():
+    cp = _cp_with_grads(np.eye(3))
+    assert cp.m == 3
+    with pytest.raises(TypeError):
+        ConstrainedProblem(
+            d=1, m=1, objective=cp.objective, constraint_value=cp.constraint_value,
+            constraint_grad=cp.constraint_grad, populations=(1,),
+        )
 
 
 def test_suggest_penalty_slope():

@@ -50,6 +50,18 @@ class ConcaveQuadratic:
         return np.atleast_1d(t) / (1.0 - lam * self.rho)
 
 
+def test_outer_constants_are_class_constants():
+    for make in (
+        lambda: ScaledHinge(1.0, weak_convexity=0.5),
+        lambda: GapHinge(0.1, dim=3),
+        lambda: Identity(lipschitz=2.0),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert (ScaledHinge(2.0).dim, GapHinge(0.1).dim, Identity().dim) == (1, 2, 1)
+    assert Identity().lipschitz == 1.0
+
+
 def test_hinge_moreau_grad_examples():
     h = ScaledHinge(1.0)
     assert moreau_grad(h, 0.5, [-1.0])[0] == 0.0

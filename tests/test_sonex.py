@@ -251,7 +251,7 @@ def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
         return np.full((len(idx), 1), w[0] if abs(w[0]) < 0.05 else np.nan)
 
     prob = FccoProblem(
-        n=1, d=1, d1=1, outer=Identity(),
+        d=1, d1=1, outer=Identity(),
         inner_value=bad_value,
         inner_vjp=lambda idx, w, batches, Y: np.array([np.nan if abs(w[0]) > 0.05 else 1.0]),
         populations=(1,),

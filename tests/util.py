@@ -8,7 +8,6 @@ from fcco import FccoProblem
 def scalar_chain_problem(outer, slope=1.0):
     """n=1, d=1, d1=1 with identity inner map g(w) = w."""
     return FccoProblem(
-        n=1,
         d=1,
         d1=1,
         outer=outer,
@@ -27,7 +26,6 @@ def affine_problem(A, b, outer, noise=None):
     b = np.asarray(b, float)
     n, d = A.shape
     return FccoProblem(
-        n=n,
         d=d,
         d1=1,
         outer=outer,
