@@ -42,7 +42,9 @@ __all__ = [
 
 
 def _as1d(t) -> np.ndarray:
-    return np.atleast_1d(np.asarray(t, dtype=float))
+    # np.atleast_1d's result without its Python-level wrapper
+    t = np.asarray(t, dtype=float)
+    return t.reshape(1) if t.ndim == 0 else t
 
 
 def _relu(x):

@@ -2,8 +2,9 @@
 
 Per iteration: sample a component subset and one data batch per selected
 component, refresh the per-component inner-value trackers with a
-variance-reduced correction (the correction re-evaluates the same batch at the
-previous iterate), aggregate vector-Jacobian products through the envelope
+variance-reduced correction (the correction evaluates the same batch at the
+previous iterate, or reuses the previous step's value when the draws are
+fixed), aggregate vector-Jacobian products through the envelope
 gradients of the trackers, then take a momentum, Adam-type, or plain-SGD
 parameter step.  All metric evaluation happens on a configurable cadence
 through the exact (full-population) oracles.
@@ -102,6 +103,11 @@ class _Draws:
     component's (or the additive term's) population size.  Otherwise each
     batch draw makes a row for all n components and keeps the ``idx`` rows,
     so its cost grows with n, not b1.
+
+    When both are forced, ``fixed`` is set: every step hands out the same
+    ``idx`` and batch arrays, so an inner value the previous step computed
+    at the previous iterate is the value this step would compute there, and
+    the solvers reuse it instead of calling the oracle again.
     """
 
     def __init__(self, problem: FccoProblem, rng: SeededRng, b1: int, b2: int):
@@ -111,6 +117,7 @@ class _Draws:
         self.every = b1 == problem.n
         self.all = np.arange(problem.n)
         self.full = np.tile(np.arange(b2), (problem.n, 1)) if (self.pops == b2).all() else None
+        self.fixed = self.every and self.full is not None
         self.additive = problem.additive is not None
         if self.additive:
             self.pop0 = problem.additive.population
@@ -425,22 +432,28 @@ def run_sonex(
     gamma_prime = config.resolved_gamma_prime(n)
 
     draws = _Draws(problem, rng, config.b1, config.b2)
+    g_last = None  # the previous step's g_new, at what is now state.prev_w
 
     def step(state: SonexState, t: int):
+        nonlocal g_last
         idx = draws.components(_COMPONENTS, t)
         batches = draws.batches(_BATCH, t, idx)
         g_new = problem.inner_value(idx, state.w, batches)
-        if gamma_prime != 0.0:
-            g_prev = problem.inner_value(idx, state.prev_w, batches)
+        k = len(idx)
+        calls = 2 * k + (1 if draws.additive else 0)
+        if gamma_prime == 0.0 or t == 0:
+            g_prev = g_new  # prev_w == w at step 0 by initialization
+        elif draws.fixed:
+            g_prev = g_last  # same components and batches as the last step
         else:
-            g_prev = g_new
+            g_prev = problem.inner_value(idx, state.prev_w, batches)
+            calls += k
+        g_last = g_new
         state.u[idx] = msvr_update(state.u[idx], g_new, g_prev, config.gamma, gamma_prime)
         grad = gradient_estimate(
             problem, state, idx, batches, config.lam,
             additive_batch=draws.additive_batch(_ADDITIVE, t),
         )
-        k = len(idx)
-        calls = (3 if gamma_prime != 0.0 else 2) * k + (1 if draws.additive else 0)
         return grad, calls, k
 
     # the plain-SGD comparator shares the whole code path: it is the momentum

@@ -266,13 +266,13 @@ def test_config_round_trip():
 # trace updates its hash here on purpose.  perfbench/workloads/alexr2-circle
 # is a byte copy of configs/circle_alexr2.json, so it is not run again.
 _GOLDEN_TRACES = {
-    "configs/circle_alexr2.json": "19b49616c3431793491e5088f0cf4eb5948d1e25d2bc9d73f096a92f31c5b8f2",
-    "configs/circle_sonex.json": "3d7c6f88f982f9839ddd1f5c6e1d84b1733bda0536434dfe82a62d774b441267",
-    "configs/gdro_cvar_r015_sgd_baseline.json": "fba5c53fc7842e5bcd5d947f59cd4e03c180c4a7b55dda8990758d264372506e",
-    "configs/gdro_cvar_r015_sonex.json": "07f6d260edb8cb6c91774d258767bd158feb6af858baabdd53617334a4bbefde",
-    "configs/synthetic_a2_sonex.json": "df8b86e7a8b252a0c4ff59263bfb074a92148ec72fd565c9396759dc95c1a813",
-    "perfbench/workloads/sonex-synth.json": "40c0a8d02be7d232c110a44c856975cb1b955a91970046930d2749f19d175595",
-    "perfbench/workloads/roc-metrics.json": "dd5242873765d01ffe68a498743ef806cd605c3359963c07e4dae7dcedd5bf53",
+    "configs/circle_alexr2.json": "c0db1712b8d1463a8ba24b29200fb18c04204dc31377f7f4b448de8fa6002add",
+    "configs/circle_sonex.json": "6c68e8cf709c496a6e9b060dbe33d6b3708f9bded27244368e3db1750cf8fafc",
+    "configs/gdro_cvar_r015_sgd_baseline.json": "86a0745bc303d47dca429b4e94b62a53b94ed54b6e009842392169634a78fe36",
+    "configs/gdro_cvar_r015_sonex.json": "dd314d4640807c4e7d66e7a87ad4b3ba18764d11b8ca18a8df6d47cfead54072",
+    "configs/synthetic_a2_sonex.json": "2890f975c39d4e812e63a9dd81ddb19935eb86e0043b00be90907635cac1705c",
+    "perfbench/workloads/sonex-synth.json": "16662e4c217abbeaf56d3b31865e8da8b6306db4ca2963b3c559f3eb358c510d",
+    "perfbench/workloads/roc-metrics.json": "92177319207bd01ef90686ece3b29ac20195e4de1736e9e2fabf49e0a27e3b54",
 }
 _CIRCLE_CONFIGS = ("circle_alexr2", "circle_sonex")
 
