@@ -36,6 +36,8 @@ def gdro_cvar_r015(update_kind):
     }
     if update_kind == "adam":
         solver.update(update_kind="adam", adam_beta2=0.1, adam_clip=[1e-4, 1.0])
+    elif update_kind == "sgd_baseline":
+        del solver["beta"]  # unused: sgd_baseline is the momentum step with beta = 1
     return {
         "seed": 11,
         "problem": {

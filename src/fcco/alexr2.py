@@ -193,11 +193,9 @@ def run_inner_alexr(
     Runs ``k`` primal-dual steps from z = w_t.  Each step draws two
     independent data batches per selected component: one for the extrapolated
     inner values feeding the dual trackers, one for the vector-Jacobian
-    product.  The extrapolation's value at the previous inner iterate is
-    an oracle call on the step's batch, or the previous step's value when
-    the draws are fixed (``_Draws.fixed``).  Returns (z_hat, final trackers,
-    oracle calls made) so the outer loop can warm-start the duals and keep
-    its accounting.
+    product.  The extrapolation's value at the previous inner iterate comes
+    from ``_Draws.values``.  Returns (z_hat, final trackers, oracle calls
+    made) so the outer loop can warm-start the duals and keep its accounting.
     """
     check_assumptions(problem)
     _check_smoothing(problem.outer, config.lam)  # dual_tracker_update takes lam as given
@@ -209,7 +207,6 @@ def run_inner_alexr(
     else:
         u = np.array(u_init, dtype=float)
     z = np.array(w_t, dtype=float)
-    z_prev = z.copy()
     gamma_hat = config.gamma_hat
     theta = config.theta
     draws = _Draws(problem, rng, config.b1, config.b2)
@@ -218,26 +215,17 @@ def run_inner_alexr(
         idx = draws.components(_COMPONENTS, step)
         batch_val = draws.batches(_BATCH_VAL, step, idx)
         batch_jac = draws.batches(_BATCH_JAC, step, idx)
-        g_now = problem.inner_value(idx, z, batch_val)
-        calls += len(idx)
-        if theta == 0.0 or step == 0:
-            g_prev = g_now  # z_prev == z at step 0 by initialization
-        elif draws.fixed:
-            g_prev = g_last  # same components and batch as the last step, at z_prev
-        else:
-            g_prev = problem.inner_value(idx, z_prev, batch_val)
-            calls += len(idx)
+        g_now, g_prev, value_calls = draws.values(problem, idx, batch_val, z, theta)
         g_tilde = extrapolated_inner_value(g_now, g_prev, theta)
         if draws.every:
             u, y = dual_tracker_update(problem.outer, config.lam, u, g_tilde, gamma_hat)
         else:
             u[idx], y = dual_tracker_update(problem.outer, config.lam, u[idx], g_tilde, gamma_hat)
         grad = problem.inner_vjp(idx, z, batch_jac, y)
-        calls += len(idx)
+        calls += value_calls + len(idx)
         if draws.additive:
             grad = grad + problem.additive.grad(z, draws.additive_batch(_ADDITIVE, step))
             calls += 1
-        z_prev, g_last = z, g_now
         z = inner_primal_step(z, w_t, grad, config.nu, config.eta)
         ensure_finite(z, "inner iterate")
         if on_step is not None:

@@ -151,15 +151,23 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
 
 
 def cmd_run(config_path, out_dir=None) -> int:
-    """Run one config; writes <out>/trace.csv and <out>/report.json."""
+    """Run one config; writes <out>/trace.csv and <out>/report.json.  The
+    output directory is made once the config has passed every check, before
+    the solve."""
     try:
         run_cfg = _load_config(config_path)
         problem, extras = build_problem(run_cfg.problem)
         kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
+        solver_cfg.validate(problem)
     except (json.JSONDecodeError, OSError, ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir or run_cfg.out or (str(Path(config_path).with_suffix("")) + "_out"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     rng = SeededRng(run_cfg.seed)
     t0 = time.perf_counter()
     try:
@@ -173,7 +181,6 @@ def cmd_run(config_path, out_dir=None) -> int:
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         if exc.trace is not None:
-            out.mkdir(parents=True, exist_ok=True)
             exc.trace.to_csv(out / "trace.csv")
         return 2
     wall_s = time.perf_counter() - t0

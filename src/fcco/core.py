@@ -351,9 +351,6 @@ class FccoProblem:
         """
         return (self.outer,) * self.n
 
-    def batch_domain(self, i: int) -> int:
-        return int(self.populations[i])
-
     def population_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(idx, batches) per population size: the components of that size
         and their whole populations as a (k, size) batch array, the
@@ -368,12 +365,12 @@ class FccoProblem:
     def inner_exact(self, i: int, w: np.ndarray) -> np.ndarray:
         """Component i's exact inner value, shape (d1,): one oracle call over
         its whole population."""
-        return self.inner_value(np.array([i]), w, np.arange(self.batch_domain(i))[None])[0]
+        return self.inner_value(np.array([i]), w, np.arange(self.populations[i])[None])[0]
 
     def inner_jacobian_exact(self, i: int, w: np.ndarray) -> np.ndarray:
         """(d1, d) Jacobian of component i, one whole-population VJP per unit
         vector."""
-        idx, batch = np.array([i]), np.arange(self.batch_domain(i))[None]
+        idx, batch = np.array([i]), np.arange(self.populations[i])[None]
         return np.vstack([self.inner_vjp(idx, w, batch, e[None]) for e in np.eye(self.d1)])
 
     def initial_point(self) -> np.ndarray:

@@ -470,34 +470,35 @@ class RocFairnessSpec:
 
 
 class _RocData:
+    """One ROC fairness instance: its samples, one threshold per constraint
+    and the sizes and feature scale the makers declare."""
+
     def __init__(self, spec: RocFairnessSpec):
         spec.validate()
         n_pos, n_neg, dim = spec.n_pos, spec.n_neg, spec.dim
         rng = SeededRng(spec.seed).gen
         mu_a = rng.normal(size=dim) * 0.5 + spec.shift
         mu_b = mu_a if spec.identical_groups else rng.normal(size=dim) * 0.5
-        self.pos = [rng.normal(size=(n_pos, dim)) + mu_a, None]
-        self.neg = [rng.normal(size=(n_neg, dim)) - mu_a, None]
+        pos_a = rng.normal(size=(n_pos, dim)) + mu_a
+        neg_a = rng.normal(size=(n_neg, dim)) - mu_a
         if spec.identical_groups:
-            self.pos[1] = self.pos[0].copy()
-            self.neg[1] = self.neg[0].copy()
+            pos_b, neg_b = pos_a, neg_a
         else:
-            self.pos[1] = rng.normal(size=(n_pos, dim)) + mu_b
-            self.neg[1] = rng.normal(size=(n_neg, dim)) - mu_b
-        self.thresholds = [float(t) for t in spec.thresholds]
+            pos_b = rng.normal(size=(n_pos, dim)) + mu_b
+            neg_b = rng.normal(size=(n_neg, dim)) - mu_b
         self.margin = float(spec.margin)
-        self.n_pos = n_pos
-        self.n_neg = n_neg
-        self.all_pos = np.vstack(self.pos)
-        self.all_neg = np.vstack(self.neg)
+        self.all_pos = np.vstack([pos_a, pos_b])
+        self.all_neg = np.vstack([neg_a, neg_b])
         # constraint k covers threshold k//2; even k compares positives
         # (true-positive rates), odd k negatives (false-positive rates).
         # feats[c] holds class c's samples of both groups side by side,
         # zero-padded to the larger class size: (2, rows, 2, dim)
-        self.tau = np.repeat(self.thresholds, 2)
+        self.tau = np.repeat([float(t) for t in spec.thresholds], 2)
         self.feats = np.zeros((2, max(n_pos, n_neg), 2, dim))
-        self.feats[0, :n_pos] = np.stack(self.pos, axis=1)
-        self.feats[1, :n_neg] = np.stack(self.neg, axis=1)
+        self.feats[0, :n_pos] = np.stack([pos_a, pos_b], axis=1)
+        self.feats[1, :n_neg] = np.stack([neg_a, neg_b], axis=1)
+        self.populations = (n_pos, n_neg) * len(spec.thresholds)
+        self.scale = float(max(np.linalg.norm(x, axis=1).mean() for x in (pos_a, pos_b, neg_a, neg_b)))
 
     def _scores(self, idx, w, batches):
         x = self.feats[(idx % 2)[:, None], batches]  # (k, b, 2, dim)
@@ -511,9 +512,6 @@ class _RocData:
         """(k, 2, dim) Jacobians of ``rates``."""
         x, z = self._scores(idx, w, batches)
         return (_sigmoid_prime(z)[..., None] * x).mean(axis=1)
-
-    def population(self, k):
-        return self.n_pos if k % 2 == 0 else self.n_neg
 
     def auc_term(self):
         pos, neg = self.all_pos, self.all_neg
@@ -536,14 +534,6 @@ class _RocData:
 
         return AdditiveTerm(value=value, grad=grad, population=n_pairs, grad_exact=grad_exact)
 
-    def feature_scale(self):
-        return float(
-            max(
-                np.linalg.norm(arr, axis=1).mean()
-                for arr in (*self.pos, *self.neg)
-            )
-        )
-
 
 def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     """Pairwise ranking objective with 2*len(thresholds) rate-gap constraints
@@ -551,7 +541,6 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     linear scorer at each threshold.  Groups are generated with equal class
     counts so batches index both groups in lockstep."""
     data = _RocData(spec)
-    m = 2 * len(data.thresholds)
 
     def h_value(idx, w, batches):
         r = data.rates(idx, np.asarray(w, float), batches)
@@ -563,16 +552,15 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
         jac = data.rate_jacobians(idx, w, batches)
         return np.sign(r[:, 0] - r[:, 1])[:, None] * (jac[:, 0] - jac[:, 1])
 
-    scale = data.feature_scale()
     cp = ConstrainedProblem(
         d=spec.dim,
         objective=data.auc_term(),
         constraint_value=h_value,
         constraint_grad=h_grad,
-        populations=tuple(data.population(k) for k in range(m)),
-        lipschitz_constraints=scale / 2.0,
+        populations=data.populations,
+        lipschitz_constraints=data.scale / 2.0,
         smoothness_constraints=None,  # the gap has an absolute-value kink
-        weak_convexity_constraints=0.2 * scale**2,
+        weak_convexity_constraints=0.2 * data.scale**2,
     )
     return _validate_constraint_lipschitz(cp)
 
@@ -582,7 +570,6 @@ def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
     rates per (threshold, class) through a gap hinge, with the ranking
     objective as the additive term.  Smooth inner maps, convex outer."""
     data = _RocData(spec)
-    m = 2 * len(data.thresholds)
 
     def inner_value(idx, w, batches):
         return data.rates(idx, np.asarray(w, float), batches)
@@ -591,17 +578,16 @@ def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
         jac = data.rate_jacobians(idx, np.asarray(w, float), batches)
         return np.einsum("kgd,kg->d", jac, np.asarray(Y, float)) / len(idx)
 
-    scale = data.feature_scale()
     problem = FccoProblem(
         d=spec.dim,
         d1=2,
         outer=GapHinge(data.margin),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
-        populations=tuple(data.population(k) for k in range(m)),
+        populations=data.populations,
         additive=data.auc_term(),
-        lipschitz_inner=math.sqrt(2.0) * scale / 4.0,
-        smoothness_inner=0.15 * scale**2,
+        lipschitz_inner=math.sqrt(2.0) * data.scale / 4.0,
+        smoothness_inner=0.15 * data.scale**2,
         weak_convexity_inner=None,
     )
     return _validate_declared_lipschitz(problem, 2.0, spec.seed)

@@ -2,12 +2,11 @@
 
 Per iteration: sample a component subset and one data batch per selected
 component, refresh the per-component inner-value trackers with a
-variance-reduced correction (the correction evaluates the same batch at the
-previous iterate, or reuses the previous step's value when the draws are
-fixed), aggregate vector-Jacobian products through the envelope
-gradients of the trackers, then take a momentum, Adam-type, or plain-SGD
-parameter step.  All metric evaluation happens on a configurable cadence
-through the exact (full-population) oracles.
+variance-reduced correction (its value at the previous iterate on the same
+batch comes from ``_Draws.values``), aggregate vector-Jacobian products
+through the envelope gradients of the trackers, then take a momentum,
+Adam-type, or plain-SGD parameter step.  All metric evaluation happens on a
+configurable cadence through the exact (full-population) oracles.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class SonexState:
     w: np.ndarray
     u: np.ndarray | None  # (n, d1) trackers
     v: np.ndarray  # momentum buffer
-    prev_w: np.ndarray
     s: np.ndarray | None = None  # Adam second-moment buffer
 
 
@@ -104,10 +102,11 @@ class _Draws:
     batch draw makes a row for all n components and keeps the ``idx`` rows,
     so its cost grows with n, not b1.
 
-    When both are forced, ``fixed`` is set: every step hands out the same
-    ``idx`` and batch arrays, so an inner value the previous step computed
-    at the previous iterate is the value this step would compute there, and
-    the solvers reuse it instead of calling the oracle again.
+    ``values`` holds the point and inner value of its last call.  When both
+    draws are forced, ``fixed`` is set: every step hands out the same ``idx``
+    and batch arrays, so the held value is the one this step would compute
+    at the held point, and ``values`` reuses it instead of calling the oracle
+    again.
     """
 
     def __init__(self, problem: FccoProblem, rng: SeededRng, b1: int, b2: int):
@@ -118,6 +117,7 @@ class _Draws:
         self.all = np.arange(problem.n)
         self.full = np.tile(np.arange(b2), (problem.n, 1)) if (self.pops == b2).all() else None
         self.fixed = self.every and self.full is not None
+        self.held = None  # (point, inner value) of the last ``values`` call
         self.additive = problem.additive is not None
         if self.additive:
             self.pop0 = problem.additive.population
@@ -141,6 +141,24 @@ class _Draws:
         if self.full0 is not None:
             return self.full0
         return sample_data_batch(self.rng.philox(purpose, t), [self.pop0], self.b0)[0]
+
+    def values(self, problem: FccoProblem, idx, batches, w, weight: float):
+        """(g, g_prev, value calls) on this step's draws: g is the inner
+        value at ``w``, g_prev the value at the point of the last call, which
+        the caller weighs by ``weight``.  At weight 0, and on the first call
+        (where the two points coincide), g_prev is g.  Holds (w, g) for the
+        next call."""
+        g = problem.inner_value(idx, w, batches)
+        calls = len(idx)
+        if weight == 0.0 or self.held is None:
+            g_prev = g
+        elif self.fixed:
+            g_prev = self.held[1]
+        else:
+            g_prev = problem.inner_value(idx, self.held[0], batches)
+            calls += len(idx)
+        self.held = (w, g)
+        return g, g_prev, calls
 
 
 def init_trackers(
@@ -290,7 +308,7 @@ class OuterLoopConfig:
             raise ConfigError(f"w0 must have length d={problem.d}, got {len(self.w0)}")
         if self.b1 > problem.n:
             raise ConfigError(f"b1 must be at most n={problem.n}, got {self.b1}")
-        smallest = min(problem.batch_domain(i) for i in range(problem.n))
+        smallest = min(problem.populations)
         if self.b2 > smallest:
             raise ConfigError(f"b2 must be at most the smallest population {smallest}, got {self.b2}")
         clip = self.adam_clip
@@ -326,7 +344,6 @@ def _run_outer_loop(
         w=w,
         u=None if init_u is None else init_u(w),
         v=np.zeros(problem.d),
-        prev_w=w.copy(),
         s=np.zeros(problem.d) if config.update_kind == "adam" else None,
     )
     calls = 0 if init_u is None else problem.n
@@ -354,7 +371,6 @@ def _run_outer_loop(
             grad, step_calls, step_draws = step(state, t)
             calls += step_calls
             draws += step_draws
-            state.prev_w = state.w
             if config.update_kind == "adam":
                 state.v, state.w, state.s = adam_step(
                     state.v, state.w, state.s, grad, beta,
@@ -406,10 +422,7 @@ class SonexConfig(OuterLoopConfig):
         if self.resolved_gamma_prime(problem.n) > 0 and self.gamma > 0.5:
             raise ConfigError("gamma must be <= 1/2 when the tracker correction is active")
         if self.beta > 2.0 / 7.0:
-            warnings.warn(
-                "beta > 2/7 leaves the analyzed regime of the momentum recursion",
-                stacklevel=2,
-            )
+            warnings.warn("beta > 2/7 leaves the analyzed regime of the momentum recursion")
 
 
 def run_sonex(
@@ -432,29 +445,18 @@ def run_sonex(
     gamma_prime = config.resolved_gamma_prime(n)
 
     draws = _Draws(problem, rng, config.b1, config.b2)
-    g_last = None  # the previous step's g_new, at what is now state.prev_w
 
     def step(state: SonexState, t: int):
-        nonlocal g_last
         idx = draws.components(_COMPONENTS, t)
         batches = draws.batches(_BATCH, t, idx)
-        g_new = problem.inner_value(idx, state.w, batches)
+        g_new, g_prev, calls = draws.values(problem, idx, batches, state.w, gamma_prime)
         k = len(idx)
-        calls = 2 * k + (1 if draws.additive else 0)
-        if gamma_prime == 0.0 or t == 0:
-            g_prev = g_new  # prev_w == w at step 0 by initialization
-        elif draws.fixed:
-            g_prev = g_last  # same components and batches as the last step
-        else:
-            g_prev = problem.inner_value(idx, state.prev_w, batches)
-            calls += k
-        g_last = g_new
         state.u[idx] = msvr_update(state.u[idx], g_new, g_prev, config.gamma, gamma_prime)
         grad = gradient_estimate(
             problem, state, idx, batches, config.lam,
             additive_batch=draws.additive_batch(_ADDITIVE, t),
         )
-        return grad, calls, k
+        return grad, calls + k + (1 if draws.additive else 0), k
 
     # the plain-SGD comparator shares the whole code path: it is the momentum
     # update with full mixing

@@ -72,6 +72,23 @@ def test_run_malformed_config_no_outputs(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("under_file", [True, False], ids=["path_under_a_file", "path_is_a_file"])
+def test_run_output_directory_error_exits_1_before_the_solve(tmp_path, capsys, monkeypatch, under_file):
+    from fcco import cli
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under_file else blocker
+    solves = []
+    monkeypatch.setattr(cli, "run_sonex", lambda *args: solves.append(args))
+    cfg = write_config(tmp_path / "cfg.json", synthetic_run_config(iters=3))
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert "Traceback" not in err
+    assert solves == []
+
+
 def test_run_unknown_keys_rejected(tmp_path):
     payload = synthetic_run_config()
     payload["solvr"] = {}
@@ -247,10 +264,14 @@ def test_bench_records_failures(tmp_path):
     write_config(tmp_path / "ok.json", synthetic_run_config(iters=3))
     (tmp_path / "broken.json").write_text("{oops")
     write_config(tmp_path / "fractional_iters.json", synthetic_run_config(iters=2.5))
+    # a valid config whose output directory, <stem>_out, cannot be made
+    write_config(tmp_path / "blocked.json", synthetic_run_config(iters=3))
+    (tmp_path / "blocked_out").write_text("")
     assert cmd_bench(tmp_path) == 2
     lines = (tmp_path / "bench_summary.csv").read_text().splitlines()
     assert any("error:1" in line for line in lines)
     assert "fractional_iters.json,,error:1,,,,," in lines
+    assert "blocked.json,,error:1,,,,," in lines
 
 
 def test_config_round_trip():
@@ -325,6 +346,41 @@ def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert _trace_sha256(out) == _GOLDEN_TRACES[path]
+
+
+# trace.csv sha256 of short runs down paths no shipped run takes: alexr2 with
+# sampled draws, whose extrapolation evaluates the previous inner iterate on
+# the step's batch, and sonex on the penalty form of the ROC fairness
+# instance.  They live here, not in configs/, so the hashes above stay one
+# per shipped run.
+_PINNED_RUNS = {
+    "alexr2-sampled": ({
+        "seed": 5,
+        "problem": {"kind": "synthetic", "n": 6, "d": 3, "d1": 1, "inner_kind": "quadratic",
+                    "outer_kind": "scaled_hinge", "outer_param": 1.0, "sigma0": 0.2,
+                    "sigma1": 0.1, "population": 30, "seed": 2},
+        "solver": {"kind": "alexr2", "lam": 0.05, "nu": 0.2, "eta": 0.02, "theta": 0.9,
+                   "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 10,
+                   "k_inner": 20, "iters": 20},
+        "metric_every": 5,
+    }, "15624a7b1637fe329e780b530dd805f97e96087037c5f2e96bb16dc9efac6b40"),
+    "roc-penalty-sonex": ({
+        "seed": 4,
+        "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
+                    "n_pos": 20, "n_neg": 24, "seed": 6, "penalty_slope": 4.0},
+        "solver": {"kind": "sonex", "lam": 0.01, "eta": 0.05, "beta": 0.2, "gamma": 0.4,
+                   "b1": 3, "b2": 8, "iters": 60},
+        "metric_every": 10,
+    }, "7da46fc68233b4ec30c51d88fdee386b27b642548c568b653bc5854ade2e75f7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_unshipped_path_trace_matches_pinned_hash(tmp_path, name):
+    payload, digest = _PINNED_RUNS[name]
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "cfg.json", payload), out) == 0
+    assert _trace_sha256(out) == digest
 
 
 def test_shipped_configs_build(tmp_path):

@@ -213,7 +213,7 @@ def test_inner_vjp_linear_for_every_registered_problem():
     gen = np.random.default_rng(0)
     for prob in problems:
         w = gen.normal(size=prob.d)
-        idx, batches = np.array([0]), np.array([[0, min(2, prob.batch_domain(0) - 1)]])
+        idx, batches = np.array([0]), np.array([[0, min(2, prob.populations[0] - 1)]])
         y1, y2 = gen.normal(size=(1, prob.d1)), gen.normal(size=(1, prob.d1))
         a, b = 1.7, -0.4
         lhs = prob.inner_vjp(idx, w, batches, a * y1 + b * y2)

@@ -172,7 +172,7 @@ def _one_pass_row_case(problem, w, lam):
 
     def counting(idx, v, batches):
         for i, batch in zip(idx, batches):
-            assert np.array_equal(batch, np.arange(problem.batch_domain(i)))  # whole population
+            assert np.array_equal(batch, np.arange(problem.populations[i]))  # whole population
             seen.append(int(i))
         return value(idx, v, batches)
 
@@ -224,7 +224,7 @@ def test_stationarity_report_on_ragged_populations_matches_component_loop():
         y = moreau_grad(prob.outer, lam, g)
         grad = np.zeros(prob.d)
         for i in range(prob.n):
-            whole = np.arange(prob.batch_domain(i))[None]
+            whole = np.arange(prob.populations[i])[None]
             grad += prob.inner_vjp(np.array([i]), w, whole, y[i][None])
         grad = grad / prob.n + prob.additive.exact_gradient(w)
         f = float(np.mean(prob.outer.value(g))) + prob.additive.value(w)

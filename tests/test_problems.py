@@ -266,7 +266,7 @@ def _per_component_reference(prob, idx, w, batches, Y):
 
 def _random_call(prob, gen, k, b):
     idx = np.sort(gen.choice(prob.n, size=k, replace=False))
-    batches = np.array([np.sort(gen.choice(prob.batch_domain(i), size=b, replace=False)) for i in idx])
+    batches = np.array([np.sort(gen.choice(prob.populations[i], size=b, replace=False)) for i in idx])
     return idx, gen.normal(size=prob.d), batches, gen.normal(size=(k, prob.d1))
 
 

@@ -135,7 +135,7 @@ def test_init_trackers_unbiased_over_seeds():
 
 
 def _state(prob, w, u):
-    return SonexState(w=w, u=u, v=np.zeros(prob.d), prev_w=w.copy())
+    return SonexState(w=w, u=u, v=np.zeros(prob.d))
 
 
 def test_gradient_estimate_identity_affine_mean():
