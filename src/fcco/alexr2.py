@@ -83,9 +83,7 @@ def theory_inner_params(
     return (1.0 - theta) / denom, (1.0 - theta) * n / b1
 
 
-def stable_extrapolation(
-    problem: FccoProblem, lam: float, nu: float, b1: int, safety: float = 1.0
-) -> float:
+def stable_extrapolation(problem: FccoProblem, lam: float, nu: float, b1: int) -> float:
     """Extrapolation theta keeping the primal-dual coupling stable.
 
     The contraction argument needs roughly eta * gamma <= lam / (8 C_g^2);
@@ -100,7 +98,7 @@ def stable_extrapolation(
     if mu <= 0:
         raise ConfigError("nu too large for this problem's curvature bound")
     bound = lam * mu * b1 / (8.0 * problem.lipschitz_inner**2 * problem.n)
-    one_minus = min(0.3, safety * float(np.sqrt(bound)))
+    one_minus = min(0.3, float(np.sqrt(bound)))
     return 1.0 - one_minus
 
 

@@ -35,20 +35,20 @@ class ConstrainedProblem:
     """Objective + m scalar inequality constraints over finite populations,
     with declared constraint constants.
 
-    The constraint oracles are batched like ``FccoProblem``'s:
-    ``constraint_value(idx, w, batches)`` returns the (k,) batch-average
-    values of constraints ``idx`` and ``constraint_grad(idx, w, batches)``
-    their (k, d) batch-average gradients, ``batches`` being a (k, b) int
-    array.  The exact value and gradient of one constraint are a one-row call
-    over its whole population.  The constraint count ``m`` is
-    ``len(populations)``, not a field.  ``known_solution`` /
-    ``known_multipliers`` are optional hand-computed KKT data on toy
-    instances, used by tests only."""
+    Each constraint is a d1 = 1 inner map with ``FccoProblem``'s oracle
+    signatures: ``constraint_value(idx, w, batches)`` is ``inner_value``, the
+    (k, 1) batch-average values of constraints ``idx``, and
+    ``constraint_grad(idx, w, batches, Y)`` is ``inner_vjp``, the (d,) mean of
+    ``Y[j, 0]`` times constraint ``idx[j]``'s batch-average gradient.  The
+    exact value and gradient of a constraint are one-row calls over its whole
+    population.  The constraint count ``m`` is ``len(populations)``, not a
+    field.  ``known_solution`` / ``known_multipliers`` are optional
+    hand-computed KKT data on toy instances, used by tests only."""
 
     d: int
     objective: AdditiveTerm
     constraint_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    constraint_grad: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    constraint_grad: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     populations: Sequence[int]
     lipschitz_constraints: float | None = None
     smoothness_constraints: float | None = None
@@ -65,10 +65,10 @@ class ConstrainedProblem:
         return len(self.populations)
 
     def constraint_value_exact(self, i: int, w: np.ndarray) -> float:
-        return float(self.constraint_value(np.array([i]), w, np.arange(self.populations[i])[None])[0])
+        return float(self.constraint_value(np.array([i]), w, np.arange(self.populations[i])[None])[0, 0])
 
     def constraint_grad_exact(self, i: int, w: np.ndarray) -> np.ndarray:
-        return self.constraint_grad(np.array([i]), w, np.arange(self.populations[i])[None])[0]
+        return self.constraint_grad(np.array([i]), w, np.arange(self.populations[i])[None], np.ones((1, 1)))
 
 
 @dataclass
@@ -107,13 +107,12 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     if not (_finite_number(slope) and slope > 0):
         raise ConfigError(f"penalty slope must be a positive finite number, got {slope!r}")
 
-    # the constraints are the d1 = 1 inner maps; cp's oracles are looked up
-    # per call, so rebinding them after the problem is built takes effect
+    # forwarders, not cp's oracles: perfbench/tracer.py rebinds those by name
     def inner_value(idx, w, batches):
-        return cp.constraint_value(idx, w, batches)[:, None]
+        return cp.constraint_value(idx, w, batches)
 
     def inner_vjp(idx, w, batches, Y):
-        return Y[:, 0] @ cp.constraint_grad(idx, w, batches) / len(idx)
+        return cp.constraint_grad(idx, w, batches, Y)
 
     return FccoProblem(
         d=cp.d,

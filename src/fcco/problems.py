@@ -315,10 +315,9 @@ def cvar_from_losses(losses, ratio: float) -> float:
 
 
 def _repeat(row, k: int) -> np.ndarray:
-    """``row`` (a number or a 1-D array) stacked k times along a new first
-    axis.  The toy oracles run once per inner step on tiny arrays, where
-    np.full and np.tile cost more in their Python-level wrappers than in
-    the copy."""
+    """``row`` (a 1-D sequence) stacked k times along a new first axis.  The
+    toy oracles run once per inner step on tiny arrays, where np.full and
+    np.tile cost more in their Python-level wrappers than in the copy."""
     return np.asarray(row, dtype=float)[None].repeat(k, 0)
 
 
@@ -383,8 +382,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: (w[0] - c) ** 2, lambda w: np.array([2.0 * (w[0] - c)])
             ),
-            constraint_value=lambda idx, w, batches: _repeat(w[0] - bound, len(idx)),
-            constraint_grad=lambda idx, w, batches: _repeat((1.0,), len(idx)),
+            constraint_value=lambda idx, w, batches: _repeat((w[0] - bound,), len(idx)),
+            constraint_grad=lambda idx, w, batches, Y: np.array([Y[:, 0].sum() / len(idx)]),
             populations=(1,),
             lipschitz_constraints=1.0,
             smoothness_constraints=0.0,
@@ -406,8 +405,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: float(np.sum((w - c) ** 2)), lambda w: 2.0 * (w - c)
             ),
-            constraint_value=lambda idx, w, batches: _repeat(np.add.reduce(w * w) - 1.0, len(idx)),
-            constraint_grad=lambda idx, w, batches: _repeat(2.0 * w, len(idx)),
+            constraint_value=lambda idx, w, batches: _repeat((np.add.reduce(w * w) - 1.0,), len(idx)),
+            constraint_grad=lambda idx, w, batches, Y: (2.0 * w) * (Y[:, 0].sum() / len(idx)),
             populations=(1,),
             lipschitz_constraints=4.0,  # over the ball of radius 2
             smoothness_constraints=2.0,
@@ -429,8 +428,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
             objective=_deterministic_term(
                 lambda w: (w[0] - 2.0) ** 2, lambda w: np.array([2.0 * (w[0] - 2.0)])
             ),
-            constraint_value=lambda idx, w, batches: _repeat(g1(w), len(idx)),
-            constraint_grad=lambda idx, w, batches: _repeat(g1_grad(w), len(idx)),
+            constraint_value=lambda idx, w, batches: _repeat((g1(w),), len(idx)),
+            constraint_grad=lambda idx, w, batches, Y: g1_grad(w) * (Y[:, 0].sum() / len(idx)),
             populations=(1,),
             lipschitz_constraints=1.0 + a,
             smoothness_constraints=None,  # exercised as the weakly convex regime
@@ -544,13 +543,13 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
 
     def h_value(idx, w, batches):
         r = data.rates(idx, np.asarray(w, float), batches)
-        return np.abs(r[:, 0] - r[:, 1]) - data.margin
+        return (np.abs(r[:, 0] - r[:, 1]) - data.margin)[:, None]
 
-    def h_grad(idx, w, batches):
+    def h_grad(idx, w, batches, Y):
         w = np.asarray(w, float)
         r = data.rates(idx, w, batches)
         jac = data.rate_jacobians(idx, w, batches)
-        return np.sign(r[:, 0] - r[:, 1])[:, None] * (jac[:, 0] - jac[:, 1])
+        return (Y[:, 0] * np.sign(r[:, 0] - r[:, 1])) @ (jac[:, 0] - jac[:, 1]) / len(idx)
 
     cp = ConstrainedProblem(
         d=spec.dim,

@@ -103,16 +103,13 @@ class GapHinge:
     dim: ClassVar[int] = 2
     monotone_nondecreasing: ClassVar[bool] = False
     weak_convexity: ClassVar[float] = 0.0
+    lipschitz: ClassVar[float] = math.sqrt(2.0)
 
     margin: float
 
     def __post_init__(self):
         if not 0 <= self.margin < math.inf:
             raise ConfigError("gap margin must be nonnegative and finite")
-
-    @property
-    def lipschitz(self) -> float:
-        return math.sqrt(2.0)
 
     def value(self, t):
         t = _as1d(t)

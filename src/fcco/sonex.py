@@ -337,7 +337,8 @@ def _run_outer_loop(
     logs a metric row on the configured cadence, and keeps the iterate at a
     step drawn uniformly from {1..iters} off stream ``tau_stream``.
     ``init_u(w0)``, when given, fills state.u for n oracle calls.  The
-    config is validated; each step checks only that the new iterate is finite.
+    config is validated; each step checks only that the new iterate is finite,
+    and each metric row that its F, F_lambda and gradient norm are.
     """
     w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
     state = SonexState(
@@ -355,8 +356,15 @@ def _run_outer_loop(
     def wall():
         return (time.perf_counter() - t0) * 1e3 if config.record_wall_time else None
 
+    def log_row(it: int) -> TraceRow:
+        row = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
+        trace.append(row)
+        if not np.isfinite((row.f_value, row.f_lambda_value, row.grad_norm)).all():
+            raise SolverAbort(f"non-finite metric row at iteration {it}", trace)
+        return row
+
     cadence = config.metric_every or max(1, config.iters // 200)
-    trace.append(_metric_row(problem, state.w, config.lam, 0, calls, draws, wall()))
+    log_row(0)
 
     iters = config.iters
     if iters == 0:
@@ -387,8 +395,7 @@ def _run_outer_loop(
             w_sampled = state.w.copy()
             sampled_iteration = it
         if it % cadence == 0 or it == iters:
-            row = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
-            trace.append(row)
+            row = log_row(it)
             stopped = callback is not None and bool(callback(row, state.w))
             if config.stop_grad_norm is not None and row.grad_norm is not None:
                 stopped = stopped or row.grad_norm <= config.stop_grad_norm
@@ -435,8 +442,8 @@ def run_sonex(
 
     Returns the trace, the final iterate, and one iterate sampled uniformly
     from {1..T} (the output the convergence guarantee concerns).  A non-finite
-    iterate raises SolverAbort carrying the partial trace, at the step where
-    it appears.
+    iterate, or a metric row whose F, F_lambda or gradient norm is not
+    finite, raises SolverAbort carrying the trace so far.
     ``callback(row, w)`` runs at every metric row; a truthy return stops the
     run early, as does ``config.stop_grad_norm``.
     """

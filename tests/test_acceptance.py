@@ -360,10 +360,10 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
             ok = False
     for _ in range(5):
         rows = gen.normal(size=(3, 5))
+        inner = affine_problem(rows, np.zeros(3), Identity())
         cp2 = ConstrainedProblem(
             d=5, objective=make_toy_constrained("qp_box").objective,
-            constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
-            constraint_grad=lambda idx, w, batches, rows=rows: rows[idx],
+            constraint_value=inner.inner_value, constraint_grad=inner.inner_vjp,
             populations=(1,) * 3,
         )
         got = regularity_check(cp2, np.zeros(5)).sigma_min

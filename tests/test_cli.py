@@ -143,9 +143,9 @@ def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
     cp = extras["constrained"]
     calls = []
 
-    def counted(idx, w, batches, grad=cp.constraint_grad):
+    def counted(idx, w, batches, Y, grad=cp.constraint_grad):
         calls.append(len(idx))
-        return grad(idx, w, batches)
+        return grad(idx, w, batches, Y)
 
     monkeypatch.setattr(cp, "constraint_grad", counted)
     report = _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
@@ -350,9 +350,9 @@ def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
 
 # trace.csv sha256 of short runs down paths no shipped run takes: alexr2 with
 # sampled draws, whose extrapolation evaluates the previous inner iterate on
-# the step's batch, and sonex on the penalty form of the ROC fairness
-# instance.  They live here, not in configs/, so the hashes above stay one
-# per shipped run.
+# the step's batch, and the constraint oracles of the penalty toys and of the
+# ROC fairness instance under both solvers.  They live here, not in
+# configs/, so the hashes above stay one per shipped run.
 _PINNED_RUNS = {
     "alexr2-sampled": ({
         "seed": 5,
@@ -372,6 +372,31 @@ _PINNED_RUNS = {
                    "b1": 3, "b2": 8, "iters": 60},
         "metric_every": 10,
     }, "7da46fc68233b4ec30c51d88fdee386b27b642548c568b653bc5854ade2e75f7"),
+    "qp-box-sonex": ({
+        "seed": 3,
+        "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
+        "solver": {"kind": "sonex", "lam": 0.01, "eta": 1e-3, "beta": 0.2, "gamma": 0.5,
+                   "b1": 1, "b2": 1, "iters": 400},
+        "metric_every": 50,
+    }, "1e9a329a9b9ae1cac34e00dee6689c1f70aea33887ad0b3a4e601cb82af2b852"),
+    "weakly-convex-alexr2": ({
+        "seed": 7,
+        "problem": {"kind": "toy_constrained", "which": "weakly_convex_1d", "curvature": 0.3,
+                    "penalty_slope": 10.0},
+        "solver": {"kind": "alexr2", "lam": 0.001, "nu": 0.1, "eta": 0.002, "theta": 0.9,
+                   "gamma": 0.05, "beta": 0.5, "alpha": 0.05, "b1": 1, "b2": 1,
+                   "k_inner": 50, "iters": 60},
+        "metric_every": 10,
+    }, "28e2dd7c7664115fbc46b0e8e1885e3d68a19242974b69c142f2e12345e76122"),
+    "roc-penalty-alexr2": ({
+        "seed": 4,
+        "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
+                    "n_pos": 20, "n_neg": 24, "seed": 6, "penalty_slope": 4.0},
+        "solver": {"kind": "alexr2", "lam": 0.01, "nu": 0.1, "eta": 0.02, "theta": 0.9,
+                   "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 8,
+                   "k_inner": 20, "iters": 20},
+        "metric_every": 5,
+    }, "583a2d0abd634abef5f96659be8d1abc6a284abc9c2cb6ac0275ff1e8736ca80"),
 }
 
 
@@ -422,6 +447,19 @@ def test_run_solver_abort_exit_code(tmp_path):
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == TRACE_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == ["0"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_non_finite_metric_row_exits_2(tmp_path, capsys):
+    # w0 is finite, but F, F_lambda and grad_norm overflow at row 0: the run
+    # ends there instead of writing NaN into report.json
+    payload = {"seed": 1, "problem": {"kind": "synthetic"},
+               "solver": {"kind": "sonex", "lam": 0.1, "eta": 0.01, "iters": 5, "w0": [1e308] * 10}}
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "cfg.json", payload), out) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,8,0,nan,nan,nan,nan,nan,,"]
+    assert not (out / "report.json").exists()
 
 
 def test_console_entry_point(tmp_path):

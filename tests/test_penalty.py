@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcco import ConfigError, ScaledHinge, SeededRng
+from fcco import ConfigError, Identity, ScaledHinge, SeededRng
 from fcco.metrics import eval_exact, stationarity_report
 from fcco.penalty import (
     ConstrainedProblem,
@@ -18,6 +18,7 @@ from fcco.penalty import (
 from fcco.problems import RocFairnessSpec, make_roc_fairness_toy, make_toy_constrained
 from fcco.smoothing import hinge_moreau_grad_closed_form, moreau_value
 from fcco.sonex import SonexConfig, run_sonex
+from util import affine_problem
 
 
 def test_build_penalty_structure():
@@ -129,14 +130,13 @@ def test_kkt_report_reads_the_metric_pass():
 
 
 def _cp_with_grads(rows):
-    rows = np.asarray(rows, float)
-    m, d = rows.shape
+    inner = affine_problem(rows, np.zeros(len(rows)), Identity())
     return ConstrainedProblem(
-        d=d,
+        d=inner.d,
         objective=make_toy_constrained("qp_box").objective,
-        constraint_value=lambda idx, w, batches: np.zeros(len(idx)),
-        constraint_grad=lambda idx, w, batches: rows[idx],
-        populations=(1,) * m,
+        constraint_value=inner.inner_value,
+        constraint_grad=inner.inner_vjp,
+        populations=inner.populations,
     )
 
 

@@ -54,6 +54,7 @@ def test_outer_constants_are_class_constants():
     for make in (
         lambda: ScaledHinge(1.0, weak_convexity=0.5),
         lambda: GapHinge(0.1, dim=3),
+        lambda: GapHinge(0.1, lipschitz=2.0),
         lambda: Identity(lipschitz=2.0),
     ):
         with pytest.raises(TypeError):

@@ -5,22 +5,12 @@ import numpy as np
 from fcco import FccoProblem
 
 
-def scalar_chain_problem(outer, slope=1.0):
+def scalar_chain_problem(outer):
     """n=1, d=1, d1=1 with identity inner map g(w) = w."""
-    return FccoProblem(
-        d=1,
-        d1=1,
-        outer=outer,
-        inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
-        inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
-        populations=(1,),
-        lipschitz_inner=1.0,
-        smoothness_inner=0.0,
-        weak_convexity_inner=0.0,
-    )
+    return affine_problem([[1.0]], [0.0], outer)
 
 
-def affine_problem(A, b, outer, noise=None):
+def affine_problem(A, b, outer):
     """Deterministic affine inner maps g_i(w) = A_i w + b_i (d1 = 1)."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
