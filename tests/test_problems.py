@@ -325,6 +325,48 @@ def test_batched_oracles_match_per_component_reference(make):
     np.testing.assert_allclose(jac, fd, atol=1e-6)
 
 
+def test_penalty_wrapper_matches_constraint_oracles():
+    cp = make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5))
+    prob = build_penalty_problem(cp, 4.0)
+    gen = np.random.default_rng(9)
+    for k, b in ((1, 2), (3, 5), (prob.n, 7)):
+        idx, w, batches, Y = _random_call(prob, gen, k, b)
+        rows = [(np.array([i]), batch[None]) for i, batch in zip(idx, batches)]
+        ref_values = np.concatenate([cp.constraint_value(i, w, batch) for i, batch in rows])
+        ref_vjp = np.mean([cp.constraint_grad(i, w, batch, y[None]) for (i, batch), y in zip(rows, Y)], axis=0)
+        _assert_close(prob.inner_value(idx, w, batches), ref_values)
+        _assert_close(prob.inner_vjp(idx, w, batches, Y), ref_vjp)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_toy_constrained("qp_box"),
+        lambda: make_toy_constrained("circle", center=[1.5, -0.5]),
+        lambda: make_toy_constrained("weakly_convex_1d"),
+        lambda: make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)),
+    ],
+    ids=["qp_box", "circle", "weakly_convex_1d", "roc_fairness"],
+)
+def test_batched_constraint_oracles_match_one_row_calls(make):
+    cp = make()
+    prob = build_penalty_problem(cp, 1.0)
+    gen = np.random.default_rng(10)
+    for k, b in ((1, 1), (cp.m, 1), (cp.m, min(cp.populations))):
+        idx, w, batches, _ = _random_call(prob, gen, k, b)
+        values = cp.constraint_value(idx, w, batches)
+        assert values.shape == (k, 1)
+        for j, (i, batch) in enumerate(zip(idx, batches)):
+            one = np.array([i]), w, batch[None]
+            _assert_close(values[j], cp.constraint_value(*one)[0])
+            # weight k on row j alone: the mean gradient is row j's gradient
+            pick = np.zeros((k, 1))
+            pick[j] = k
+            grad = cp.constraint_grad(idx, w, batches, pick)
+            assert grad.shape == (cp.d,)
+            _assert_close(grad, cp.constraint_grad(*one, np.ones((1, 1))))
+
+
 @pytest.mark.parametrize("n_pos, n_neg", [(9, 9), (7, 11)])
 def test_auc_exact_gradient_matches_pair_gradient(n_pos, n_neg):
     auc = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[0.0], n_pos=n_pos, n_neg=n_neg, seed=6)).additive
