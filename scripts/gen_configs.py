@@ -23,7 +23,11 @@ OUT = Path(__file__).resolve().parents[1] / "configs"
 
 
 def gdro_cvar_r015(update_kind):
-    # the reported CVaR ratio setting: r = 0.15 over 8 groups, C_f = 1/r
+    # the reported CVaR ratio setting: r = 0.15 over 8 groups, C_f = 1/r.
+    # The sgd_baseline config is a non-convergence exhibit: at eta 0.02 with
+    # beta = 1 the threshold moves past every group loss, every hinge goes
+    # inactive, and grad_norm reads exactly 1 in 22 of the 24 rows after row 0
+    # (and 1.0 at the sampled iterate, iteration 550).
     solver = {
         "kind": "sonex" if update_kind != "sgd_baseline" else "sgd_baseline",
         "lam": 0.05 * 0.15,

@@ -36,7 +36,6 @@ from .metrics import (
     brute_force_prox,
     eval_exact,
     finite_difference_gradient,
-    grad_F_lambda_exact,
     stationarity_report,
 )
 from .sonex import (

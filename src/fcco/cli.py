@@ -20,10 +20,10 @@ import numpy as np
 from .alexr2 import Alexr2Config, run_alexr2
 from .core import ConfigError, SeededRng, SolverAbort, _fmt, parse_fields
 from .metrics import (
+    _gram_min_eig,
     brute_force_prox,
     eval_exact,
     finite_difference_gradient,
-    grad_F_lambda_exact,
     stationarity_report,
 )
 from .penalty import RegularityReport, build_penalty_problem, kkt_from_stationarity
@@ -110,9 +110,21 @@ def _load_config(path) -> RunConfig:
 
 
 def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, result, wall_s):
+    """``final`` and ``kkt`` read the last metric row's pass at w_final; the
+    one exact pass made here is at w_sampled.  A non-finite value in it
+    raises SolverAbort before anything is written."""
+    rep = stationarity_report(problem, result.w_sampled, solver_cfg.lam)
+    sampled = {"iteration": result.sampled_iteration, "F": rep.f_value,
+               "F_lambda": rep.f_lambda_value, "grad_norm": rep.grad_F_lambda_norm}
+    if "constrained" in extras:
+        kr = kkt_from_stationarity(rep)
+        sampled.update(max_violation=kr.max_violation, complementarity=kr.complementarity)
+    if not np.isfinite(list(sampled.values())).all():
+        raise SolverAbort(f"non-finite metrics at the sampled iteration {sampled['iteration']}", result.trace)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.trace.to_csv(out_dir / "trace.csv")
     last = result.trace.last()
+    gram_min, deficient = _gram_min_eig(problem, result.w_final)
     report = {
         "config": run_cfg.to_dict(),
         "solver": kind,
@@ -124,19 +136,17 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
             "F_lambda": last.f_lambda_value,
             "grad_norm": last.grad_norm,
             "stat_t_residual": last.stat_t_residual,
-            "stat_grad_residual": last.stat_grad_residual,
             "max_violation": last.max_violation,
         },
-        "sampled_iteration": result.sampled_iteration,
+        "sampled": sampled,
         "stopped_early": result.stopped_early,
         "wall_seconds": wall_s,
+        "gram_min_eig": gram_min,
+        "gram_rank_deficient": deficient,
     }
-    rep = stationarity_report(problem, result.w_final, solver_cfg.lam, with_gram=True)
-    report["gram_min_eig"] = rep.gram_min_eig
-    report["gram_rank_deficient"] = rep.gram_rank_deficient
     if "constrained" in extras:
-        kr = kkt_from_stationarity(rep)
-        reg = RegularityReport.from_gram(rep.gram_min_eig, rep.gram_rank_deficient)
+        kr = kkt_from_stationarity(result.final_report)
+        reg = RegularityReport.from_gram(gram_min, deficient)
         report["kkt"] = {
             "stationarity": kr.stationarity,
             "max_violation": kr.max_violation,
@@ -175,6 +185,8 @@ def cmd_run(config_path, out_dir=None) -> int:
             result = run_alexr2(problem, solver_cfg, rng)
         else:
             result = run_sonex(problem, solver_cfg, rng)
+        wall_s = time.perf_counter() - t0
+        _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -183,8 +195,6 @@ def cmd_run(config_path, out_dir=None) -> int:
         if exc.trace is not None:
             exc.trace.to_csv(out / "trace.csv")
         return 2
-    wall_s = time.perf_counter() - t0
-    _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
     print(f"wrote {out / 'trace.csv'}")
     return 0
 
@@ -214,7 +224,7 @@ def _gradcheck(problem, lam, gen) -> int:
     worst = 0.0
     for trial in range(3):
         w = problem.initial_point() + 0.5 * gen.normal(size=problem.d)
-        exact = grad_F_lambda_exact(problem, w, lam)
+        exact = stationarity_report(problem, w, lam).grad_F_lambda
         fd = finite_difference_gradient(lambda v: eval_exact(problem, v, lam)[1], w, h=1e-6)
         err = float(np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact)))
         print(f"grad check {trial}: rel err {err:.3e}")

@@ -379,7 +379,7 @@ class FccoProblem:
 
 TRACE_HEADER = (
     "iteration,inner_oracle_calls,component_draws,F,F_lambda,grad_norm,"
-    "stat_t_residual,stat_grad_residual,max_violation,wall_ms"
+    "stat_t_residual,max_violation,wall_ms"
 )
 
 
@@ -401,7 +401,6 @@ class TraceRow:
     f_lambda_value: float | None = None
     grad_norm: float | None = None
     stat_t_residual: float | None = None
-    stat_grad_residual: float | None = None
     max_violation: float | None = None
     wall_ms: float | None = None
 
@@ -433,14 +432,16 @@ class SolverTrace:
 
 @dataclass
 class SolverResult:
-    """Run output: trace, the final iterate, and the uniformly sampled iterate
-    the convergence theory talks about.  ``state`` is the solver's final
-    internal state (tracker buffers etc.), mainly for diagnostics."""
+    """Run output: trace, the final iterate and its exact pass (the last
+    metric row's ``metrics.StationarityReport``), and the uniformly sampled
+    iterate the convergence theory talks about.  ``state`` is the solver's
+    final internal state (tracker buffers etc.), mainly for diagnostics."""
 
     trace: SolverTrace
     w_final: np.ndarray
     w_sampled: np.ndarray
     sampled_iteration: int
+    final_report: object
     stopped_early: bool = False
     state: object | None = None
 

@@ -18,7 +18,6 @@ from .smoothing import _prox_and_envelope
 __all__ = [
     "StationarityReport",
     "eval_exact",
-    "grad_F_lambda_exact",
     "stationarity_report",
     "finite_difference_gradient",
     "brute_force_prox",
@@ -177,29 +176,19 @@ def _sum_in_order(values: np.ndarray) -> float:
     return total
 
 
-def grad_F_lambda_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> np.ndarray:
-    """Exact gradient of the outer-smoothed objective: the average of the
-    full-population VJPs J_i(w)^T . envelope_grad(g_i(w)), the same oracle the
-    solvers step along, plus the additive gradient."""
-    return stationarity_report(problem, w, lam).grad_F_lambda
-
-
 @dataclass
 class StationarityReport:
     """Exact objective values and computable stationarity surrogates at a
     candidate solution, from one pass over the components.
 
     inner_values is the (n, d1) stack of exact g_i(w); envelope_grads holds
-    (g_i - prox(g_i)) / lam, whose VJPs average to grad_F_lambda (plus the
-    additive gradient), and on a penalty problem its column over m gives the
-    multipliers.  approx_t_residual is bounded by lam * the outer Lipschitz
+    (g_i - prox(g_i)) / lam, whose full-population VJPs (the oracle the
+    solvers step along) average to the exact smoothed gradient grad_F_lambda
+    (plus the additive gradient), and on a penalty problem its column over m
+    gives the multipliers.  approx_t_residual is bounded by lam * the outer Lipschitz
     constant.  f_value and f_lambda_value equal eval_exact's (F, F_lam);
     max_inner_value is the largest inner-value coordinate over the components
     (the largest constraint value on a penalty problem).
-    gram_min_eig is the smallest eigenvalue of the stacked-Jacobian Gram
-    matrix: a diagnostic for the regularity condition that upgrades these
-    surrogates to a nearly-stationary guarantee, not a certificate by itself
-    (the theory's threshold constant is existential and cannot be checked).
     """
 
     grad_F_lambda_norm: float
@@ -210,13 +199,9 @@ class StationarityReport:
     grad_F_lambda: np.ndarray
     inner_values: np.ndarray
     envelope_grads: np.ndarray
-    gram_min_eig: float | None = None
-    gram_rank_deficient: bool = False
 
 
-def stationarity_report(
-    problem: FccoProblem, w: np.ndarray, lam: float, with_gram: bool = False
-) -> StationarityReport:
+def stationarity_report(problem: FccoProblem, w: np.ndarray, lam: float) -> StationarityReport:
     w = np.asarray(w, dtype=float)
     groups = problem.population_groups()
     g, p, f, f_lam = _exact_values(problem, groups, w, lam)
@@ -226,8 +211,6 @@ def stationarity_report(
     acc = sum(vjps) / problem.n
     if problem.additive is not None:
         acc = acc + problem.additive.exact_gradient(w)
-
-    gram_min, deficient = _gram_min_eig(problem, w) if with_gram else (None, False)
     return StationarityReport(
         grad_F_lambda_norm=float(np.linalg.norm(acc)),
         approx_t_residual=float(np.max(np.linalg.norm(r, axis=1))),
@@ -237,15 +220,16 @@ def stationarity_report(
         grad_F_lambda=acc,
         inner_values=g,
         envelope_grads=y,
-        gram_min_eig=gram_min,
-        gram_rank_deficient=deficient,
     )
 
 
 def _gram_min_eig(problem: FccoProblem, w: np.ndarray) -> tuple[float, bool]:
     """(smallest eigenvalue of J J^T, rank-deficient by shape) for the
     (n d1, d) stack J of the exact inner Jacobians at w.  More rows than d
-    make J J^T singular by shape: that reports (0.0, True) and builds no J."""
+    make J J^T singular by shape: that reports (0.0, True) and builds no J.
+    A diagnostic for the regularity condition that upgrades the stationarity
+    surrogates to a nearly-stationary guarantee, not a certificate by itself
+    (the theory's threshold constant is existential and cannot be checked)."""
     if problem.n * problem.d1 > problem.d:
         return 0.0, True
     stacked = np.vstack([problem.inner_jacobian_exact(i, w) for i in range(problem.n)])

@@ -151,8 +151,8 @@ def kkt_from_stationarity(rep: StationarityReport) -> KktReport:
 
 def regularity_check(cp: ConstrainedProblem, w: np.ndarray) -> RegularityReport:
     """Smallest singular value of the d x m stacked constraint-gradient
-    matrix, from the Gram pass of ``stationarity_report(with_gram=True)``;
-    a diagnostic run at candidate solutions, never a precondition gate.
+    matrix, from the Gram pass ``metrics._gram_min_eig``; a diagnostic run at
+    candidate solutions, never a precondition gate.
     m > d is rank-deficient by shape and reports 0."""
     w = np.asarray(w, dtype=float)
     return RegularityReport.from_gram(*_gram_min_eig(build_penalty_problem(cp, 1.0), w))

@@ -33,7 +33,7 @@ from .core import (
     sample_components,
     sample_data_batch,
 )
-from .metrics import stationarity_report
+from .metrics import StationarityReport, stationarity_report
 from .smoothing import _check_smoothing, moreau_grad
 
 __all__ = [
@@ -256,7 +256,7 @@ def theory_hyperparams(
 
 def _metric_row(
     problem, w, lam, iteration, calls, draws, wall_ms
-) -> TraceRow:
+) -> tuple[TraceRow, StationarityReport]:
     rep = stationarity_report(problem, w, lam)
     return TraceRow(
         iteration=iteration,
@@ -266,10 +266,9 @@ def _metric_row(
         f_lambda_value=rep.f_lambda_value,
         grad_norm=rep.grad_F_lambda_norm,
         stat_t_residual=rep.approx_t_residual,
-        stat_grad_residual=rep.grad_F_lambda_norm,
         max_violation=rep.max_inner_value if problem.is_penalty else None,
         wall_ms=wall_ms,
-    )
+    ), rep
 
 
 @dataclass(kw_only=True)
@@ -338,7 +337,8 @@ def _run_outer_loop(
     step drawn uniformly from {1..iters} off stream ``tau_stream``.
     ``init_u(w0)``, when given, fills state.u for n oracle calls.  The
     config is validated; each step checks only that the new iterate is finite,
-    and each metric row that its F, F_lambda and gradient norm are.
+    and each metric row that its F, F_lambda and gradient norm are.  The last
+    row's exact pass is the result's ``final_report``.
     """
     w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
     state = SonexState(
@@ -356,22 +356,19 @@ def _run_outer_loop(
     def wall():
         return (time.perf_counter() - t0) * 1e3 if config.record_wall_time else None
 
-    def log_row(it: int) -> TraceRow:
-        row = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
+    def log_row(it: int) -> tuple[TraceRow, StationarityReport]:
+        row, rep = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
         trace.append(row)
         if not np.isfinite((row.f_value, row.f_lambda_value, row.grad_norm)).all():
             raise SolverAbort(f"non-finite metric row at iteration {it}", trace)
-        return row
+        return row, rep
 
     cadence = config.metric_every or max(1, config.iters // 200)
-    log_row(0)
+    _, report = log_row(0)
 
     iters = config.iters
-    if iters == 0:
-        return SolverResult(trace, state.w.copy(), state.w.copy(), 0, state=state)
-    tau = int(rng.spawn(tau_stream).gen.integers(1, iters + 1))
-    w_sampled = state.w.copy()
-    sampled_iteration = 0
+    tau = int(rng.spawn(tau_stream).gen.integers(1, iters + 1)) if iters else None
+    w_sampled = None
     stopped = False
 
     for t in range(iters):
@@ -392,22 +389,20 @@ def _run_outer_loop(
 
         it = t + 1
         if it == tau:
-            w_sampled = state.w.copy()
-            sampled_iteration = it
+            w_sampled, sampled_iteration = state.w.copy(), it
         if it % cadence == 0 or it == iters:
-            row = log_row(it)
+            row, report = log_row(it)
             stopped = callback is not None and bool(callback(row, state.w))
-            if config.stop_grad_norm is not None and row.grad_norm is not None:
+            if config.stop_grad_norm is not None:
                 stopped = stopped or row.grad_norm <= config.stop_grad_norm
             if stopped:
                 break
 
-    if sampled_iteration == 0:
-        # run stopped before the drawn output iteration; fall back to the
-        # final iterate
-        w_sampled = state.w.copy()
-        sampled_iteration = trace.last().iteration
-    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, stopped, state=state)
+    if w_sampled is None:
+        # no step, or the run stopped before the drawn output iteration; fall
+        # back to the final iterate
+        w_sampled, sampled_iteration = state.w.copy(), trace.last().iteration
+    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, report, stopped, state=state)
 
 
 @dataclass(kw_only=True)

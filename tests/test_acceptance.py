@@ -26,10 +26,10 @@ from fcco.alexr2 import (
 from fcco.cli import cmd_run
 from fcco.metrics import (
     _golden_section,
+    _gram_min_eig,
     brute_force_prox,
     eval_exact,
     finite_difference_gradient,
-    grad_F_lambda_exact,
     stationarity_report,
 )
 from fcco.penalty import (
@@ -89,13 +89,13 @@ def test_criterion_02_gradient_correctness():
         gen = SeededRng(trial, 55).gen
         w = gen.normal(size=10) * 0.6
         lam = float(gen.uniform(0.01, 0.3))
-        exact = grad_F_lambda_exact(prob, w, lam)
+        exact = stationarity_report(prob, w, lam).grad_F_lambda
         fd = finite_difference_gradient(lambda v: eval_exact(prob, v, lam)[1], w, h=1e-6)
         worst = max(worst, float(np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact))))
     roc = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], margin=0.05, seed=2))
     w = SeededRng(9).gen.normal(size=roc.d) * 0.5
     for lam in (0.05, 0.2):
-        exact = grad_F_lambda_exact(roc, w, lam)
+        exact = stationarity_report(roc, w, lam).grad_F_lambda
         fd = finite_difference_gradient(lambda v: eval_exact(roc, v, lam)[1], w, h=1e-6)
         worst = max(worst, float(np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact))))
     elapsed = time.perf_counter() - start
@@ -150,7 +150,7 @@ def test_criterion_04_sonex_convergence():
     cfg2.metric_every = 100
     cfg2.w0 = np.full(10, 1.0)
     res2 = run_sonex(noisy, cfg2, SeededRng(12))
-    tail = [r.stat_grad_residual for r in res2.trace.rows[-100:]]
+    tail = [r.grad_norm for r in res2.trace.rows[-100:]]
     trailing = float(np.mean(tail))
     elapsed = time.perf_counter() - start
     check(4, "single-loop solver reaches the stationarity targets",
@@ -354,9 +354,9 @@ def test_criterion_11_regularity_diagnostics(tmp_path):
     for _ in range(5):
         A = gen.normal(size=(3, 7))
         prob = affine_problem(A, np.zeros(3), Identity())
-        rep = stationarity_report(prob, np.zeros(7), 0.1, with_gram=True)
+        gram_min, _ = _gram_min_eig(prob, np.zeros(7))
         ref = float(np.linalg.svd(A, compute_uv=False)[-1] ** 2)
-        if abs(rep.gram_min_eig - ref) > 1e-10 * max(1.0, abs(ref)):
+        if abs(gram_min - ref) > 1e-10 * max(1.0, abs(ref)):
             ok = False
     for _ in range(5):
         rows = gen.normal(size=(3, 5))

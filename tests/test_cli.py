@@ -7,6 +7,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from fcco.cli import (
 from fcco.core import TRACE_HEADER, SeededRng
 from fcco.problems import _TOYS
 from fcco.sonex import SonexConfig, run_sonex
+from util import read_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
@@ -123,14 +125,14 @@ def test_run_constrained_reports_kkt(tmp_path):
     assert abs(report["kkt"]["multipliers"][0] - 2.0) < 0.3
     assert report["kkt"]["regularity_sigma_min"] == pytest.approx(1.0)
     # max_violation column populated for penalty problems
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[-1].split(",")[8] != ""
+    assert read_trace(out / "trace.csv")[-1]["max_violation"] != ""
 
 
 def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
-    # the report's regularity diagnostic reads the stationarity report's Gram
-    # pass: one gradient call per constraint for the Jacobian, plus one per
-    # population group for the exact gradient
+    # the report's regularity diagnostic stacks the constraint Jacobian once:
+    # one gradient call per constraint, plus one per population group for the
+    # exact gradient of the one exact pass, at w_sampled.  KKT and final
+    # values read the last metric row's pass, so no value call is at w_final.
     run_cfg = RunConfig.from_dict({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
@@ -140,17 +142,73 @@ def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
     problem, extras = build_problem(run_cfg.problem)
     kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
     result = run_sonex(problem, solver_cfg, SeededRng(run_cfg.seed))
+    assert not np.array_equal(result.w_sampled, result.w_final)
     cp = extras["constrained"]
     calls = []
+    value_points = []
 
     def counted(idx, w, batches, Y, grad=cp.constraint_grad):
         calls.append(len(idx))
         return grad(idx, w, batches, Y)
 
+    def recorded(idx, w, batches, value=cp.constraint_value):
+        value_points.append(np.array(w))
+        return value(idx, w, batches)
+
     monkeypatch.setattr(cp, "constraint_grad", counted)
+    monkeypatch.setattr(cp, "constraint_value", recorded)
     report = _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
     assert len(calls) == cp.m + len(problem.population_groups())
     assert report["kkt"]["regularity_sigma_min"] == pytest.approx(1.0)
+    assert value_points
+    assert all(np.array_equal(w, result.w_sampled) for w in value_points)
+    assert not any(np.array_equal(w, result.w_final) for w in value_points)
+
+
+@pytest.mark.parametrize("name", ["qp-box-sonex", "alexr2-sampled"])
+def test_report_sampled_block_is_a_fresh_pass_at_w_sampled(tmp_path, name):
+    from fcco.alexr2 import run_alexr2
+    from fcco.metrics import stationarity_report
+    from fcco.penalty import kkt_from_stationarity
+
+    run_cfg = RunConfig.from_dict(_PINNED_RUNS[name][0])
+    problem, extras = build_problem(run_cfg.problem)
+    kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
+    run = run_alexr2 if kind == "alexr2" else run_sonex
+    result = run(problem, solver_cfg, SeededRng(run_cfg.seed))
+    _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
+    report = json.loads((tmp_path / "report.json").read_text())
+
+    rep = stationarity_report(problem, result.w_sampled, solver_cfg.lam)
+    expected = {
+        "iteration": result.sampled_iteration,
+        "F": rep.f_value,
+        "F_lambda": rep.f_lambda_value,
+        "grad_norm": rep.grad_F_lambda_norm,
+    }
+    if "constrained" in extras:
+        kkt = kkt_from_stationarity(rep)
+        expected.update(max_violation=kkt.max_violation, complementarity=kkt.complementarity)
+    assert report["sampled"] == expected
+    assert "sampled_iteration" not in report
+
+
+def test_run_non_finite_sampled_block_exits_2(tmp_path, capsys, monkeypatch):
+    # a non-finite value at the output iterate ends the run as a non-finite
+    # metric row does: exit 2, the trace written, no NaN in a report.json
+    from fcco import cli
+
+    def overflowed(*args, report=cli.stationarity_report):
+        return dataclasses.replace(report(*args), f_value=math.inf)
+
+    monkeypatch.setattr(cli, "stationarity_report", overflowed)
+    out = tmp_path / "out"
+    assert cmd_run(write_config(tmp_path / "cfg.json", synthetic_run_config(iters=5)), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort: non-finite metrics at the sampled iteration ")
+    assert "Traceback" not in err
+    assert len(read_trace(out / "trace.csv")) == 2
+    assert not (out / "report.json").exists()
 
 
 def test_run_alexr2_solver_kind(tmp_path):
@@ -287,13 +345,13 @@ def test_config_round_trip():
 # trace updates its hash here on purpose.  perfbench/workloads/alexr2-circle
 # is a byte copy of configs/circle_alexr2.json, so it is not run again.
 _GOLDEN_TRACES = {
-    "configs/circle_alexr2.json": "c0db1712b8d1463a8ba24b29200fb18c04204dc31377f7f4b448de8fa6002add",
-    "configs/circle_sonex.json": "6c68e8cf709c496a6e9b060dbe33d6b3708f9bded27244368e3db1750cf8fafc",
-    "configs/gdro_cvar_r015_sgd_baseline.json": "86a0745bc303d47dca429b4e94b62a53b94ed54b6e009842392169634a78fe36",
-    "configs/gdro_cvar_r015_sonex.json": "dd314d4640807c4e7d66e7a87ad4b3ba18764d11b8ca18a8df6d47cfead54072",
-    "configs/synthetic_a2_sonex.json": "2890f975c39d4e812e63a9dd81ddb19935eb86e0043b00be90907635cac1705c",
-    "perfbench/workloads/sonex-synth.json": "16662e4c217abbeaf56d3b31865e8da8b6306db4ca2963b3c559f3eb358c510d",
-    "perfbench/workloads/roc-metrics.json": "92177319207bd01ef90686ece3b29ac20195e4de1736e9e2fabf49e0a27e3b54",
+    "configs/circle_alexr2.json": "9e0f53153f4abc9dae07059bc78aaca568c6589ab185fac764ca2e255c8b1175",
+    "configs/circle_sonex.json": "b59787fd1fcae42bdbeb25b6aec5a21ecb26ac0729aaf3dc02781d06bc602526",
+    "configs/gdro_cvar_r015_sgd_baseline.json": "e3eaac3f21276c2697264900ce97f49bf9dece97a60a9a877989fc62c0879386",
+    "configs/gdro_cvar_r015_sonex.json": "ad51de0ce2c92d44cd51ffd36596210f5c4a89e8690cd3a5a94ad344c3d74824",
+    "configs/synthetic_a2_sonex.json": "475e09a416c047b12654fefca1ed923e45de96afcca3ebd48afebaa236b3aaff",
+    "perfbench/workloads/sonex-synth.json": "c27ecfd52e77bb2bdc683d04251c7084e35b6ee80aa2944e04db7a7f2332b183",
+    "perfbench/workloads/roc-metrics.json": "334849abe84c575af0855ba6daaa5755272a26d533071faed2689a34992a0895",
 }
 _CIRCLE_CONFIGS = ("circle_alexr2", "circle_sonex")
 
@@ -324,6 +382,29 @@ def test_every_shipped_run_has_a_golden_hash():
     assert (ROOT / copy).read_bytes() == (ROOT / original).read_bytes()
     shipped = {path.relative_to(ROOT).as_posix() for path in SHIPPED}
     assert shipped == set(_GOLDEN_TRACES) | {copy}
+
+
+def _key_paths(block, prefix=""):
+    """Dotted paths of a report's keys, nested blocks included.  The config
+    block echoes the run config, whose keys the config format documents."""
+    for key, value in block.items():
+        yield prefix + key
+        if isinstance(value, dict) and key != "config":
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+def test_readme_quotes_trace_header_and_every_report_key(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    assert TRACE_HEADER in readme
+    keys = set()
+    for path in SHIPPED:
+        payload = json.loads(path.read_text())
+        payload["solver"]["iters"] = 2  # the report's keys do not depend on the run length
+        out = tmp_path / f"{path.stem}_out"
+        assert cmd_run(write_config(tmp_path / path.name, payload), out) == 0
+        keys.update(_key_paths(json.loads((out / "report.json").read_text())))
+    assert {"sampled.iteration", "kkt.multipliers"} <= keys
+    assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
 
 def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
@@ -363,7 +444,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 10,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "15624a7b1637fe329e780b530dd805f97e96087037c5f2e96bb16dc9efac6b40"),
+    }, "8eea71bb6a7f755b3481e569a21954db125d4d44d197c35871e4db97b3c93668"),
     "roc-penalty-sonex": ({
         "seed": 4,
         "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
@@ -371,14 +452,14 @@ _PINNED_RUNS = {
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 0.05, "beta": 0.2, "gamma": 0.4,
                    "b1": 3, "b2": 8, "iters": 60},
         "metric_every": 10,
-    }, "7da46fc68233b4ec30c51d88fdee386b27b642548c568b653bc5854ade2e75f7"),
+    }, "755dbd8987e69e33deb761acf99b7ea11679237f133ca9a9ac247fcbabd1adfa"),
     "qp-box-sonex": ({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 1e-3, "beta": 0.2, "gamma": 0.5,
                    "b1": 1, "b2": 1, "iters": 400},
         "metric_every": 50,
-    }, "1e9a329a9b9ae1cac34e00dee6689c1f70aea33887ad0b3a4e601cb82af2b852"),
+    }, "5d8fd507cee725f491432d6c531816d68538aec622affdfb8ed8c2d91b5b1d3c"),
     "weakly-convex-alexr2": ({
         "seed": 7,
         "problem": {"kind": "toy_constrained", "which": "weakly_convex_1d", "curvature": 0.3,
@@ -387,7 +468,7 @@ _PINNED_RUNS = {
                    "gamma": 0.05, "beta": 0.5, "alpha": 0.05, "b1": 1, "b2": 1,
                    "k_inner": 50, "iters": 60},
         "metric_every": 10,
-    }, "28e2dd7c7664115fbc46b0e8e1885e3d68a19242974b69c142f2e12345e76122"),
+    }, "37cbc2d88be9eabb0eb60ea4ac890833f55cabcff0d809e438c825de01d6dbba"),
     "roc-penalty-alexr2": ({
         "seed": 4,
         "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
@@ -396,7 +477,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 8,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "583a2d0abd634abef5f96659be8d1abc6a284abc9c2cb6ac0275ff1e8736ca80"),
+    }, "26cdc9c6d96ebd0956a65e4dbef80870f06198b2150c71b0283aa8685b892959"),
 }
 
 
@@ -458,7 +539,7 @@ def test_run_non_finite_metric_row_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert cmd_run(write_config(tmp_path / "cfg.json", payload), out) == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,8,0,nan,nan,nan,nan,nan,,"]
+    assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,8,0,nan,nan,nan,nan,,"]
     assert not (out / "report.json").exists()
 
 
@@ -521,13 +602,12 @@ def test_wall_time_opt_in(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
     assert cmd_run(cfg, out) == 0
-    last = (out / "trace.csv").read_text().splitlines()[-1]
-    assert last.split(",")[9] != ""
+    assert read_trace(out / "trace.csv")[-1]["wall_ms"] != ""
     # default configs leave the column empty for reproducibility
     payload["record_wall_time"] = False
     cfg2 = write_config(tmp_path / "cfg2.json", payload)
     assert cmd_run(cfg2, tmp_path / "out2") == 0
-    assert (tmp_path / "out2" / "trace.csv").read_text().splitlines()[-1].split(",")[9] == ""
+    assert read_trace(tmp_path / "out2" / "trace.csv")[-1]["wall_ms"] == ""
 
 
 def test_roc_fairness_problem_kinds(tmp_path):

@@ -10,9 +10,9 @@ from fcco import (
     brute_force_prox,
     eval_exact,
     finite_difference_gradient,
-    grad_F_lambda_exact,
     stationarity_report,
 )
+from fcco.metrics import _gram_min_eig
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from util import affine_problem, scalar_chain_problem
 
@@ -84,7 +84,7 @@ def test_grad_exact_matches_fd_on_a2_instance():
     gen = np.random.default_rng(5)
     w = gen.normal(size=10) * 0.5
     lam = 0.07
-    exact = grad_F_lambda_exact(prob, w, lam)
+    exact = stationarity_report(prob, w, lam).grad_F_lambda
     fd = finite_difference_gradient(lambda v: eval_exact(prob, v, lam)[1], w, h=1e-6)
     assert np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact)) <= 1e-5
 
@@ -92,13 +92,14 @@ def test_grad_exact_matches_fd_on_a2_instance():
 def test_grad_exact_zero_at_inactive_hinges():
     A = np.eye(3)
     prob = affine_problem(A, [-5.0, -4.0, -6.0], ScaledHinge(1.0))
-    np.testing.assert_allclose(grad_F_lambda_exact(prob, np.zeros(3), 0.1), np.zeros(3))
+    np.testing.assert_allclose(stationarity_report(prob, np.zeros(3), 0.1).grad_F_lambda, np.zeros(3))
 
 
 def test_grad_exact_identity_affine_is_mean_row():
     A = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
     prob = affine_problem(A, [0.0, 1.0, -1.0], Identity())
-    np.testing.assert_allclose(grad_F_lambda_exact(prob, np.array([0.3, -0.2]), 0.2), A.mean(axis=0))
+    grad = stationarity_report(prob, np.array([0.3, -0.2]), 0.2).grad_F_lambda
+    np.testing.assert_allclose(grad, A.mean(axis=0))
 
 
 def test_metric_gradient_follows_the_solvers_vjp():
@@ -109,7 +110,7 @@ def test_metric_gradient_follows_the_solvers_vjp():
         inner_vjp=lambda idx, w, batches, Y: 1.1 * Y.mean(axis=0),
     )
     w, lam = np.array([0.4]), 0.2
-    exact = grad_F_lambda_exact(prob, w, lam)
+    exact = stationarity_report(prob, w, lam).grad_F_lambda
     fd = finite_difference_gradient(lambda v: eval_exact(prob, v, lam)[1], w)
     assert np.linalg.norm(exact - fd) > 0.05 * np.linalg.norm(fd)
 
@@ -135,33 +136,33 @@ def test_stationarity_residual_bounded_by_lam_times_lipschitz():
 def test_gram_orthonormal_jacobian():
     A = np.eye(2, 4)  # two orthonormal rows in R^4
     prob = affine_problem(A, [0.0, 0.0], Identity())
-    rep = stationarity_report(prob, np.zeros(4), 0.1, with_gram=True)
-    assert rep.gram_min_eig == pytest.approx(1.0)
-    assert not rep.gram_rank_deficient
+    gram_min, deficient = _gram_min_eig(prob, np.zeros(4))
+    assert gram_min == pytest.approx(1.0)
+    assert not deficient
 
 
 def test_gram_repeated_row_is_singular():
     A = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     prob = affine_problem(A, [0.0, 0.0], Identity())
-    rep = stationarity_report(prob, np.zeros(3), 0.1, with_gram=True)
-    assert rep.gram_min_eig == pytest.approx(0.0, abs=1e-12)
+    gram_min, _ = _gram_min_eig(prob, np.zeros(3))
+    assert gram_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_shape_deficient_flags():
     A = np.random.default_rng(0).normal(size=(4, 2))
     prob = affine_problem(A, np.zeros(4), Identity())
-    rep = stationarity_report(prob, np.zeros(2), 0.1, with_gram=True)
-    assert rep.gram_min_eig == 0.0
-    assert rep.gram_rank_deficient
+    gram_min, deficient = _gram_min_eig(prob, np.zeros(2))
+    assert gram_min == 0.0
+    assert deficient
 
 
 def test_gram_matches_reference_eigensolver():
     gen = np.random.default_rng(11)
     A = gen.normal(size=(3, 7))
     prob = affine_problem(A, np.zeros(3), Identity())
-    rep = stationarity_report(prob, np.zeros(7), 0.1, with_gram=True)
+    gram_min, _ = _gram_min_eig(prob, np.zeros(7))
     ref = np.linalg.svd(A, compute_uv=False)[-1] ** 2
-    assert rep.gram_min_eig == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    assert gram_min == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def _one_pass_row_case(problem, w, lam):
@@ -178,15 +179,14 @@ def _one_pass_row_case(problem, w, lam):
 
     problem.inner_value = counting
     try:
-        row = _metric_row(problem, w, lam, 7, 11, 3, None)
+        row, _ = _metric_row(problem, w, lam, 7, 11, 3, None)
     finally:
         problem.inner_value = value
     assert sorted(seen) == list(range(problem.n))  # one exact value per component
     f, f_lam = eval_exact(problem, w, lam)
     assert row.f_value == f
     assert row.f_lambda_value == f_lam
-    assert row.grad_norm == row.stat_grad_residual
-    assert row.grad_norm == float(np.linalg.norm(grad_F_lambda_exact(problem, w, lam)))
+    assert row.grad_norm == float(np.linalg.norm(stationarity_report(problem, w, lam).grad_F_lambda))
     assert (row.iteration, row.inner_oracle_calls, row.component_draws) == (7, 11, 3)
     return row
 

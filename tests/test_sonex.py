@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from fcco import (
     SolverAbort,
     sample_data_batch,
 )
-from fcco.metrics import grad_F_lambda_exact
+from fcco.alexr2 import Alexr2Config, run_alexr2
+from fcco.metrics import stationarity_report
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from fcco.sonex import (
     SonexConfig,
@@ -164,7 +167,7 @@ def test_gradient_estimate_chain_rule_single_component():
     w = np.array([0.1])  # inside the envelope's quadratic band
     u = np.array([prob.inner_exact(0, w)])
     got = gradient_estimate(prob, _state(prob, w, u), np.array([0]), np.array([[0]]), lam)
-    exact = grad_F_lambda_exact(prob, w, lam)
+    exact = stationarity_report(prob, w, lam).grad_F_lambda
     np.testing.assert_allclose(got, exact, rtol=1e-12)
 
 
@@ -195,6 +198,27 @@ def test_run_sonex_deterministic_replay():
     np.testing.assert_array_equal(r1.w_sampled, r2.w_sampled)
 
 
+@pytest.mark.parametrize("case", ["sonex", "alexr2", "zero_iterations", "stopped"])
+def test_final_report_is_the_exact_pass_at_w_final(case):
+    prob = make_synthetic_fcco(_quad_hinge_spec(population=9, sigma0=0.2))
+    cfg = SonexConfig(lam=0.1, eta=1e-3, beta=0.2, gamma=0.4, b1=3, b2=4, iters=25, metric_every=10)
+    run = run_sonex
+    if case == "alexr2":
+        cfg = Alexr2Config(lam=0.05, nu=0.2, eta=0.02, theta=0.9, gamma=0.2, beta=0.5, alpha=0.05,
+                           b1=2, b2=3, k_inner=10, iters=8, metric_every=3)
+        run = run_alexr2
+    elif case == "zero_iterations":
+        cfg = dataclasses.replace(cfg, iters=0)
+    elif case == "stopped":
+        cfg = dataclasses.replace(cfg, stop_grad_norm=1e9)
+    res = run(prob, cfg, SeededRng(4))
+    assert res.stopped_early == (case == "stopped")
+    fresh = stationarity_report(prob, res.w_final, cfg.lam)
+    for f in dataclasses.fields(fresh):
+        got, want = getattr(res.final_report, f.name), getattr(fresh, f.name)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
+
+
 @pytest.mark.filterwarnings("ignore:beta > 2/7")
 def test_run_sonex_noiseless_full_batch_matches_exact_descent():
     prob = make_synthetic_fcco(_quad_hinge_spec())
@@ -206,7 +230,7 @@ def test_run_sonex_noiseless_full_batch_matches_exact_descent():
     w = prob.initial_point()
     v = np.zeros(prob.d)
     for _ in range(40):
-        g = grad_F_lambda_exact(prob, w, lam)
+        g = stationarity_report(prob, w, lam).grad_F_lambda
         v = (1 - beta) * v + beta * g
         w = w - eta * v
     np.testing.assert_allclose(res.w_final, w, atol=1e-12)

@@ -1,4 +1,6 @@
-"""Shared tiny problem builders for the test suite."""
+"""Shared tiny problem builders and trace readers for the test suite."""
+
+import csv
 
 import numpy as np
 
@@ -26,3 +28,9 @@ def affine_problem(A, b, outer):
         smoothness_inner=0.0,
         weak_convexity_inner=0.0,
     )
+
+
+def read_trace(path):
+    """The rows of a trace.csv file as dicts keyed by column name."""
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
