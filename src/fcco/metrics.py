@@ -185,10 +185,10 @@ class StationarityReport:
     (g_i - prox(g_i)) / lam, whose full-population VJPs (the oracle the
     solvers step along) average to the exact smoothed gradient grad_F_lambda
     (plus the additive gradient), and on a penalty problem its column over m
-    gives the multipliers.  approx_t_residual is bounded by lam * the outer Lipschitz
-    constant.  f_value and f_lambda_value equal eval_exact's (F, F_lam);
-    max_inner_value is the largest inner-value coordinate over the components
-    (the largest constraint value on a penalty problem).
+    gives the multipliers.  approx_t_residual is bounded by lam * the outer
+    Lipschitz constant.  f_value and f_lambda_value equal eval_exact's
+    (F, F_lam); max_inner_value is the largest inner-value coordinate over the
+    components (the largest constraint value on a penalty problem).
     """
 
     grad_F_lambda_norm: float
