@@ -210,36 +210,51 @@ class SeededRng:
         return gen
 
 
-def _subsets(gen: np.random.Generator, populations: np.ndarray, size: int) -> np.ndarray:
-    """One sorted uniform size-``size`` subset of range(populations[r]) per
-    row r, each read off a fixed block of ``gen``'s output.
+def _ranked(gen: np.random.Generator, populations, size: int, smallest: int, largest: int):
+    """Rank one uniform per element of each row's population and keep the
+    ``size`` smallest; rows shorter than ``largest`` are padded."""
+    u = gen.random((len(populations), largest))
+    if smallest < largest:
+        u[np.arange(largest) >= populations[:, None]] = 2.0  # never among the smallest
+    return np.sort(np.argpartition(u, size - 1, axis=1)[:, :size], axis=1)
 
-    Rows whose population is at most size**2 rank one uniform per element
-    and keep the ``size`` smallest.  The others draw ``size`` integers and
-    are redrawn, all together, until none holds a repeat: a uniform tuple of
-    distinct elements is a uniform subset, a repeat has probability below
-    1/2, and no population-sized array is built.  Every row is completed
-    whichever rows the caller keeps, so row r depends on the generator's
-    block and r only.
+
+def _redrawn(gen: np.random.Generator, populations, size: int, smallest: int, largest: int):
+    """Draw ``size`` integers per row and redraw, all rows together, until
+    no row holds a repeat.  Rows of one population share a scalar bound."""
+    high = smallest if smallest == largest else populations[:, None]
+    rows = np.sort(gen.integers(0, high, size=(len(populations), size)), axis=1)
+    repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    while repeat.any():
+        fresh = np.sort(gen.integers(0, high, size=(len(populations), size)), axis=1)
+        rows[repeat] = fresh[repeat]
+        repeat &= (fresh[:, 1:] == fresh[:, :-1]).any(axis=1)
+    return rows
+
+
+def _subsets(gen: np.random.Generator, populations, size: int, smallest: int, largest: int):
+    """One sorted uniform size-``size`` subset of range(populations[r]) per
+    row r, each read off a fixed block of ``gen``'s output.  ``smallest``
+    and ``largest`` bound the populations; when they are equal, only
+    ``len(populations)`` is read.
+
+    Rows whose population is at most size**2 are ranked (``_ranked``).  The
+    others are redrawn (``_redrawn``): a uniform tuple of distinct elements
+    is a uniform subset, a repeat has probability below 1/2, and no
+    population-sized array is built.  When the rows take both paths, the
+    ranked rows draw first.  Every row is completed whichever rows the
+    caller keeps, so row r depends on the generator's block and r only.
     """
+    cutoff = size * size
+    if largest <= cutoff:
+        return _ranked(gen, populations, size, smallest, largest)
+    if smallest > cutoff:
+        return _redrawn(gen, populations, size, smallest, largest)
+    ranked = populations <= cutoff
+    small, large = populations[ranked], populations[~ranked]
     out = np.empty((len(populations), size), dtype=np.int64)
-    ranked = populations <= size * size
-    if ranked.any():
-        pops = populations[ranked]
-        width = int(pops.max())
-        u = gen.random((len(pops), width))
-        if pops.min() < width:
-            u[np.arange(width) >= pops[:, None]] = 2.0  # never among the smallest
-        out[ranked] = np.sort(np.argpartition(u, size - 1, axis=1)[:, :size], axis=1)
-    if not ranked.all():
-        high = populations[~ranked][:, None]
-        rows = np.sort(gen.integers(0, high, size=(len(high), size)), axis=1)
-        repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        while repeat.any():
-            fresh = np.sort(gen.integers(0, high, size=(len(high), size)), axis=1)
-            rows[repeat] = fresh[repeat]
-            repeat &= (fresh[:, 1:] == fresh[:, :-1]).any(axis=1)
-        out[~ranked] = rows
+    out[ranked] = _ranked(gen, small, size, smallest, int(small.max()))
+    out[~ranked] = _redrawn(gen, large, size, int(large.min()), largest)
     return out
 
 
@@ -251,7 +266,7 @@ def sample_components(gen: np.random.Generator, n: int, b1: int) -> np.ndarray:
     """
     if not 1 <= b1 <= n:
         raise ConfigError(f"component batch size must satisfy 1 <= b1 <= n, got b1={b1}, n={n}")
-    return _subsets(gen, np.array([n]), b1)[0]
+    return _subsets(gen, (n,), b1, n, n)[0]
 
 
 def sample_data_batch(gen: np.random.Generator, populations, b2: int) -> np.ndarray:
@@ -260,12 +275,12 @@ def sample_data_batch(gen: np.random.Generator, populations, b2: int) -> np.ndar
     block of ``gen``'s output, so it is the same whichever components the
     caller goes on to use."""
     populations = np.asarray(populations, dtype=np.int64)
-    smallest = int(populations.min())
+    smallest = int(np.minimum.reduce(populations))
     if not 1 <= b2 <= smallest:
         raise ConfigError(
             f"data batch size must satisfy 1 <= b2 <= population, got b2={b2}, population={smallest}"
         )
-    return _subsets(gen, populations, b2)
+    return _subsets(gen, populations, b2, smallest, int(np.maximum.reduce(populations)))
 
 
 @dataclass

@@ -120,9 +120,10 @@ class _Draws:
         self.held = None  # (point, inner value) of the last ``values`` call
         self.additive = problem.additive is not None
         if self.additive:
-            self.pop0 = problem.additive.population
-            self.b0 = min(b2, self.pop0)
-            self.full0 = np.arange(self.pop0) if self.b0 == self.pop0 else None
+            pop0 = problem.additive.population
+            self.pops0 = np.array([pop0], dtype=np.int64)
+            self.b0 = min(b2, pop0)
+            self.full0 = np.arange(pop0) if self.b0 == pop0 else None
 
     def components(self, purpose: int, t: int) -> np.ndarray:
         if self.every:
@@ -140,7 +141,7 @@ class _Draws:
             return None
         if self.full0 is not None:
             return self.full0
-        return sample_data_batch(self.rng.philox(purpose, t), [self.pop0], self.b0)[0]
+        return sample_data_batch(self.rng.philox(purpose, t), self.pops0, self.b0)[0]
 
     def values(self, problem: FccoProblem, idx, batches, w, weight: float):
         """(g, g_prev, value calls) on this step's draws: g is the inner

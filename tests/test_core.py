@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,33 @@ def test_sample_data_batch_ragged_uniform_frequencies(populations, b2):
         p = b2 / pop
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.all(np.abs(count - trials * p) < 4.0 * sigma)
+
+
+# sha256 of the draws at counters 0-199: one case per sampler path, so a
+# change to how a draw is made must keep every draw bit-identical
+_EXACT_DRAWS = {
+    "ranked": (((200,) * 20, 25), "e88e5122460444d8de5eb5b8674089ef3b68329ab5eec375d9061c48c7ac3633"),
+    "ranked-padded": (((7, 5, 9), 5), "48ed94773f73ee8f71b220be3927c8d847657d644a6a8b24b157ee5d62ae34ab"),
+    "redrawn-repeats": (((50,) * 3, 7), "c0b855ea2ed642f5fe82d862273cc895ec219d7d4465358bcf34dbc6ba151b4d"),
+    "redrawn-large": (((14_400,), 10), "0538643d83890be33e594b2aa7ece815cf4fcce48a5987a860165870c55f39b5"),
+    "redrawn-ragged": (((50, 70, 14_400), 4), "1620deae82dc74afe8658f259219658dc86e26cd4f5968cd611487a68d800752"),
+    "mixed": (((20, 14_400), 20), "fbcb45b4a115e9e183d1d3935cd46914d7cd899bf3fde14a261d59bbde16222b"),
+    "components-small": ((6, 3), "f6108b26c2cd5e7dc739f9080b032f6b2dab2fcec6a3c137d521eb00049ffe4c"),
+    "components-large": ((2000, 4), "b3d72196951721faaf0e7a7fab136805eebd48e34e727e152ac7af1c024dde79"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_DRAWS))
+def test_sampler_draws_are_pinned(case):
+    (arg, size), digest = _EXACT_DRAWS[case]
+    rng = SeededRng(22)
+    h = hashlib.sha256()
+    for t in range(200):
+        if case.startswith("components"):
+            h.update(sample_components(rng.philox(0, t), arg, size).tobytes())
+        else:
+            h.update(sample_data_batch(rng.philox(1, t), np.array(arg), size).tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("b2", [0, 6])

@@ -23,11 +23,12 @@ def _load_tracer():
     return module
 
 
-@pytest.mark.parametrize("workload", sorted(p.stem for p in (PERFBENCH / "workloads").glob("*.json")))
-def test_traced_solve_matches_plain_solve(workload):
+def _traced_solve(workload, iters):
+    """(plain trace, traced trace, span summary) of an ``iters``-step solve
+    of ``workload``, the traced one under perfbench's tracer."""
     tracer_mod = _load_tracer()
     raw = json.loads((PERFBENCH / "workloads" / f"{workload}.json").read_text())
-    raw["solver"]["iters"] = 10
+    raw["solver"]["iters"] = iters
     if raw["solver"]["kind"] == "alexr2":
         raw["solver"]["k_inner"] = 50
     run_cfg = cli.RunConfig.from_dict(raw)
@@ -43,5 +44,27 @@ def test_traced_solve_matches_plain_solve(workload):
     tracer = tracer_mod.Tracer()
     with tracer_mod.installed(tracer, problem, extras.get("constrained")):
         traced = solve()
+    return plain, traced, tracer.summary()
+
+
+@pytest.mark.parametrize("workload", sorted(p.stem for p in (PERFBENCH / "workloads").glob("*.json")))
+def test_traced_solve_matches_plain_solve(workload):
+    plain, traced, summary = _traced_solve(workload, 10)
     assert traced == plain
-    assert tracer.summary().calls.get("problems.inner_value", 0) > 0
+    assert summary.calls.get("problems.inner_value", 0) > 0
+
+
+@pytest.mark.parametrize(
+    "workload, names",
+    [
+        ("sonex-synth", ["core.sample_data_batch"]),
+        ("roc-metrics", ["core.sample_data_batch", "core.sample_components"]),
+    ],
+)
+def test_traced_solve_counts_every_sampled_draw(workload, names):
+    # the per-layer table's sampling rows come from the names the tracer
+    # rebinds, so each step's draws must go through them
+    iters = 10
+    _, _, summary = _traced_solve(workload, iters)
+    for name in names:
+        assert summary.calls.get(name, 0) >= iters, name
