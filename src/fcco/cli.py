@@ -26,7 +26,7 @@ from .metrics import (
     finite_difference_gradient,
     stationarity_report,
 )
-from .penalty import RegularityReport, build_penalty_problem, kkt_from_stationarity
+from .penalty import build_penalty_problem, kkt_from_stationarity
 from .problems import (
     GdroCvarSpec,
     RocFairnessSpec,
@@ -109,17 +109,26 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, result, wall_s):
-    """``final`` and ``kkt`` read the last metric row's pass at w_final; the
-    one exact pass made here is at w_sampled.  A non-finite value in it
-    raises SolverAbort before anything is written."""
-    rep = stationarity_report(problem, result.w_sampled, solver_cfg.lam)
-    sampled = {"iteration": result.sampled_iteration, "F": rep.f_value,
-               "F_lambda": rep.f_lambda_value, "grad_norm": rep.grad_F_lambda_norm}
-    if "constrained" in extras:
+def _point_block(problem, rep) -> dict:
+    """A point's report block, read off its exact pass ``rep``; the KKT
+    residuals are added on a penalty problem."""
+    block = {"F": rep.f_value, "F_lambda": rep.f_lambda_value,
+             "grad_norm": rep.grad_F_lambda_norm, "stat_t_residual": rep.approx_t_residual}
+    if problem.is_penalty:
         kr = kkt_from_stationarity(rep)
-        sampled.update(max_violation=kr.max_violation, complementarity=kr.complementarity)
-    if not np.isfinite(list(sampled.values())).all():
+        block.update(max_violation=kr.max_violation, complementarity=kr.complementarity,
+                     multipliers=kr.multipliers.tolist())
+    return block
+
+
+def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, result, wall_s):
+    """``final`` reads the last metric row's pass at w_final; the one exact
+    pass made here is at w_sampled.  A non-finite value in it raises
+    SolverAbort before anything is written.  ``extras`` is not read; the
+    benchmark harness passes it positionally."""
+    rep = stationarity_report(problem, result.w_sampled, solver_cfg.lam)
+    sampled = {"iteration": result.sampled_iteration, **_point_block(problem, rep)}
+    if not np.isfinite(np.hstack(list(sampled.values()))).all():
         raise SolverAbort(f"non-finite metrics at the sampled iteration {sampled['iteration']}", result.trace)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.trace.to_csv(out_dir / "trace.csv")
@@ -131,30 +140,13 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
         "iterations": last.iteration,
         "inner_oracle_calls": last.inner_oracle_calls,
         "component_draws": last.component_draws,
-        "final": {
-            "F": last.f_value,
-            "F_lambda": last.f_lambda_value,
-            "grad_norm": last.grad_norm,
-            "stat_t_residual": last.stat_t_residual,
-            "max_violation": last.max_violation,
-        },
+        "final": _point_block(problem, result.final_report),
         "sampled": sampled,
         "stopped_early": result.stopped_early,
         "wall_seconds": wall_s,
         "gram_min_eig": gram_min,
         "gram_rank_deficient": deficient,
     }
-    if "constrained" in extras:
-        kr = kkt_from_stationarity(result.final_report)
-        reg = RegularityReport.from_gram(gram_min, deficient)
-        report["kkt"] = {
-            "stationarity": kr.stationarity,
-            "max_violation": kr.max_violation,
-            "complementarity": kr.complementarity,
-            "multipliers": kr.multipliers.tolist(),
-            "regularity_sigma_min": reg.sigma_min,
-            "regularity_rank_deficient": reg.rank_deficient,
-        }
     with open(out_dir / "report.json", "w") as f:
         json.dump(report, f, indent=2)
     return report
@@ -163,7 +155,7 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
 def cmd_run(config_path, out_dir=None) -> int:
     """Run one config; writes <out>/trace.csv and <out>/report.json.  The
     output directory is made once the config has passed every check, before
-    the solve."""
+    the solve; a write that fails there or after the solve exits 1."""
     try:
         run_cfg = _load_config(config_path)
         problem, extras = build_problem(run_cfg.problem)
@@ -173,28 +165,25 @@ def cmd_run(config_path, out_dir=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir or run_cfg.out or (str(Path(config_path).with_suffix("")) + "_out"))
+    rng = SeededRng(run_cfg.seed)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
-    rng = SeededRng(run_cfg.seed)
-    t0 = time.perf_counter()
-    try:
-        if kind == "alexr2":
-            result = run_alexr2(problem, solver_cfg, rng)
-        else:
-            result = run_sonex(problem, solver_cfg, rng)
-        wall_s = time.perf_counter() - t0
-        _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
+        t0 = time.perf_counter()
+        try:
+            result = (run_alexr2 if kind == "alexr2" else run_sonex)(problem, solver_cfg, rng)
+            wall_s = time.perf_counter() - t0
+            _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
+        except SolverAbort as exc:
+            print(f"solver abort: {exc}", file=sys.stderr)
+            if exc.trace is not None:
+                exc.trace.to_csv(out / "trace.csv")
+            return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        if exc.trace is not None:
-            exc.trace.to_csv(out / "trace.csv")
-        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out / 'trace.csv'}")
     return 0
 
@@ -274,9 +263,12 @@ def cmd_bench(config_dir) -> int:
             any_failed = True
             rows.append(f"{cfg_path.name},,error:{code},,,,,")
     table = "\n".join([_BENCH_HEADER] + rows) + "\n"
-    summary_path = config_dir / "bench_summary.csv"
-    summary_path.write_text(table)
     sys.stdout.write(table)
+    try:
+        (config_dir / "bench_summary.csv").write_text(table)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 2 if any_failed else 0
 
 

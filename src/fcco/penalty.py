@@ -86,13 +86,6 @@ class RegularityReport:
     sigma_min: float
     rank_deficient: bool = False
 
-    @classmethod
-    def from_gram(cls, min_eig: float, rank_deficient: bool) -> "RegularityReport":
-        """sigma_min = sqrt of the Gram matrix's smallest eigenvalue,
-        clamped at 0: on a singular Gram matrix rounding can leave that
-        eigenvalue slightly negative."""
-        return cls(math.sqrt(max(min_eig, 0.0)), rank_deficient)
-
 
 def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     """FCCO instance of the smoothed hinge penalty.
@@ -151,11 +144,13 @@ def kkt_from_stationarity(rep: StationarityReport) -> KktReport:
 
 def regularity_check(cp: ConstrainedProblem, w: np.ndarray) -> RegularityReport:
     """Smallest singular value of the d x m stacked constraint-gradient
-    matrix, from the Gram pass ``metrics._gram_min_eig``; a diagnostic run at
+    matrix: the square root of the smallest eigenvalue from the Gram pass
+    ``metrics._gram_min_eig``, clamped at 0 because on a singular Gram matrix
+    rounding can leave that eigenvalue slightly negative.  A diagnostic run at
     candidate solutions, never a precondition gate.
     m > d is rank-deficient by shape and reports 0."""
-    w = np.asarray(w, dtype=float)
-    return RegularityReport.from_gram(*_gram_min_eig(build_penalty_problem(cp, 1.0), w))
+    min_eig, deficient = _gram_min_eig(build_penalty_problem(cp, 1.0), np.asarray(w, dtype=float))
+    return RegularityReport(math.sqrt(max(min_eig, 0.0)), deficient)
 
 
 def suggest_penalty_slope(m: int, lipschitz_constraints: float, delta: float) -> float:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -91,6 +92,37 @@ def test_run_output_directory_error_exits_1_before_the_solve(tmp_path, capsys, m
     assert solves == []
 
 
+@pytest.mark.parametrize("blocked", ["trace.csv", "report.json", "abort"])
+def test_run_output_write_error_exits_1(tmp_path, capsys, monkeypatch, blocked):
+    # a directory where a file must go stands in for an unwritable file; the
+    # abort case fails to write the partial trace of a solver abort
+    from fcco import cli
+
+    out = tmp_path / "out"
+    (out / ("trace.csv" if blocked == "abort" else blocked)).mkdir(parents=True)
+    if blocked == "abort":
+        def aborted(*args, report=cli.stationarity_report):
+            return dataclasses.replace(report(*args), f_value=math.inf)
+
+        monkeypatch.setattr(cli, "stationarity_report", aborted)
+    assert cli.main(["run", str(write_config(tmp_path / "cfg.json", synthetic_run_config(iters=3))),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("output error: ")
+    assert "Traceback" not in err
+    assert not (out / "report.json").is_file()
+
+
+def test_bench_summary_write_error_exits_1(tmp_path, capsys):
+    write_config(tmp_path / "a.json", synthetic_run_config(iters=3))
+    (tmp_path / "bench_summary.csv").mkdir()
+    assert cmd_bench(tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ")
+    assert "Traceback" not in captured.err
+    assert "a.json,sonex,ok," in captured.out
+
+
 def test_run_unknown_keys_rejected(tmp_path):
     payload = synthetic_run_config()
     payload["solvr"] = {}
@@ -121,9 +153,9 @@ def test_run_constrained_reports_kkt(tmp_path):
     out = tmp_path / "out"
     assert cmd_run(cfg, out) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["kkt"]["max_violation"] <= 0.011
-    assert abs(report["kkt"]["multipliers"][0] - 2.0) < 0.3
-    assert report["kkt"]["regularity_sigma_min"] == pytest.approx(1.0)
+    assert report["final"]["max_violation"] <= 0.011
+    assert abs(report["final"]["multipliers"][0] - 2.0) < 0.3
+    assert report["gram_min_eig"] == pytest.approx(1.0)
     # max_violation column populated for penalty problems
     assert read_trace(out / "trace.csv")[-1]["max_violation"] != ""
 
@@ -131,8 +163,9 @@ def test_run_constrained_reports_kkt(tmp_path):
 def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
     # the report's regularity diagnostic stacks the constraint Jacobian once:
     # one gradient call per constraint, plus one per population group for the
-    # exact gradient of the one exact pass, at w_sampled.  KKT and final
-    # values read the last metric row's pass, so no value call is at w_final.
+    # exact gradient of the one exact pass, at w_sampled.  The final block and
+    # its KKT residuals read the last metric row's pass, so no value call is
+    # at w_final.
     run_cfg = RunConfig.from_dict({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
@@ -159,7 +192,7 @@ def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cp, "constraint_value", recorded)
     report = _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
     assert len(calls) == cp.m + len(problem.population_groups())
-    assert report["kkt"]["regularity_sigma_min"] == pytest.approx(1.0)
+    assert report["gram_min_eig"] == pytest.approx(1.0)
     assert value_points
     assert all(np.array_equal(w, result.w_sampled) for w in value_points)
     assert not any(np.array_equal(w, result.w_final) for w in value_points)
@@ -168,6 +201,7 @@ def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["qp-box-sonex", "alexr2-sampled"])
 def test_report_sampled_block_is_a_fresh_pass_at_w_sampled(tmp_path, name):
     from fcco.alexr2 import run_alexr2
+    from fcco.cli import _point_block
     from fcco.metrics import stationarity_report
     from fcco.penalty import kkt_from_stationarity
 
@@ -185,12 +219,17 @@ def test_report_sampled_block_is_a_fresh_pass_at_w_sampled(tmp_path, name):
         "F": rep.f_value,
         "F_lambda": rep.f_lambda_value,
         "grad_norm": rep.grad_F_lambda_norm,
+        "stat_t_residual": rep.approx_t_residual,
     }
     if "constrained" in extras:
         kkt = kkt_from_stationarity(rep)
-        expected.update(max_violation=kkt.max_violation, complementarity=kkt.complementarity)
+        expected.update(max_violation=kkt.max_violation, complementarity=kkt.complementarity,
+                        multipliers=kkt.multipliers.tolist())
     assert report["sampled"] == expected
     assert "sampled_iteration" not in report
+    # final is the same block, read off the last metric row's pass at w_final
+    assert report["final"] == _point_block(problem, result.final_report)
+    assert set(report["final"]) == set(report["sampled"]) - {"iteration"}
 
 
 def test_run_non_finite_sampled_block_exits_2(tmp_path, capsys, monkeypatch):
@@ -227,7 +266,7 @@ def test_run_alexr2_solver_kind(tmp_path):
     assert cmd_run(cfg, out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["solver"] == "alexr2"
-    assert report["kkt"]["stationarity"] < 0.05
+    assert report["final"]["grad_norm"] < 0.05
 
 
 def test_gradcheck_passes_on_honest_problem(tmp_path, capsys):
@@ -403,8 +442,13 @@ def test_readme_quotes_trace_header_and_every_report_key(tmp_path):
         out = tmp_path / f"{path.stem}_out"
         assert cmd_run(write_config(tmp_path / path.name, payload), out) == 0
         keys.update(_key_paths(json.loads((out / "report.json").read_text())))
-    assert {"sampled.iteration", "kkt.multipliers"} <= keys
+    assert {"sampled.iteration", "sampled.multipliers"} <= keys
     assert sorted(key for key in keys if f"`{key}`" not in readme) == []
+    # and the reverse: every key README's report.json table names is written
+    table = readme.split("| field | point | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    named = {key for row in table.splitlines() for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert "final.F" in named
+    assert sorted(named - keys) == []
 
 
 def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
@@ -623,7 +667,7 @@ def test_roc_fairness_problem_kinds(tmp_path):
     out = tmp_path / "roc_out"
     assert cmd_run(cfg, out) == 0
     report = json.loads((out / "report.json").read_text())
-    assert "kkt" in report and len(report["kkt"]["multipliers"]) == 4
+    assert len(report["final"]["multipliers"]) == 4
 
     fcco_form = {
         "seed": 4,
