@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, SeededRng, SolverAbort, _fmt, parse_fields
+from .core import ConfigError, SeededRng, SolverAbort, _fmt, bounded, parse_fields
 from .metrics import (
     _gram_min_eig,
     brute_force_prox,
@@ -44,7 +44,7 @@ __all__ = ["RunConfig", "cmd_run", "cmd_gradcheck", "cmd_bench", "main"]
 
 @dataclasses.dataclass
 class RunConfig:
-    seed: int
+    seed: int = bounded("[0, 9007199254740992]")  # see SeededRng: [0, 2^53]
     problem: dict
     solver: dict
     metric_every: int | None = None

@@ -18,6 +18,7 @@ import math
 import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,6 +167,15 @@ class SeededRng:
     a counter-based generator (Salmon et al., "Parallel random numbers: as
     easy as 1, 2, 3", SC'11) keyed by (seed, stream, purpose) whose counter
     is the step, so no generator is built per step or per component.
+
+    ``philox`` hands numpy its key as the list [seed, mixed stream and
+    purpose], each word masked to 64 bits.  When one word is at least 2^63
+    and the other is below, numpy converts that list through float64, which
+    holds every integer only up to 2^53: larger seeds collide, and a small
+    negative seed masks to a word that float64 rounds up to 2^64, outside
+    uint64, which numpy casts with a warning.  The seed therefore lies in
+    [0, 2^53]; ``cli.RunConfig`` rejects any other.  The conversion stays as
+    it is because changing it would move every sampled trace.
     """
 
     seed: int
@@ -366,16 +376,18 @@ class FccoProblem:
         """
         return (self.outer,) * self.n
 
-    def population_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    @cached_property
+    def population_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(idx, batches) per population size: the components of that size
         and their whole populations as a (k, size) batch array, the
-        arguments of one exact oracle call."""
+        arguments of one exact oracle call.  Built once per problem, since
+        every exact pass reads it."""
         pops = np.asarray(self.populations)
         groups = []
         for size in sorted(set(pops.tolist())):
             idx = np.flatnonzero(pops == size)
             groups.append((idx, np.tile(np.arange(size), (len(idx), 1))))
-        return groups
+        return tuple(groups)
 
     def inner_exact(self, i: int, w: np.ndarray) -> np.ndarray:
         """Component i's exact inner value, shape (d1,): one oracle call over

@@ -146,13 +146,13 @@ def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, 
     value half of stationarity_report's pass and calls no VJP.
     """
     w = np.asarray(w, dtype=float)
-    _, _, f, f_lam = _exact_values(problem, problem.population_groups(), w, lam)
+    _, _, f, f_lam = _exact_values(problem, problem.population_groups, w, lam)
     return f, f_lam
 
 
 def _exact_values(problem: FccoProblem, groups, w: np.ndarray, lam: float):
     """(g, p, F, F_lam): the (n, d1) stack of full-population inner values
-    (one oracle call per group of ``problem.population_groups()``), their
+    (one oracle call per group of ``problem.population_groups``), their
     prox points, and the objective and its outer-smoothed value."""
     g = np.empty((problem.n, problem.d1))
     for idx, batches in groups:
@@ -203,7 +203,7 @@ class StationarityReport:
 
 def stationarity_report(problem: FccoProblem, w: np.ndarray, lam: float) -> StationarityReport:
     w = np.asarray(w, dtype=float)
-    groups = problem.population_groups()
+    groups = problem.population_groups
     g, p, f, f_lam = _exact_values(problem, groups, w, lam)
     r = g - p
     y = r / lam

@@ -321,14 +321,6 @@ def _repeat(row, k: int) -> np.ndarray:
     return np.asarray(row, dtype=float)[None].repeat(k, 0)
 
 
-def _deterministic_term(value_fn, grad_fn):
-    return AdditiveTerm(
-        value=lambda w: float(value_fn(np.asarray(w, float))),
-        grad=lambda w, batch: np.asarray(grad_fn(np.asarray(w, float)), float),
-        population=1,
-    )
-
-
 # the parameters of each make_toy_constrained kind, with their defaults
 @dataclass
 class QpBoxToy:
@@ -357,86 +349,61 @@ def _validate_constraint_lipschitz(cp: ConstrainedProblem) -> ConstrainedProblem
 
 
 def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
-    """Hand-solvable constrained fixtures, each with one constraint on a
-    population of one.
+    """Hand-solvable constrained fixtures, all of one shape: min ||w - c||^2
+    s.t. h(w) <= 0, one constraint on a population of one.  The kinds differ
+    only in data: the target c, the closures of h's value and gradient, h's
+    declared constants and the known KKT pair (w*, nu*).
 
-    qp_box:  min (w-c)^2 s.t. w <= bound (1-D); active case has w*=bound,
-             multiplier 2(c-bound).
-    circle:  min ||w-c||^2 s.t. ||w||^2 <= 1 (smooth); for c outside the disk
-             w* = c/||c||, multiplier ||c||-1.
-    weakly_convex_1d: same box objective with constraint
-             (w-1) + a(1-cos(w-1)) <= 0, weakly convex with modulus a but
-             strictly increasing, so w*=1 with multiplier 2 as in qp_box.
+    qp_box:  c = center, h(w) = w - bound (1-D); for c > bound the constraint
+             is active, w* = bound, nu* = 2(c - bound).
+    circle:  c = center, h(w) = ||w||^2 - 1 (smooth); for c outside the disk
+             w* = c/||c||, nu* = ||c|| - 1.
+    weakly_convex_1d: c = 2, h(w) = (w-1) + a(1-cos(w-1)), weakly convex with
+             modulus a but strictly increasing, so w* = 1, nu* = 2 as in qp_box.
     """
     if kind not in tuple(_TOYS):  # compared by ==: a kind read from JSON may be unhashable
         raise ConfigError(f"unknown toy kind {kind!r}")
     toy = parse_fields(_TOYS[kind], params)
+    # h's value and gradient run on every inner step, so each kind writes them
+    # as its own closures rather than calls through a shared h(w)
     if kind == "qp_box":
-        c, bound = float(toy.center), float(toy.bound)
-        if c <= bound:
-            w_star, nu_star = np.array([c]), np.array([0.0])
-        else:
-            w_star, nu_star = np.array([bound]), np.array([2.0 * (c - bound)])
-        cp = ConstrainedProblem(
-            d=1,
-            objective=_deterministic_term(
-                lambda w: (w[0] - c) ** 2, lambda w: np.array([2.0 * (w[0] - c)])
-            ),
-            constraint_value=lambda idx, w, batches: _repeat((w[0] - bound,), len(idx)),
-            constraint_grad=lambda idx, w, batches, Y: np.array([Y[:, 0].sum() / len(idx)]),
-            populations=(1,),
-            lipschitz_constraints=1.0,
-            smoothness_constraints=0.0,
-            weak_convexity_constraints=0.0,
-            known_solution=w_star,
-            known_multipliers=nu_star,
-        )
+        c, bound = np.array([toy.center], dtype=float), float(toy.bound)
+        h_value, h_grad = (lambda idx, w, batches: _repeat((w[0] - bound,), len(idx)),
+                           lambda idx, w, batches, Y: np.array([Y[:, 0].sum() / len(idx)]))
+        lipschitz, smoothness, weak_convexity = 1.0, 0.0, 0.0
+        w_star, nu_star = (c.copy(), 0.0) if c[0] <= bound else (np.array([bound]), 2.0 * (c[0] - bound))
     elif kind == "circle":
         if len(toy.center) != 2:
             raise ConfigError(f"circle center must be two numbers, got {toy.center!r}")
         c = np.asarray(toy.center, dtype=float)
+        h_value, h_grad = (lambda idx, w, batches: _repeat((np.add.reduce(w * w) - 1.0,), len(idx)),
+                           lambda idx, w, batches, Y: (2.0 * w) * (Y[:, 0].sum() / len(idx)))
+        lipschitz, smoothness, weak_convexity = 4.0, 2.0, 0.0  # over the ball of radius 2
         norm_c = float(np.linalg.norm(c))
-        if norm_c <= 1.0:
-            w_star, nu_star = c.copy(), np.array([0.0])
-        else:
-            w_star, nu_star = c / norm_c, np.array([norm_c - 1.0])
-        cp = ConstrainedProblem(
-            d=2,
-            objective=_deterministic_term(
-                lambda w: float(np.sum((w - c) ** 2)), lambda w: 2.0 * (w - c)
-            ),
-            constraint_value=lambda idx, w, batches: _repeat((np.add.reduce(w * w) - 1.0,), len(idx)),
-            constraint_grad=lambda idx, w, batches, Y: (2.0 * w) * (Y[:, 0].sum() / len(idx)),
-            populations=(1,),
-            lipschitz_constraints=4.0,  # over the ball of radius 2
-            smoothness_constraints=2.0,
-            weak_convexity_constraints=0.0,
-            known_solution=w_star,
-            known_multipliers=nu_star,
-        )
+        w_star, nu_star = (c.copy(), 0.0) if norm_c <= 1.0 else (c / norm_c, norm_c - 1.0)
     else:  # weakly_convex_1d
-        a = toy.curvature
-
-        def g1(w):
-            return (w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0))
-
-        def g1_grad(w):
-            return np.array([1.0 + a * math.sin(w[0] - 1.0)])
-
-        cp = ConstrainedProblem(
-            d=1,
-            objective=_deterministic_term(
-                lambda w: (w[0] - 2.0) ** 2, lambda w: np.array([2.0 * (w[0] - 2.0)])
-            ),
-            constraint_value=lambda idx, w, batches: _repeat((g1(w),), len(idx)),
-            constraint_grad=lambda idx, w, batches, Y: g1_grad(w) * (Y[:, 0].sum() / len(idx)),
-            populations=(1,),
-            lipschitz_constraints=1.0 + a,
-            smoothness_constraints=None,  # exercised as the weakly convex regime
-            weak_convexity_constraints=a,
-            known_solution=np.array([1.0]),
-            known_multipliers=np.array([2.0]),
+        c, a = np.array([2.0]), toy.curvature
+        h_value, h_grad = (
+            lambda idx, w, batches: _repeat(((w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0)),), len(idx)),
+            lambda idx, w, batches, Y: np.array([1.0 + a * math.sin(w[0] - 1.0)]) * (Y[:, 0].sum() / len(idx)),
         )
+        # no smoothness constant: exercised as the weakly convex regime
+        lipschitz, smoothness, weak_convexity = 1.0 + a, None, a
+        w_star, nu_star = np.array([1.0]), 2.0
+    cp = ConstrainedProblem(
+        d=c.size,
+        objective=AdditiveTerm(
+            value=lambda w: float(np.sum((w - c) ** 2)), grad=lambda w, batch: 2.0 * (w - c)
+        ),
+        constraint_value=h_value,
+        constraint_grad=h_grad,
+        populations=(1,),
+        lipschitz_constraints=lipschitz,
+        smoothness_constraints=smoothness,
+        weak_convexity_constraints=weak_convexity,
+        known_solution=w_star,
+        known_multipliers=np.array([nu_star]),
+    )
     return _validate_constraint_lipschitz(cp)
 
 

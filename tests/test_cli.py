@@ -191,7 +191,7 @@ def test_penalty_report_makes_one_jacobian_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(cp, "constraint_grad", counted)
     monkeypatch.setattr(cp, "constraint_value", recorded)
     report = _write_outputs(tmp_path, run_cfg, problem, extras, kind, solver_cfg, result, 0.0)
-    assert len(calls) == cp.m + len(problem.population_groups())
+    assert len(calls) == cp.m + len(problem.population_groups)
     assert report["gram_min_eig"] == pytest.approx(1.0)
     assert value_points
     assert all(np.array_equal(w, result.w_sampled) for w in value_points)
@@ -915,6 +915,8 @@ def test_run_fuzzed_config_exits_cleanly(payload):
 def _block_class(base):
     """The config dataclass that reads the block ``base`` fuzzes."""
     problem, solver, block = _FUZZ_BASES[base]
+    if block is None:
+        return RunConfig
     if block == "solver":
         return Alexr2Config if solver["kind"] == "alexr2" else SonexConfig
     if problem["kind"] == "toy_constrained":
@@ -942,9 +944,9 @@ def _just_outside(f):
 
 def _range_cases():
     """(base, field, value) for every declared interval of every fuzzed
-    block, each block class taken once."""
+    block, each block class taken once; the run-level keys are one block."""
     classes = {}
-    for base in sorted(b for b in _FUZZ_BASES if _FUZZ_BASES[b][2] is not None):
+    for base in sorted(_FUZZ_BASES):
         classes.setdefault(_block_class(base), base)
     return [
         (base, f.name, value)
@@ -971,3 +973,10 @@ def test_run_field_outside_declared_range_exits_1(tmp_path, base, name, value):
     assert code == 1
     assert err.startswith(f"config error: {name} must lie in "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_accepts_the_largest_seed(tmp_path):
+    # 2^53 is the largest seed philox's key conversion keeps apart from its
+    # neighbours; 2^53 + 1 is a declared-range error above
+    payload = {**_fuzz_payload("run_level"), "seed": 2**53}
+    assert _run_quietly(payload, tmp_path) == (0, "")

@@ -231,3 +231,24 @@ def test_stationarity_report_on_ragged_populations_matches_component_loop():
         assert np.linalg.norm(rep.inner_values - g) <= 1e-12 * np.linalg.norm(g)
         assert np.linalg.norm(rep.grad_F_lambda - grad) <= 1e-12 * np.linalg.norm(grad)
         assert rep.f_value == pytest.approx(f, rel=1e-12, abs=1e-12)
+
+
+def test_exact_passes_read_one_population_grouping(monkeypatch):
+    # the (idx, batches) groups are built once per problem: a report and a
+    # value pass hand the same object to their exact oracle calls
+    from fcco import metrics
+    from fcco.problems import RocFairnessSpec, make_roc_fairness_fcco
+
+    prob = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[0.0], n_pos=5, n_neg=7, seed=4))
+    seen = []
+
+    def recorded(problem, groups, w, lam, real=metrics._exact_values):
+        seen.append(groups)
+        return real(problem, groups, w, lam)
+
+    monkeypatch.setattr(metrics, "_exact_values", recorded)
+    w = np.zeros(prob.d)
+    stationarity_report(prob, w, 0.05)
+    eval_exact(prob, w, 0.05)
+    assert len(seen) == 2
+    assert seen[0] is seen[1] is prob.population_groups

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -191,6 +192,58 @@ def test_weakly_convex_toy_regime():
         + cp.constraint_value_exact(0, w - h)
     ) / h**2
     assert curv < 0
+
+
+# case -> (kind, parameters, sha256 of its oracles' outputs and declared
+# data): the qp_box centre at 2 is outside the box (active constraint), at
+# 0.5 inside it.  The objective value is the correctly rounded square of
+# w - c, not libm's pow(w - c, 2), which can differ from it in the last bit.
+# A change that moves a toy's numbers updates its hash here on purpose.
+_TOY_ORACLE_HASHES = {
+    "qp_box_active": ("qp_box", {},
+        "c95610ee53dc732328d4a241d597eb161f3df368857ec48e6b08011de2fb165d"),
+    "qp_box_inactive": ("qp_box", {"center": 0.5},
+        "6931febc53651846b38874684b873cbe13555b3c780d4b72741b28af67252a86"),
+    "circle": ("circle", {},
+        "f6f336b041ffd89325fcb7ddd8504812b990442edb798d5bd5df9416a3a988b3"),
+    "weakly_convex_1d": ("weakly_convex_1d", {},
+        "501ee18dc085203e428b22726f2ac5b928a451050c3f2e211db70f51af4fd9fc"),
+}
+
+
+def _toy_oracle_sha256(cp):
+    """sha256 over the objective value and gradient and the constraint value
+    and gradient at seeded points and weights Y, one and three rows deep,
+    then the declared constants and the known KKT pair.  Each output adds
+    its type, dtype and shape to its bytes."""
+    digest = hashlib.sha256()
+
+    def add(out):
+        if out is None:  # an undeclared constant
+            digest.update(b"None")
+            return
+        arr = np.asarray(out)
+        digest.update(f"{type(out).__name__} {arr.dtype.str} {arr.shape}".encode() + arr.tobytes())
+
+    gen = np.random.default_rng(12)
+    for k in (1, 3):
+        idx, batches = np.zeros(k, dtype=np.int64), np.zeros((k, 1), dtype=np.int64)
+        for _ in range(5):
+            w, Y = 2.0 * gen.normal(size=cp.d), gen.normal(size=(k, 1))
+            add(cp.objective.value(w))
+            add(cp.objective.grad(w, np.arange(1)))
+            add(cp.constraint_value(idx, w, batches))
+            add(cp.constraint_grad(idx, w, batches, Y))
+    for data in (cp.lipschitz_constraints, cp.smoothness_constraints, cp.weak_convexity_constraints,
+                 cp.known_solution, cp.known_multipliers):
+        add(data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_TOY_ORACLE_HASHES))
+def test_toy_oracles_match_pinned_hashes(case):
+    kind, params, expected = _TOY_ORACLE_HASHES[case]
+    assert _toy_oracle_sha256(make_toy_constrained(kind, **params)) == expected
 
 
 def test_unknown_toy_kind_rejected():

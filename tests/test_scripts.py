@@ -1,7 +1,6 @@
 """The scripts under scripts/ run from a fresh checkout: no installed fcco and
 no PYTHONPATH."""
 
-import json
 import os
 import subprocess
 import sys
@@ -12,20 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _bare_env():
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-
-
-def test_desk_bench_runs_without_pythonpath(tmp_path):
-    payload = json.loads((ROOT / "configs" / "synthetic_a2_sonex.json").read_text())
-    payload["solver"]["iters"] = 20
-    payload["metric_every"] = 10
-    (tmp_path / "short.json").write_text(json.dumps(payload))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "desk_bench.py"), str(tmp_path)],
-        cwd=tmp_path, env=_bare_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "bench_summary.csv").read_text().splitlines()
-    assert len(lines) == 2 and lines[1].startswith("short.json,sonex,ok,")
 
 
 def test_gen_configs_imports_without_pythonpath(tmp_path):
