@@ -25,10 +25,11 @@ from fcco.alexr2 import (
     theory_inner_params,
     theory_outer_stepsize,
 )
+from fcco.cli import build_problem
 from fcco.metrics import finite_difference_gradient, stationarity_report
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from fcco.smoothing import moreau_value
-from util import scalar_chain_problem
+from util import outputs_sha256, scalar_chain_problem
 
 
 def default_config(**over):
@@ -345,3 +346,29 @@ def test_outer_residual_norm_trends_down_on_constrained_toy():
     ys = np.log([r.grad_norm for r in rows])
     slope = np.polyfit(xs, ys, 1)[0]
     assert slope < 0
+
+
+# sha256 of the (z, u, calls) that run_inner_alexr returns after 200 steps:
+# on the circle of configs/circle_alexr2.json, whose draws are forced, and on
+# the ROC fairness penalty instance with sampled draws, where the trackers
+# update through u[idx].  A change to the inner step must keep these bits.
+_INNER_RUN_HASHES = {
+    "circle": ({"kind": "toy_constrained", "which": "circle", "penalty_slope": 20.0},
+               dict(lam=0.0005, nu=0.0125, eta=0.0003205128205128194, theta=0.9875,
+                    gamma=0.012499999999999956, b1=1, b2=1),
+               "57b59577406681691413111b8bad350b6bc02100adcf74fd5251cc7ce77de3c2"),
+    "roc-penalty": ({"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
+                     "n_pos": 20, "n_neg": 24, "seed": 6, "penalty_slope": 4.0},
+                    dict(lam=0.01, nu=0.1, eta=0.02, theta=0.9, gamma=0.2, b1=2, b2=8),
+                    "0a0a410559a66a4856f16f4a35ad30b741694f79d3e50cdee232fd0c37b82e98"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INNER_RUN_HASHES))
+def test_inner_run_matches_pinned_hash(case):
+    problem_cfg, params, expected = _INNER_RUN_HASHES[case]
+    problem, _ = build_problem(problem_cfg)
+    config = default_config(**params)
+    config.validate(problem)
+    w_t = 0.5 + np.random.default_rng(3).normal(size=problem.d)
+    assert outputs_sha256(run_inner_alexr(problem, w_t, config, SeededRng(4), k=200)) == expected

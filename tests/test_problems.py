@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from fcco.problems import (
     make_synthetic_fcco,
     make_toy_constrained,
 )
+from util import outputs_sha256
 
 
 def test_noiseless_batch_equals_exact():
@@ -211,39 +211,68 @@ _TOY_ORACLE_HASHES = {
 }
 
 
-def _toy_oracle_sha256(cp):
-    """sha256 over the objective value and gradient and the constraint value
-    and gradient at seeded points and weights Y, one and three rows deep,
-    then the declared constants and the known KKT pair.  Each output adds
-    its type, dtype and shape to its bytes."""
-    digest = hashlib.sha256()
-
-    def add(out):
-        if out is None:  # an undeclared constant
-            digest.update(b"None")
-            return
-        arr = np.asarray(out)
-        digest.update(f"{type(out).__name__} {arr.dtype.str} {arr.shape}".encode() + arr.tobytes())
-
+def _toy_oracle_outputs(cp):
+    """The objective value and gradient and the constraint value and
+    gradient at seeded points and weights Y, one and three rows deep, then
+    the declared constants and the known KKT pair."""
     gen = np.random.default_rng(12)
     for k in (1, 3):
         idx, batches = np.zeros(k, dtype=np.int64), np.zeros((k, 1), dtype=np.int64)
         for _ in range(5):
             w, Y = 2.0 * gen.normal(size=cp.d), gen.normal(size=(k, 1))
-            add(cp.objective.value(w))
-            add(cp.objective.grad(w, np.arange(1)))
-            add(cp.constraint_value(idx, w, batches))
-            add(cp.constraint_grad(idx, w, batches, Y))
-    for data in (cp.lipschitz_constraints, cp.smoothness_constraints, cp.weak_convexity_constraints,
-                 cp.known_solution, cp.known_multipliers):
-        add(data)
-    return digest.hexdigest()
+            yield cp.objective.value(w)
+            yield cp.objective.grad(w, np.arange(1))
+            yield cp.constraint_value(idx, w, batches)
+            yield cp.constraint_grad(idx, w, batches, Y)
+    yield from (cp.lipschitz_constraints, cp.smoothness_constraints, cp.weak_convexity_constraints,
+                cp.known_solution, cp.known_multipliers)
 
 
 @pytest.mark.parametrize("case", sorted(_TOY_ORACLE_HASHES))
 def test_toy_oracles_match_pinned_hashes(case):
     kind, params, expected = _TOY_ORACLE_HASHES[case]
-    assert _toy_oracle_sha256(make_toy_constrained(kind, **params)) == expected
+    assert outputs_sha256(_toy_oracle_outputs(make_toy_constrained(kind, **params))) == expected
+
+
+# (inner kind, d1) -> sha256 of make_synthetic_fcco's value, VJP and exact
+# outputs: idx is each component alone, every component and a
+# non-contiguous subset, on batches of 7 from a population of 12.  Any
+# change to how the oracles gather or average must keep these bits.
+_SYNTHETIC_ORACLE_HASHES = {
+    ("affine", 1):
+        "310fa46a883277a9472e270b2ceab5ac1ebd7c4dfebd0658ec6116cc9f6a89fb",
+    ("affine", 2):
+        "81f38d159eaa8b2ec9931bd47753ad859d63a1d500e4b7d1f4750f76d6a2d2dc",
+    ("quadratic", 1):
+        "190b41930f103a01a3aafc19c26f1a421501e5e839b62726ffe939252bfb2098",
+    ("quadratic", 2):
+        "e1ed5102282fc9c593447d6dc5d7700bc8ca0ced9658bfe034aa70b7b0acdad3",
+    ("sigmoid", 1):
+        "52d1785aea38e0b9d29075b1433e7e0d4bc2e861030beb393f71b47fd19a09b9",
+    ("sigmoid", 2):
+        "3cae943325b89630cece2ad38f9c610514ff6d5a96c10af20dbaa941b59aa511",
+}
+
+
+def _synthetic_oracle_outputs(kind, d1):
+    n, d, pop = 5, 4, 12
+    outer = {"outer_kind": "gap_hinge", "outer_param": 0.1} if d1 == 2 else {}
+    prob = make_synthetic_fcco(SyntheticFccoSpec(
+        n=n, d=d, d1=d1, inner_kind=kind, sigma0=0.3, sigma1=0.2, population=pop, seed=4, **outer))
+    gen = np.random.default_rng(21)
+    for idx in (*np.arange(n)[:, None], np.arange(n), np.array([3, 0, 4])):
+        for _ in range(3):
+            w, Y = gen.normal(size=d), gen.normal(size=(len(idx), d1))
+            batches = np.stack([gen.choice(pop, 7, replace=False) for _ in idx])
+            yield prob.inner_value(idx, w, batches)
+            yield prob.inner_vjp(idx, w, batches, Y)
+    for i in range(n):
+        yield prob.inner_exact(i, w)
+
+
+@pytest.mark.parametrize("kind, d1", sorted(_SYNTHETIC_ORACLE_HASHES))
+def test_synthetic_oracles_match_pinned_hashes(kind, d1):
+    assert outputs_sha256(_synthetic_oracle_outputs(kind, d1)) == _SYNTHETIC_ORACLE_HASHES[kind, d1]
 
 
 def test_unknown_toy_kind_rejected():

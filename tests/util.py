@@ -1,6 +1,7 @@
 """Shared tiny problem builders and trace readers for the test suite."""
 
 import csv
+import hashlib
 
 import numpy as np
 
@@ -34,3 +35,16 @@ def read_trace(path):
     """The rows of a trace.csv file as dicts keyed by column name."""
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def outputs_sha256(outputs):
+    """sha256 over a sequence of outputs.  Each adds its type, dtype and
+    shape to its bytes; None adds b"None"."""
+    digest = hashlib.sha256()
+    for out in outputs:
+        if out is None:
+            digest.update(b"None")
+            continue
+        arr = np.asarray(out)
+        digest.update(f"{type(out).__name__} {arr.dtype.str} {arr.shape}".encode() + arr.tobytes())
+    return digest.hexdigest()
