@@ -171,10 +171,12 @@ def extrapolated_inner_value(
 
 
 def inner_primal_step(
-    z_k: np.ndarray, w_t: np.ndarray, grad: np.ndarray, nu: float, eta: float
+    z_k: np.ndarray, pull: np.ndarray, grad: np.ndarray, eta: float, denom: float
 ) -> np.ndarray:
-    """Closed-form minimizer of <grad, z> + ||z - w||^2/(2 nu) + ||z - z_k||^2/(2 eta)."""
-    return (z_k / eta + w_t / nu - grad) / (1.0 / eta + 1.0 / nu)
+    """Closed-form minimizer of <grad, z> + ||z - w||^2/(2 nu) + ||z - z_k||^2/(2 eta),
+    (z_k/eta + w/nu - grad) / (1/eta + 1/nu).  The anchor's pull = w/nu and
+    denom = 1/eta + 1/nu stay fixed over an inner run, so the caller makes them once."""
+    return (z_k / eta + pull - grad) / denom
 
 
 def run_inner_alexr(
@@ -206,7 +208,11 @@ def run_inner_alexr(
         u = np.array(u_init, dtype=float)
     z = np.array(w_t, dtype=float)
     gamma_hat = config.gamma_hat
-    theta = config.theta
+    # fixed over the run; numpy applies a float64 0-d array operand faster
+    # than a Python float, but gamma_hat stays one because
+    # dual_tracker_update subtracts it from 1.0 first
+    theta, eta = np.array(config.theta, dtype=float), np.array(config.eta, dtype=float)
+    pull, denom = z / config.nu, np.array(1.0 / config.eta + 1.0 / config.nu)
     draws = _Draws(problem, rng, config.b1, config.b2)
 
     for step in range(k):
@@ -224,7 +230,7 @@ def run_inner_alexr(
         if draws.additive:
             grad = grad + problem.additive.grad(z, draws.additive_batch(_ADDITIVE, step))
             calls += 1
-        z = inner_primal_step(z, w_t, grad, config.nu, config.eta)
+        z = inner_primal_step(z, pull, grad, eta, denom)
         ensure_finite(z, "inner iterate")
         if on_step is not None:
             on_step(step, z)

@@ -474,5 +474,7 @@ class SolverResult:
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    # one C-level count: ndarray.all goes through a Python-level wrapper
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) != finite.size:
         raise NonFiniteError(f"non-finite values in {what}")

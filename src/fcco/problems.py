@@ -136,40 +136,48 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
                 quad[i, j] = 0.5 * (m @ m.T)
 
     # per-sample linear terms and offsets of the k drawn components on their
-    # batches: (k, b, d1, d) and (k, b, d1)
+    # batches, (k, b, d1, d) and (k, b, d1): one take each from flat views,
+    # where sample j of component i is row i * pop + j
+    lin_rows, off_rows = lin_samp.reshape(n * pop, d1, d), off_samp.reshape(n * pop, d1)
+
     def samples(idx, batches):
-        rows = (idx[:, None], batches)
-        return lin_samp[rows], off_samp[rows]
+        rows = idx[:, None] * pop + batches
+        return lin_rows.take(rows, axis=0), off_rows.take(rows, axis=0)
+
+    def linear(idx, batches):
+        return lin_rows.take(idx[:, None] * pop + batches, axis=0)
+
+    def mean(x):  # the bits of x.mean(axis=1), without its Python-level wrapper
+        return np.add.reduce(x, axis=1) / x.shape[1]
 
     if spec.inner_kind == "affine":
 
         def values(idx, w, batches):
             lin, off = samples(idx, batches)
-            return (lin @ w + off).mean(axis=1)
+            return mean(lin @ w + off)
 
         def jacobians(idx, w, batches):
-            return samples(idx, batches)[0].mean(axis=1)
+            return mean(linear(idx, batches))
 
     elif spec.inner_kind == "quadratic":
 
         def values(idx, w, batches):
             lin, off = samples(idx, batches)
-            base = 0.5 * np.einsum("kabc,b,c->ka", quad[idx], w, w)
-            return base + (lin @ w + off).mean(axis=1)
+            base = 0.5 * np.einsum("kabc,b,c->ka", quad.take(idx, axis=0), w, w)
+            return base + mean(lin @ w + off)
 
         def jacobians(idx, w, batches):
-            base = np.einsum("kabc,c->kab", quad[idx], w)
-            return base + samples(idx, batches)[0].mean(axis=1)
+            return np.einsum("kabc,c->kab", quad.take(idx, axis=0), w) + mean(linear(idx, batches))
 
     else:  # sigmoid
 
         def values(idx, w, batches):
             lin, off = samples(idx, batches)
-            return _sigmoid(lin @ w + off).mean(axis=1)
+            return mean(_sigmoid(lin @ w + off))
 
         def jacobians(idx, w, batches):
             lin, off = samples(idx, batches)
-            return (_sigmoid_prime(lin @ w + off)[..., None] * lin).mean(axis=1)
+            return mean(_sigmoid_prime(lin @ w + off)[..., None] * lin)
 
     def inner_value(idx, w, batches):
         return values(idx, np.asarray(w, float), batches)
@@ -314,13 +322,6 @@ def cvar_from_losses(losses, ratio: float) -> float:
     return float(total / count)
 
 
-def _repeat(row, k: int) -> np.ndarray:
-    """``row`` (a 1-D sequence) stacked k times along a new first axis.  The
-    toy oracles run once per inner step on tiny arrays, where np.full and
-    np.tile cost more in their Python-level wrappers than in the copy."""
-    return np.asarray(row, dtype=float)[None].repeat(k, 0)
-
-
 # the parameters of each make_toy_constrained kind, with their defaults
 @dataclass
 class QpBoxToy:
@@ -368,24 +369,24 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
     # as its own closures rather than calls through a shared h(w)
     if kind == "qp_box":
         c, bound = np.array([toy.center], dtype=float), float(toy.bound)
-        h_value, h_grad = (lambda idx, w, batches: _repeat((w[0] - bound,), len(idx)),
-                           lambda idx, w, batches, Y: np.array([Y[:, 0].sum() / len(idx)]))
+        h_value, h_grad = (lambda idx, w, batches: np.array([[w[0] - bound]] * len(idx)),
+                           lambda idx, w, batches, Y: np.array([np.add.reduce(Y[:, 0]) / len(idx)]))
         lipschitz, smoothness, weak_convexity = 1.0, 0.0, 0.0
         w_star, nu_star = (c.copy(), 0.0) if c[0] <= bound else (np.array([bound]), 2.0 * (c[0] - bound))
     elif kind == "circle":
         if len(toy.center) != 2:
             raise ConfigError(f"circle center must be two numbers, got {toy.center!r}")
         c = np.asarray(toy.center, dtype=float)
-        h_value, h_grad = (lambda idx, w, batches: _repeat((np.add.reduce(w * w) - 1.0,), len(idx)),
-                           lambda idx, w, batches, Y: (2.0 * w) * (Y[:, 0].sum() / len(idx)))
+        h_value, h_grad = (lambda idx, w, batches: np.array([[np.add.reduce(w * w) - 1.0]] * len(idx)),
+                           lambda idx, w, batches, Y: (2.0 * w) * (np.add.reduce(Y[:, 0]) / len(idx)))
         lipschitz, smoothness, weak_convexity = 4.0, 2.0, 0.0  # over the ball of radius 2
         norm_c = float(np.linalg.norm(c))
         w_star, nu_star = (c.copy(), 0.0) if norm_c <= 1.0 else (c / norm_c, norm_c - 1.0)
     else:  # weakly_convex_1d
         c, a = np.array([2.0]), toy.curvature
         h_value, h_grad = (
-            lambda idx, w, batches: _repeat(((w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0)),), len(idx)),
-            lambda idx, w, batches, Y: np.array([1.0 + a * math.sin(w[0] - 1.0)]) * (Y[:, 0].sum() / len(idx)),
+            lambda idx, w, batches: np.array([[(w[0] - 1.0) + a * (1.0 - math.cos(w[0] - 1.0))]] * len(idx)),
+            lambda idx, w, batches, Y: np.array([1.0 + a * math.sin(w[0] - 1.0)]) * (np.add.reduce(Y[:, 0]) / len(idx)),
         )
         # no smoothness constant: exercised as the weakly convex regime
         lipschitz, smoothness, weak_convexity = 1.0 + a, None, a

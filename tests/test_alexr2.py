@@ -47,13 +47,17 @@ def test_extrapolated_inner_value_examples():
     assert extrapolated_inner_value(np.array([2.0]), np.array([1.0]), 1.0)[0] == 3.0
 
 
+def _primal_step(z_k, w, grad, nu, eta):
+    return inner_primal_step(z_k, w / nu, grad, eta, 1.0 / eta + 1.0 / nu)
+
+
 def test_inner_primal_step_examples():
     w = np.array([1.0, -1.0])
-    np.testing.assert_allclose(inner_primal_step(w, w, np.zeros(2), 0.5, 0.2), w)
-    got = inner_primal_step(np.zeros(1), np.zeros(1), np.array([2.0]), 1.0, 1.0)
+    np.testing.assert_allclose(_primal_step(w, w, np.zeros(2), 0.5, 0.2), w)
+    got = _primal_step(np.zeros(1), np.zeros(1), np.array([2.0]), 1.0, 1.0)
     np.testing.assert_allclose(got, [-1.0])
     # eta -> infinity limit is the plain proximal-gradient step w - nu*G
-    got = inner_primal_step(np.array([5.0]), np.array([1.0]), np.array([2.0]), 0.3, 1e9)
+    got = _primal_step(np.array([5.0]), np.array([1.0]), np.array([2.0]), 0.3, 1e9)
     np.testing.assert_allclose(got, [1.0 - 0.3 * 2.0], atol=1e-6)
 
 
@@ -62,7 +66,7 @@ def test_inner_primal_step_first_order_condition():
     for _ in range(50):
         z, w, g = gen.normal(size=3), gen.normal(size=3), gen.normal(size=3)
         nu, eta = gen.uniform(0.01, 1.0), gen.uniform(0.01, 1.0)
-        z_new = inner_primal_step(z, w, g, nu, eta)
+        z_new = _primal_step(z, w, g, nu, eta)
         foc = g + (z_new - w) / nu + (z_new - z) / eta
         assert np.max(np.abs(foc)) <= 1e-10 * (1 + np.linalg.norm(g))
 

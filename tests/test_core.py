@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcco import (
-    ConfigError, FccoProblem, GapHinge, Identity, SeededRng, sample_components, sample_data_batch,
+    ConfigError, FccoProblem, GapHinge, Identity, NonFiniteError, SeededRng, sample_components,
+    sample_data_batch,
 )
-from fcco.core import TRACE_HEADER, SolverTrace, TraceRow
+from fcco.core import TRACE_HEADER, SolverTrace, TraceRow, ensure_finite
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from util import read_trace
 
@@ -249,3 +250,18 @@ def test_inner_vjp_linear_for_every_registered_problem():
         lhs = prob.inner_vjp(idx, w, batches, a * y1 + b * y2)
         rhs = a * prob.inner_vjp(idx, w, batches, y1) + b * prob.inner_vjp(idx, w, batches, y2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_ensure_finite_rejects_nan_and_inf(bad, shape):
+    arr = np.ones(shape)
+    arr[(0,) * len(shape)] = bad
+    with pytest.raises(NonFiniteError, match="iterate"):
+        ensure_finite(arr, "iterate")
+
+
+@pytest.mark.parametrize("arr", [np.array(-0.0), np.array([1e308, -0.0]), np.full((2, 2), -1e308),
+                                 np.empty(0), np.empty((0, 3))])
+def test_ensure_finite_passes_finite_and_empty_arrays(arr):
+    ensure_finite(arr, "iterate")

@@ -12,7 +12,7 @@ from fcco import (
     finite_difference_gradient,
     stationarity_report,
 )
-from fcco.metrics import _gram_min_eig
+from fcco.metrics import _gram_min_eig, _sum_in_order
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from util import affine_problem, scalar_chain_problem
 
@@ -252,3 +252,16 @@ def test_exact_passes_read_one_population_grouping(monkeypatch):
     eval_exact(prob, w, 0.05)
     assert len(seen) == 2
     assert seen[0] is seen[1] is prob.population_groups
+
+
+def test_sum_in_order_is_a_running_sum_from_zero():
+    gen = np.random.default_rng(8)
+    for size in range(1, 301):
+        values = gen.normal(size=size) * 10.0 ** gen.uniform(-5, 5, size=size)
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        got = _sum_in_order(values)
+        assert type(got) is float and got == total
+    got = _sum_in_order(np.full(5, -0.0))
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0  # 0.0 + (-0.0) is +0.0
