@@ -208,9 +208,8 @@ def run_inner_alexr(
         u = np.array(u_init, dtype=float)
     z = np.array(w_t, dtype=float)
     gamma_hat = config.gamma_hat
-    # fixed over the run; numpy applies a float64 0-d array operand faster
-    # than a Python float, but gamma_hat stays one because
-    # dual_tracker_update subtracts it from 1.0 first
+    # fixed over the run, as float64 0-d arrays, which numpy applies faster than
+    # floats; gamma_hat stays a float, as dual_tracker_update subtracts it from 1.0
     theta, eta = np.array(config.theta, dtype=float), np.array(config.eta, dtype=float)
     pull, denom = z / config.nu, np.array(1.0 / config.eta + 1.0 / config.nu)
     draws = _Draws(problem, rng, config.b1, config.b2)

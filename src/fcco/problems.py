@@ -144,11 +144,17 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
         rows = idx[:, None] * pop + batches
         return lin_rows.take(rows, axis=0), off_rows.take(rows, axis=0)
 
-    def linear(idx, batches):
-        return lin_rows.take(idx[:, None] * pop + batches, axis=0)
-
     def mean(x):  # the bits of x.mean(axis=1), without its Python-level wrapper
         return np.add.reduce(x, axis=1) / x.shape[1]
+
+    def linear_mean(idx, batches):
+        # numpy sums the batch axis of a (k, b, d1, d) stack one d-row at a
+        # time; gathered batch axis first, the same adds in the same order run
+        # on whole slabs, about 5x faster.  It sums a (k, b, 1, 1) stack pairwise.
+        rows = idx[:, None] * pop + batches
+        if d1 * d == 1:
+            return mean(lin_rows.take(rows, axis=0))
+        return np.add.reduce(lin_rows.take(rows.T, axis=0), axis=0) / batches.shape[1]
 
     if spec.inner_kind == "affine":
 
@@ -157,7 +163,7 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
             return mean(lin @ w + off)
 
         def jacobians(idx, w, batches):
-            return mean(linear(idx, batches))
+            return linear_mean(idx, batches)
 
     elif spec.inner_kind == "quadratic":
 
@@ -167,7 +173,7 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
             return base + mean(lin @ w + off)
 
         def jacobians(idx, w, batches):
-            return np.einsum("kabc,c->kab", quad.take(idx, axis=0), w) + mean(linear(idx, batches))
+            return np.einsum("kabc,c->kab", quad.take(idx, axis=0), w) + linear_mean(idx, batches)
 
     else:  # sigmoid
 

@@ -234,28 +234,35 @@ def test_toy_oracles_match_pinned_hashes(case):
     assert outputs_sha256(_toy_oracle_outputs(make_toy_constrained(kind, **params))) == expected
 
 
-# (inner kind, d1) -> sha256 of make_synthetic_fcco's value, VJP and exact
+# (inner kind, d1, d) -> sha256 of make_synthetic_fcco's value, VJP and exact
 # outputs: idx is each component alone, every component and a
-# non-contiguous subset, on batches of 7 from a population of 12.  Any
+# non-contiguous subset, on batches of 11 from a population of 16.  d = 1
+# with d1 = 1 is the one shape whose batch sum numpy runs pairwise.  Any
 # change to how the oracles gather or average must keep these bits.
 _SYNTHETIC_ORACLE_HASHES = {
-    ("affine", 1):
-        "310fa46a883277a9472e270b2ceab5ac1ebd7c4dfebd0658ec6116cc9f6a89fb",
-    ("affine", 2):
-        "81f38d159eaa8b2ec9931bd47753ad859d63a1d500e4b7d1f4750f76d6a2d2dc",
-    ("quadratic", 1):
-        "190b41930f103a01a3aafc19c26f1a421501e5e839b62726ffe939252bfb2098",
-    ("quadratic", 2):
-        "e1ed5102282fc9c593447d6dc5d7700bc8ca0ced9658bfe034aa70b7b0acdad3",
-    ("sigmoid", 1):
-        "52d1785aea38e0b9d29075b1433e7e0d4bc2e861030beb393f71b47fd19a09b9",
-    ("sigmoid", 2):
-        "3cae943325b89630cece2ad38f9c610514ff6d5a96c10af20dbaa941b59aa511",
+    ("affine", 1, 1):
+        "1f370e3801602367a42c69f5e015fc730b8c24372d848cee631af601d37d82d4",
+    ("affine", 1, 4):
+        "2c16e1e2dce81282d7c4ebbf34b218b01579025edd5a6f403e135788f3dc8924",
+    ("affine", 2, 4):
+        "88eeceff4f87c6ff667cb2fad9190a2611d7e465e9f4c2ec27732cd16f04ab96",
+    ("quadratic", 1, 1):
+        "a81fa60bebf3f080aa9eebb7c2519e4c47abcfc01eceb62375fa3c468965fb4d",
+    ("quadratic", 1, 4):
+        "d9d3e484b807af21897c2dc59795881dccb94a1af781c63086317a3ce772f642",
+    ("quadratic", 2, 4):
+        "3f8bcd6405b5cb9f870848d79513b24c7e0fbb76f7b49b14b16a406632bddc6c",
+    ("sigmoid", 1, 1):
+        "8d112baba2a60e2b5e3b3062514744877ea473fc94737855d16f5557109700ef",
+    ("sigmoid", 1, 4):
+        "32a2ee90a994bca83c95aa1da6bfcbfb20621f5ca4bd5bf2504005965bc90808",
+    ("sigmoid", 2, 4):
+        "a01994c78c86db78af9ba2cceb29966f04b11cbbbd23c8517a6292cab870b73a",
 }
 
 
-def _synthetic_oracle_outputs(kind, d1):
-    n, d, pop = 5, 4, 12
+def _synthetic_oracle_outputs(kind, d1, d):
+    n, pop = 5, 16
     outer = {"outer_kind": "gap_hinge", "outer_param": 0.1} if d1 == 2 else {}
     prob = make_synthetic_fcco(SyntheticFccoSpec(
         n=n, d=d, d1=d1, inner_kind=kind, sigma0=0.3, sigma1=0.2, population=pop, seed=4, **outer))
@@ -263,16 +270,16 @@ def _synthetic_oracle_outputs(kind, d1):
     for idx in (*np.arange(n)[:, None], np.arange(n), np.array([3, 0, 4])):
         for _ in range(3):
             w, Y = gen.normal(size=d), gen.normal(size=(len(idx), d1))
-            batches = np.stack([gen.choice(pop, 7, replace=False) for _ in idx])
+            batches = np.stack([gen.choice(pop, 11, replace=False) for _ in idx])
             yield prob.inner_value(idx, w, batches)
             yield prob.inner_vjp(idx, w, batches, Y)
     for i in range(n):
         yield prob.inner_exact(i, w)
 
 
-@pytest.mark.parametrize("kind, d1", sorted(_SYNTHETIC_ORACLE_HASHES))
-def test_synthetic_oracles_match_pinned_hashes(kind, d1):
-    assert outputs_sha256(_synthetic_oracle_outputs(kind, d1)) == _SYNTHETIC_ORACLE_HASHES[kind, d1]
+@pytest.mark.parametrize("kind, d1, d", sorted(_SYNTHETIC_ORACLE_HASHES))
+def test_synthetic_oracles_match_pinned_hashes(kind, d1, d):
+    assert outputs_sha256(_synthetic_oracle_outputs(kind, d1, d)) == _SYNTHETIC_ORACLE_HASHES[kind, d1, d]
 
 
 def test_unknown_toy_kind_rejected():
