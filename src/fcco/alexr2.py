@@ -174,8 +174,7 @@ def inner_primal_step(
     z_k: np.ndarray, pull: np.ndarray, grad: np.ndarray, eta: float, denom: float
 ) -> np.ndarray:
     """Closed-form minimizer of <grad, z> + ||z - w||^2/(2 nu) + ||z - z_k||^2/(2 eta),
-    (z_k/eta + w/nu - grad) / (1/eta + 1/nu).  The anchor's pull = w/nu and
-    denom = 1/eta + 1/nu stay fixed over an inner run, so the caller makes them once."""
+    from an inner run's fixed pull = w/nu and denom = 1/eta + 1/nu."""
     return (z_k / eta + pull - grad) / denom
 
 

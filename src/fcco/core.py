@@ -226,6 +226,11 @@ def _ranked(gen: np.random.Generator, populations, size: int, smallest: int, lar
     u = gen.random((len(populations), largest))
     if smallest < largest:
         u[np.arange(largest) >= populations[:, None]] = 2.0  # never among the smallest
+    # the elements at or below each row's size-th smallest value, in index order
+    cut = np.partition(u, size - 1, axis=1)[:, size - 1, None]
+    flat = (u <= cut).ravel().nonzero()[0]
+    if flat.size == size * len(u):  # no tie at the cut
+        return flat.reshape(-1, size) % largest
     return np.sort(np.argpartition(u, size - 1, axis=1)[:, :size], axis=1)
 
 

@@ -168,10 +168,8 @@ def _exact_values(problem: FccoProblem, groups, w: np.ndarray, lam: float):
 
 
 def _sum_in_order(values: np.ndarray) -> float:
-    # left to right from 0.0: np.sum is pairwise from 8 terms on, so it would
-    # round differently from a running sum over the components.  cumsum
-    # starts from the first term, so + 0.0 restores the 0.0 that a sum from
-    # 0.0 gives on an all -0.0 input
+    # left to right from 0.0, which np.sum (pairwise from 8 terms on) does not
+    # round like; + 0.0 turns cumsum's -0.0 on an all -0.0 input into 0.0
     return float(np.cumsum(values)[-1]) + 0.0
 
 

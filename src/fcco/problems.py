@@ -135,9 +135,8 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
                 m = rng.normal(size=(d, d)) / math.sqrt(d)
                 quad[i, j] = 0.5 * (m @ m.T)
 
-    # per-sample linear terms and offsets of the k drawn components on their
-    # batches, (k, b, d1, d) and (k, b, d1): one take each from flat views,
-    # where sample j of component i is row i * pop + j
+    # flat views of the per-sample linear terms and offsets: sample j of
+    # component i is row i * pop + j, so one take gathers a (k, b) batch
     lin_rows, off_rows = lin_samp.reshape(n * pop, d1, d), off_samp.reshape(n * pop, d1)
 
     def samples(idx, batches):

@@ -9,7 +9,7 @@ from fcco import (
     ConfigError, FccoProblem, GapHinge, Identity, NonFiniteError, SeededRng, sample_components,
     sample_data_batch,
 )
-from fcco.core import TRACE_HEADER, SolverTrace, TraceRow, ensure_finite
+from fcco.core import TRACE_HEADER, SolverTrace, TraceRow, _ranked, ensure_finite
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from util import read_trace
 
@@ -118,6 +118,21 @@ def test_sampler_draws_are_pinned(case):
         else:
             h.update(sample_data_batch(rng.philox(1, t), np.array(arg), size).tobytes())
     assert h.hexdigest() == digest
+
+
+def test_ranked_tie_at_the_cut_keeps_the_argpartition_rows():
+    # row 0's third smallest value, 0.5, is tied, so three elements do not
+    # sit at or below it; the draw falls back to argpartition's pick
+    u = np.array([[0.5, 0.1, 0.5, 0.9, 0.3], [0.2, 0.4, 0.6, 0.8, 0.1]])
+
+    class Gen:
+        def random(self, shape):
+            assert shape == u.shape
+            return u.copy()
+
+    got = _ranked(Gen(), np.array([5, 5]), 3, 5, 5)
+    assert np.array_equal(got, np.sort(np.argpartition(u, 2, axis=1)[:, :3], axis=1))
+    assert got[1].tolist() == [0, 1, 4]
 
 
 @pytest.mark.parametrize("b2", [0, 6])
