@@ -121,8 +121,8 @@ def test_sampler_draws_are_pinned(case):
 
 
 def test_ranked_tie_at_the_cut_keeps_the_argpartition_rows():
-    # row 0's third smallest value, 0.5, is tied, so three elements do not
-    # sit at or below it; the draw falls back to argpartition's pick
+    # row 0's third smallest value, 0.5, is tied, so four elements sit at or
+    # below it; the draw falls back to argpartition's pick
     u = np.array([[0.5, 0.1, 0.5, 0.9, 0.3], [0.2, 0.4, 0.6, 0.8, 0.1]])
 
     class Gen:
