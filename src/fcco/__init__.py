@@ -54,7 +54,6 @@ from .alexr2 import (
     extrapolated_inner_value,
     inner_primal_step,
     outer_momentum_step,
-    refine_with_alexr,
     rho_outer_smoothed,
     run_alexr2,
     run_inner_alexr,

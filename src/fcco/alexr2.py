@@ -11,7 +11,7 @@ equivalent to the Bregman-prox dual step for convex outer functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "run_inner_alexr",
     "outer_momentum_step",
     "run_alexr2",
-    "refine_with_alexr",
 ]
 
 _INIT, _COMPONENTS, _BATCH_VAL, _BATCH_JAC, _ADDITIVE, _TAU = 10, 11, 12, 13, 14, 15
@@ -196,8 +195,9 @@ def run_inner_alexr(
     from ``_Draws.values``.  Returns (z_hat, final trackers, oracle calls
     made) so the outer loop can warm-start the duals and keep its accounting.
     """
+    # a direct call runs no validate, and dual_tracker_update takes lam as given
     check_assumptions(problem)
-    _check_smoothing(problem.outer, config.lam)  # dual_tracker_update takes lam as given
+    _check_smoothing(problem.outer, config.lam)
     k = config.k_inner if k is None else k
     calls = 0
     if u_init is None:
@@ -275,25 +275,3 @@ def run_alexr2(
     return _run_outer_loop(
         problem, config, rng, _TAU, config.beta, config.alpha, step, callback
     )
-
-
-def refine_with_alexr(
-    problem: FccoProblem,
-    w_tau: np.ndarray,
-    config: Alexr2Config,
-    k: int,
-    rng: SeededRng,
-    lam_refine: float | None = None,
-) -> np.ndarray:
-    """One long inner run from w_tau; the output approximates the proximal
-    point of the smoothed objective and serves as the near-stationary
-    certificate point.  Requires smooth inner maps."""
-    if problem.smoothness_inner is None:
-        raise UnsupportedOperationError("refinement requires smooth inner maps")
-    if k == 0:
-        return np.array(w_tau, dtype=float)
-    cfg = config
-    if lam_refine is not None and lam_refine != config.lam:
-        cfg = replace(config, lam=lam_refine)
-    z_hat, _, _ = run_inner_alexr(problem, np.asarray(w_tau, float), cfg, rng, k=k)
-    return z_hat

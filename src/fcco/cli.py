@@ -109,6 +109,21 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+# what a bad config raises while it is loaded, built or validated;
+# ConfigError and json.JSONDecodeError are ValueErrors
+_CONFIG_ERRORS = (OSError, TypeError, ValueError)
+
+
+def _prepare(config_path):
+    """(run config, problem, extras, solver kind, solver config) for a config
+    file, with the solver config validated against the problem."""
+    run_cfg = _load_config(config_path)
+    problem, extras = build_problem(run_cfg.problem)
+    kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
+    solver_cfg.validate(problem)
+    return run_cfg, problem, extras, kind, solver_cfg
+
+
 def _point_block(problem, rep) -> dict:
     """A point's report block, read off its exact pass ``rep``; the KKT
     residuals are added on a penalty problem."""
@@ -157,11 +172,8 @@ def cmd_run(config_path, out_dir=None) -> int:
     output directory is made once the config has passed every check, before
     the solve; a write that fails there or after the solve exits 1."""
     try:
-        run_cfg = _load_config(config_path)
-        problem, extras = build_problem(run_cfg.problem)
-        kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
-        solver_cfg.validate(problem)
-    except (json.JSONDecodeError, OSError, ConfigError, TypeError, ValueError) as exc:
+        run_cfg, problem, extras, kind, solver_cfg = _prepare(config_path)
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir or run_cfg.out or (str(Path(config_path).with_suffix("")) + "_out"))
@@ -195,11 +207,8 @@ def cmd_gradcheck(config_path) -> int:
     breakdown; 1 on a config error, found while loading or by the checks.
     """
     try:
-        run_cfg = _load_config(config_path)
-        problem, _ = build_problem(run_cfg.problem)
-        _, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
-        solver_cfg.validate(problem)
-    except (json.JSONDecodeError, OSError, ConfigError, TypeError, ValueError) as exc:
+        run_cfg, problem, _, _, solver_cfg = _prepare(config_path)
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

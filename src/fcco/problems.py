@@ -146,14 +146,21 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
     def mean(x):  # the bits of x.mean(axis=1), without its Python-level wrapper
         return np.add.reduce(x, axis=1) / x.shape[1]
 
-    def linear_mean(idx, batches):
-        # numpy sums the batch axis of a (k, b, d1, d) stack one d-row at a
-        # time; gathered batch axis first, the same adds in the same order run
-        # on whole slabs, about 5x faster.  It sums a (k, b, 1, 1) stack pairwise.
+    # numpy sums the batch axis of a (k, b, d1, d) stack one d-row at a time;
+    # gathered batch axis first, the same adds in the same order run on whole
+    # slabs, about 5x faster.  It sums a (k, b, 1, 1) stack pairwise, so that
+    # layout stays.
+    batch_axis = 0 if d1 * d > 1 else 1
+
+    def jacobian_rows(idx, batches):
         rows = idx[:, None] * pop + batches
-        if d1 * d == 1:
-            return mean(lin_rows.take(rows, axis=0))
-        return np.add.reduce(lin_rows.take(rows.T, axis=0), axis=0) / batches.shape[1]
+        return rows.T if batch_axis == 0 else rows
+
+    def jacobian_mean(x):
+        return np.add.reduce(x, axis=batch_axis) / x.shape[batch_axis]
+
+    def linear_mean(idx, batches):
+        return jacobian_mean(lin_rows.take(jacobian_rows(idx, batches), axis=0))
 
     if spec.inner_kind == "affine":
 
@@ -181,8 +188,9 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
             return mean(_sigmoid(lin @ w + off))
 
         def jacobians(idx, w, batches):
-            lin, off = samples(idx, batches)
-            return mean(_sigmoid_prime(lin @ w + off)[..., None] * lin)
+            rows = jacobian_rows(idx, batches)
+            lin, off = lin_rows.take(rows, axis=0), off_rows.take(rows, axis=0)
+            return jacobian_mean(_sigmoid_prime(lin @ w + off)[..., None] * lin)
 
     def inner_value(idx, w, batches):
         return values(idx, np.asarray(w, float), batches)
@@ -519,9 +527,10 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
         return (np.abs(r[:, 0] - r[:, 1]) - data.margin)[:, None]
 
     def h_grad(idx, w, batches, Y):
-        w = np.asarray(w, float)
-        r = data.rates(idx, w, batches)
-        jac = data.rate_jacobians(idx, w, batches)
+        # rates and rate_jacobians from one score pass; s * (1 - s) is _sigmoid_prime
+        x, z = data._scores(idx, np.asarray(w, float), batches)
+        s = _sigmoid(z)
+        r, jac = s.mean(axis=1), ((s * (1.0 - s))[..., None] * x).mean(axis=1)
         return (Y[:, 0] * np.sign(r[:, 0] - r[:, 1])) @ (jac[:, 0] - jac[:, 1]) / len(idx)
 
     cp = ConstrainedProblem(

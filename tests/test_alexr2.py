@@ -16,7 +16,6 @@ from fcco.alexr2 import (
     extrapolated_inner_value,
     inner_primal_step,
     outer_momentum_step,
-    refine_with_alexr,
     rho_outer_smoothed,
     run_alexr2,
     run_inner_alexr,
@@ -79,6 +78,34 @@ def test_run_inner_zero_iterations_returns_anchor():
     prob = hinge_chain()
     z, u, calls = run_inner_alexr(prob, np.array([1.0]), default_config(), SeededRng(0), k=0)
     np.testing.assert_array_equal(z, [1.0])
+
+
+def test_run_inner_rejects_zero_smoothing_before_any_oracle_call():
+    # a direct call runs no validate, so the inner loop checks lam itself
+    prob = hinge_chain()
+    calls = []
+    inner_value = prob.inner_value
+    prob.inner_value = lambda *args: calls.append(args) or inner_value(*args)
+    with pytest.raises(ConfigError):
+        run_inner_alexr(prob, np.array([1.0]), default_config(lam=0.0), SeededRng(0))
+    assert calls == []
+
+
+def test_run_inner_does_not_worsen_stationarity_on_smooth_quadratic():
+    spec = SyntheticFccoSpec(
+        n=4, d=3, d1=1, inner_kind="quadratic", outer_kind="scaled_hinge", outer_param=1.0,
+        population=1, seed=9, linear_scale=0.5, offset_shift=-0.5,
+    )
+    prob = make_synthetic_fcco(spec)
+    lam, nu = 0.05, 0.1
+    theta = stable_extrapolation(prob, lam, nu, 4)
+    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(prob), 4, 4)
+    cfg = default_config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, b1=4, k_inner=600)
+    w = np.full(3, 0.8)
+    z, _, _ = run_inner_alexr(prob, w, cfg, SeededRng(2))
+    before = stationarity_report(prob, w, lam).grad_F_lambda_norm
+    after = stationarity_report(prob, z, lam).grad_F_lambda_norm
+    assert after <= before + 1e-9
 
 
 def test_run_inner_hinge_instance_matches_grid_prox():
@@ -256,57 +283,6 @@ def test_theory_outer_stepsize_matches_formula():
     assert theory_outer_stepsize(0.5, 0.1, 0.0) == pytest.approx(0.5 / (2 * 20.0))
 
 
-def test_refine_zero_iterations_is_identity():
-    prob = hinge_chain()
-    got = refine_with_alexr(prob, np.array([1.3]), default_config(), 0, SeededRng(0))
-    np.testing.assert_array_equal(got, [1.3])
-
-
-def test_refine_requires_smooth_inner():
-    prob = hinge_chain()
-    prob.smoothness_inner = None
-    prob.weak_convexity_inner = 0.3
-    with pytest.raises(UnsupportedOperationError):
-        refine_with_alexr(prob, np.array([1.0]), default_config(), 10, SeededRng(0))
-
-
-def test_refine_rejects_zero_smoothing_before_any_oracle_call():
-    # the inner loop checks lam once, before its first oracle call
-    prob = hinge_chain()
-    calls = []
-    inner_value = prob.inner_value
-    prob.inner_value = lambda *args: calls.append(args) or inner_value(*args)
-    with pytest.raises(ConfigError):
-        refine_with_alexr(prob, np.array([1.0]), default_config(), 10, SeededRng(0), lam_refine=0.0)
-    assert calls == []
-
-
-def test_refine_does_not_worsen_stationarity():
-    spec = SyntheticFccoSpec(
-        n=4, d=3, d1=1, inner_kind="quadratic", outer_kind="scaled_hinge", outer_param=1.0,
-        population=1, seed=9, linear_scale=0.5, offset_shift=-0.5,
-    )
-    prob = make_synthetic_fcco(spec)
-    lam, nu = 0.05, 0.1
-    theta = stable_extrapolation(prob, lam, nu, 4)
-    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(prob), 4, 4)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, b1=4, k_inner=600)
-    w_tau = np.full(3, 0.8)
-    refined = refine_with_alexr(prob, w_tau, cfg, 600, SeededRng(2))
-    before = stationarity_report(prob, w_tau, lam).grad_F_lambda_norm
-    after = stationarity_report(prob, refined, lam).grad_F_lambda_norm
-    assert after <= before + 1e-9
-
-
-def test_refine_prox_accuracy_on_hinge_instance():
-    prob = hinge_chain()
-    lam, nu = 0.1, 0.5
-    eta, gamma = theory_inner_params(0.9, nu, 0.0, 1, 1)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, gamma=gamma)
-    got = refine_with_alexr(prob, np.array([1.0]), cfg, 500, SeededRng(4))
-    assert abs(got[0] - 0.5) <= 1e-3  # grid prox of the 1-D instance is 0.5
-
-
 def test_dual_restart_and_growth_schedule_run_deterministically():
     spec = SyntheticFccoSpec(
         n=3, d=2, d1=1, inner_kind="affine", outer_kind="scaled_hinge", outer_param=1.0,
@@ -322,14 +298,6 @@ def test_dual_restart_and_growth_schedule_run_deterministically():
     np.testing.assert_array_equal(r1.w_final, r2.w_final)
     # K_t = k_inner * (1 + t): 4+8+12+16+20 inner draws of b1 components
     assert r1.trace.last().component_draws == 2 * sum(4 * (1 + t) for t in range(5))
-
-
-def test_refine_accepts_smoothing_override():
-    prob = hinge_chain()
-    cfg = default_config(k_inner=200)
-    a = refine_with_alexr(prob, np.array([1.0]), cfg, 200, SeededRng(0))
-    b = refine_with_alexr(prob, np.array([1.0]), cfg, 200, SeededRng(0), lam_refine=0.01)
-    assert a[0] != b[0]  # tighter smoothing shifts the proximal target
 
 
 def test_outer_residual_norm_trends_down_on_constrained_toy():
