@@ -109,14 +109,12 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-# what a bad config raises while it is loaded, built or validated;
-# ConfigError and json.JSONDecodeError are ValueErrors
-_CONFIG_ERRORS = (OSError, TypeError, ValueError)
+_CONFIG_ERRORS = (OSError, TypeError, ValueError)  # ConfigError, JSONDecodeError are ValueErrors
 
 
 def _prepare(config_path):
     """(run config, problem, extras, solver kind, solver config) for a config
-    file, with the solver config validated against the problem."""
+    file, the solver config validated; a bad config raises _CONFIG_ERRORS."""
     run_cfg = _load_config(config_path)
     problem, extras = build_problem(run_cfg.problem)
     kind, solver_cfg = _solver_config(run_cfg.solver, run_cfg)
