@@ -80,6 +80,23 @@ def test_run_inner_zero_iterations_returns_anchor():
     np.testing.assert_array_equal(z, [1.0])
 
 
+def test_refine_zero_iterations_is_identity():
+    # a k = 0 refinement run leaves an off-grid anchor exactly where it was
+    prob = hinge_chain()
+    z, _, _ = run_inner_alexr(prob, np.array([1.3]), default_config(), SeededRng(0), k=0)
+    np.testing.assert_array_equal(z, [1.3])
+
+
+def test_refine_prox_accuracy_on_hinge_instance():
+    # one long inner run from the anchor refines it to the prox point
+    prob = hinge_chain()
+    lam, nu = 0.1, 0.5
+    eta, gamma = theory_inner_params(0.9, nu, 0.0, 1, 1)
+    cfg = default_config(lam=lam, nu=nu, eta=eta, gamma=gamma)
+    z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(4), k=500)
+    assert abs(z[0] - 0.5) <= 1e-3  # grid prox of the 1-D instance is 0.5
+
+
 def test_run_inner_rejects_zero_smoothing_before_any_oracle_call():
     # a direct call runs no validate, so the inner loop checks lam itself
     prob = hinge_chain()
