@@ -49,7 +49,6 @@ class RunConfig:
     solver: dict
     metric_every: int | None = None
     record_wall_time: bool = False
-    out: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -174,7 +173,7 @@ def cmd_run(config_path, out_dir=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = Path(out_dir or run_cfg.out or (str(Path(config_path).with_suffix("")) + "_out"))
+    out = Path(out_dir or (str(Path(config_path).with_suffix("")) + "_out"))
     rng = SeededRng(run_cfg.seed)
     try:
         out.mkdir(parents=True, exist_ok=True)

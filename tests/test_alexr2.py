@@ -361,3 +361,29 @@ def test_inner_run_matches_pinned_hash(case):
     config.validate(problem)
     w_t = 0.5 + np.random.default_rng(3).normal(size=problem.d)
     assert outputs_sha256(run_inner_alexr(problem, w_t, config, SeededRng(4), k=200)) == expected
+
+
+def _chain(**constants):
+    return replace(scalar_chain_problem(ScaledHinge(1.0)), **constants)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: rho_outer_smoothed(_chain(smoothness_inner=None, weak_convexity_inner=None)),
+         "problem must declare smoothness_inner or weak_convexity_inner"),
+        (lambda: theory_inner_params(1.0, 0.1, 0.0, 4, 2), "theta must lie in (0, 1)"),
+        (lambda: theory_inner_params(0.5, 1.0, 1.0, 4, 2), "decrease nu"),
+        (lambda: stable_extrapolation(_chain(lipschitz_inner=None), 0.1, 0.1, 1),
+         "problem must declare lipschitz_inner"),
+        (lambda: stable_extrapolation(_chain(smoothness_inner=1.0), 0.1, 2.0, 1), "nu too large"),
+        (lambda: check_assumptions(_chain(smoothness_inner=None, weak_convexity_inner=None)),
+         "declare smoothness_inner or weak_convexity_inner on the problem"),
+    ],
+    ids=["rho_no_curvature", "theta_one", "theta_below_rho_nu", "no_lipschitz", "nu_too_large",
+         "assumptions_no_curvature"],
+)
+def test_double_loop_helpers_reject_bad_input(call, fragment):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert info.type is ConfigError and fragment in str(info.value)

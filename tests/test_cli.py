@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcco import cli
 from fcco.alexr2 import Alexr2Config
 from fcco.cli import (
     _PROBLEMS, RunConfig, _solver_config, _write_outputs, build_problem, cmd_bench, cmd_gradcheck, cmd_run,
 )
 from fcco.core import TRACE_HEADER, SeededRng
-from fcco.problems import _TOYS
+from fcco.problems import _TOYS, RocFairnessSpec
 from fcco.sonex import SonexConfig, run_sonex
 from util import read_trace
 
@@ -286,10 +287,18 @@ def test_gradcheck_identity_outer_tiny_error(tmp_path, capsys):
     assert max(errs) <= 1e-8
 
 
-def test_gradcheck_corrupted_jacobian_fails(tmp_path, capsys):
-    payload = synthetic_run_config()
-    payload["problem"]["jacobian_corruption"] = 0.05
-    cfg = write_config(tmp_path / "cfg.json", payload)
+def test_gradcheck_corrupted_jacobian_fails(tmp_path, capsys, monkeypatch):
+    # the negative control: the configured problem with its VJPs scaled by 1.05
+    build = cli.build_problem
+
+    def corrupted(problem_cfg):
+        problem, extras = build(problem_cfg)
+        vjp = problem.inner_vjp
+        problem.inner_vjp = lambda idx, w, batches, Y: 1.05 * vjp(idx, w, batches, Y)
+        return problem, extras
+
+    monkeypatch.setattr(cli, "build_problem", corrupted)
+    cfg = write_config(tmp_path / "cfg.json", synthetic_run_config())
     assert cmd_gradcheck(cfg) == 2
     # it fails for the corrupted VJPs: the gradient checks miss, the prox check passes
     out = capsys.readouterr().out.splitlines()
@@ -779,6 +788,9 @@ _SONEX_SMALL = {"kind": "sonex", "lam": 0.05, "eta": 1e-3, "beta": 0.2, "gamma":
 _CIRCLE = {"kind": "toy_constrained", "which": "circle", "center": [2.0, 0.0], "penalty_slope": 10.0}
 _WEAKLY_CONVEX = {"kind": "toy_constrained", "which": "weakly_convex_1d", "curvature": 0.3,
                   "penalty_slope": 10.0}
+_QP_BOX = {"kind": "toy_constrained", "which": "qp_box", "center": 2.0, "bound": 1.0,
+           "penalty_slope": 10.0}
+_ROC_PENALTY = {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": 10.0}
 
 
 @pytest.mark.parametrize(
@@ -800,7 +812,7 @@ _WEAKLY_CONVEX = {"kind": "toy_constrained", "which": "weakly_convex_1d", "curva
         {"kind": "toy_constrained", "which": "circle", "center": [math.nan, 0]},
         {"kind": "toy_constrained", "which": "circle", "center": [3, 0, 0]},
         {**_ROC_FCCO, "thresholds": [0.0, math.nan]},
-        {**_ROC_FCCO, "shift": math.nan},
+        {**_ROC_FCCO, "thresholds": []},
         {**_ROC_FCCO, "n_pos": 8.5},
         {**_ROC_FCCO, "kind": "roc_fairness", "thresholds": [math.nan]},
         # a penalty slope that is not a number is not coerced
@@ -814,14 +826,17 @@ _WEAKLY_CONVEX = {"kind": "toy_constrained", "which": "weakly_convex_1d", "curva
         {**_SYNTHETIC, "box_radius": 1e300},
         {**_SYNTHETIC, "inner_kind": "quadratic", "box_radius": 1e300},
         {**_SYNTHETIC, "inner_kind": "sigmoid", "box_radius": 1e300},
+        # group means so far out that the declared constants overflow
+        {**_GDRO, "group_shift": 1e155},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
          "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
-         "circle_center", "circle_center_size", "thresholds", "shift", "n_pos",
+         "circle_center", "circle_center_size", "thresholds", "thresholds_empty", "n_pos",
          "penalty_thresholds", "circle_slope_bool", "circle_slope_str", "roc_slope_bool",
          "roc_slope_str", "identity_outer_param", "affine_huge_box", "quadratic_huge_box",
-         "sigmoid_huge_box"],
+         "sigmoid_huge_box", "gdro_huge_shift"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
     from fcco.cli import main
 
@@ -856,6 +871,8 @@ _FUZZ_BASES = {
     "roc_fairness_fcco": (_ROC_FCCO, _SONEX_SMALL, "problem"),
     "circle": (_CIRCLE, _SONEX_SMALL, "problem"),
     "weakly_convex_1d": (_WEAKLY_CONVEX, _SONEX_SMALL, "problem"),
+    "qp_box": (_QP_BOX, _SONEX_SMALL, "problem"),
+    "roc_penalty": (_ROC_PENALTY, _SONEX_SMALL, "problem"),
     "run_level": (_SYNTHETIC, _SONEX_SMALL, None),
 }
 # integers only in [-2, 3], so that no drawn count makes a run long or large
@@ -869,7 +886,7 @@ _FUZZ_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.just({}))
 def _fuzz_payload(base):
     problem, solver, _ = _FUZZ_BASES[base]
     return {"seed": 3, "problem": dict(problem), "solver": dict(solver), "metric_every": 2,
-            "record_wall_time": False, "out": "unused"}
+            "record_wall_time": False}
 
 
 @st.composite
@@ -897,6 +914,23 @@ def test_fuzz_bases_run(tmp_path, base):
     assert _run_quietly(_fuzz_payload(base), tmp_path) == (0, "")
 
 
+# keys the schema no longer has: a config that still sets one is rejected, not run
+_REMOVED_KEYS = [
+    (None, "out", "elsewhere", "RunConfig"),
+    (_SYNTHETIC, "jacobian_corruption", 0.05, "SyntheticFccoSpec"),
+    (_ROC_FCCO, "shift", 0.3, "RocFairnessSpec"),
+    (_ROC_PENALTY, "identical_groups", True, "RocFairnessSpec"),
+]
+
+
+@pytest.mark.parametrize("problem, key, value, cls", _REMOVED_KEYS, ids=[c[1] for c in _REMOVED_KEYS])
+def test_removed_key_is_unknown(tmp_path, problem, key, value, cls):
+    payload = {"seed": 3, "problem": dict(problem or _SYNTHETIC), "solver": _SONEX_SMALL}
+    (payload if problem is None else payload["problem"])[key] = value
+    assert _run_quietly(payload, tmp_path) == (1, f"config error: unknown {cls} keys: [{key!r}]\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:beta > 2/7")
 @settings(max_examples=60)
 @given(_fuzzed_configs())
@@ -919,9 +953,62 @@ def _block_class(base):
         return RunConfig
     if block == "solver":
         return Alexr2Config if solver["kind"] == "alexr2" else SonexConfig
+    return _problem_class(problem)
+
+
+def _problem_class(problem):
+    """The dataclass that reads a problem block's parameters."""
     if problem["kind"] == "toy_constrained":
-        return _TOYS[problem["which"]]
+        return _TOYS[problem.get("which", "qp_box")]
+    if problem["kind"] == "roc_fairness":
+        return RocFairnessSpec
     return _PROBLEMS[problem["kind"]][0]
+
+
+# config fields that no shipped config or perfbench workload sets, each with
+# the reason it stays in the schema
+_UNSET_FIELDS = {
+    "RunConfig.record_wall_time": "opt-in wall-time column, off so that trace.csv is reproducible",
+    "SonexConfig.gamma_prime": "0 turns the MSVR correction off, as acceptance criterion 5 runs",
+    "Alexr2Config.w0": "the starting point both solvers read; sonex-synth sets it on sonex",
+    "Alexr2Config.k_growth": "the growing inner schedule K_t; perfbench reads schedule()",
+    "Alexr2Config.warm_start_dual": "off gives the cold restarts the inner-loop guarantee is stated for",
+    "SyntheticFccoSpec.box_radius": "the ball the declared constants are stated and checked on",
+    "GdroCvarSpec.group_shift": "the spread of the group means; acceptance criterion 9 sets it",
+    "QpBoxToy.center": "the target c, from which the known KKT pair follows",
+    "QpBoxToy.bound": "the box the known KKT pair is stated for",
+    "CircleToy.center": "the target c, from which the known KKT pair follows",
+    "WeaklyConvexToy.curvature": "the weak-convexity modulus of the constraint",
+}
+
+
+def _set_fields(payload):
+    """``Class.field`` for every dataclass field a run config sets; the
+    run-level keys the CLI copies into the solver config count on RunConfig
+    only."""
+    problem, solver = dict(payload["problem"]), dict(payload["solver"])
+    problem_cls = _problem_class(problem)
+    for key in ("kind", "which", "penalty_slope"):
+        problem.pop(key, None)
+    solver_cls = Alexr2Config if solver.pop("kind") == "alexr2" else SonexConfig
+    return ({f"RunConfig.{key}" for key in payload}
+            | {f"{solver_cls.__name__}.{key}" for key in solver}
+            | {f"{problem_cls.__name__}.{key}" for key in problem})
+
+
+def test_every_config_field_is_set_by_a_shipped_run_or_allowlisted():
+    shipped = set().union(*(_set_fields(json.loads(p.read_text())) for p in SHIPPED))
+    classes = [RunConfig, SonexConfig, Alexr2Config, *(cls for cls, _ in _PROBLEMS.values()), *_TOYS.values()]
+    copied = {"metric_every", "record_wall_time"}  # run-level keys of the solver configs
+    unset = {
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if cls not in (SonexConfig, Alexr2Config) or f.name not in copied
+    } - shipped
+    assert sorted(unset - set(_UNSET_FIELDS)) == []
+    # the allowlist names only fields that exist and that no shipped run sets
+    assert sorted(set(_UNSET_FIELDS) - unset) == []
 
 
 def _just_outside(f):

@@ -280,3 +280,17 @@ def test_ensure_finite_rejects_nan_and_inf(bad, shape):
                                  np.empty(0), np.empty((0, 3))])
 def test_ensure_finite_passes_finite_and_empty_arrays(arr):
     ensure_finite(arr, "iterate")
+
+
+@pytest.mark.parametrize(
+    "d, d1, populations", [(0, 1, (1,)), (1, 0, (1,)), (1, 1, ())], ids=["d", "d1", "n"]
+)
+def test_problem_rejects_empty_sizes(d, d1, populations):
+    with pytest.raises(ConfigError) as info:
+        FccoProblem(
+            d=d, d1=d1, outer=Identity(),
+            inner_value=lambda idx, w, batches: np.full((len(idx), 1), w[0]),
+            inner_vjp=lambda idx, w, batches, Y: np.array([Y[:, 0].mean()]),
+            populations=populations,
+        )
+    assert info.type is ConfigError and "n, d, d1 must be positive" in str(info.value)

@@ -5,6 +5,7 @@ import pytest
 
 from fcco import (
     Identity,
+    OracleError,
     ScaledHinge,
     UnsupportedOperationError,
     brute_force_prox,
@@ -265,3 +266,10 @@ def test_sum_in_order_is_a_running_sum_from_zero():
         assert type(got) is float and got == total
     got = _sum_in_order(np.full(5, -0.0))
     assert got == 0.0 and np.copysign(1.0, got) == 1.0  # 0.0 + (-0.0) is +0.0
+
+
+@pytest.mark.parametrize("lam, step", [(0.0, 1e-5), (0.5, 0.0)], ids=["lam", "step"])
+def test_brute_force_prox_rejects_nonpositive_lam_and_step(lam, step):
+    with pytest.raises(OracleError) as info:
+        brute_force_prox(ScaledHinge(1.0), lam, [0.2], step=step)
+    assert info.type is OracleError and "lam and step must be positive" in str(info.value)

@@ -213,3 +213,13 @@ def test_violation_decreases_along_epsilon_grid():
         res = run_sonex(pen, cfg, SeededRng(3))
         viols.append(kkt_report(cp, res.w_final, slope, eps / slope).max_violation)
     assert viols[0] > viols[1] > viols[2]
+
+
+def test_constrained_problem_needs_a_constraint():
+    cp = _cp_with_grads(np.eye(3))
+    with pytest.raises(ConfigError) as info:
+        ConstrainedProblem(
+            d=3, objective=cp.objective, constraint_value=cp.constraint_value,
+            constraint_grad=cp.constraint_grad, populations=(),
+        )
+    assert info.type is ConfigError and "need at least one constraint" in str(info.value)

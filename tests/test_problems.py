@@ -287,15 +287,6 @@ def test_unknown_toy_kind_rejected():
         make_toy_constrained("simplex")
 
 
-def test_roc_identical_groups_have_zero_gaps():
-    cp = make_roc_fairness_toy(RocFairnessSpec([-1.0, 0.0, 1.0], margin=0.02, identical_groups=True, seed=3))
-    gen = np.random.default_rng(0)
-    for _ in range(5):
-        w = gen.normal(size=cp.d)
-        for k in range(cp.m):
-            assert cp.constraint_value_exact(k, w) == pytest.approx(-0.02, abs=1e-12)
-
-
 def test_roc_large_margin_is_vacuous():
     cp = make_roc_fairness_toy(RocFairnessSpec([0.0], margin=1.0, seed=1))
     gen = np.random.default_rng(4)
@@ -472,3 +463,10 @@ def test_declared_constraint_lipschitz_is_checked():
     assert _validate_constraint_lipschitz(circle) is circle
     with pytest.raises(ConfigError, match="Lipschitz"):
         _validate_constraint_lipschitz(dataclasses.replace(circle, lipschitz_constraints=1.0))
+
+
+@pytest.mark.parametrize("make", [make_roc_fairness_toy, make_roc_fairness_fcco], ids=["toy", "fcco"])
+def test_roc_needs_a_threshold(make):
+    with pytest.raises(ConfigError) as info:
+        make(RocFairnessSpec(()))
+    assert info.type is ConfigError and "need at least one threshold" in str(info.value)

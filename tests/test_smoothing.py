@@ -358,3 +358,24 @@ def test_hinge_prox_at_kink_points():
             np.testing.assert_allclose(
                 h.prox(lam, [t]), brute_force_prox(h, lam, np.array([t]), step=1e-5), atol=1e-5
             )
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: ScaledHinge(0.0), "hinge slope must be positive and finite"),
+        (lambda: ScaledHinge(math.inf), "hinge slope must be positive and finite"),
+        (lambda: CvarHinge(0.0), "CVaR ratio must lie in (0, 1]"),
+        (lambda: CvarHinge(1.5), "CVaR ratio must lie in (0, 1]"),
+        (lambda: GapHinge(-0.1), "gap margin must be nonnegative and finite"),
+        (lambda: GapHinge(math.inf), "gap margin must be nonnegative and finite"),
+        (lambda: hinge_moreau_grad_closed_form(1.0, 0.0, 1.0), "lam and slope must be positive"),
+        (lambda: hinge_moreau_grad_closed_form(1.0, 0.1, 0.0), "lam and slope must be positive"),
+    ],
+    ids=["slope_zero", "slope_inf", "ratio_zero", "ratio_above_one", "margin_negative", "margin_inf",
+         "closed_form_lam", "closed_form_slope"],
+)
+def test_outer_functions_reject_bad_parameters(call, fragment):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert info.type is ConfigError and fragment in str(info.value)

@@ -394,3 +394,21 @@ def test_component_batches_do_not_depend_on_the_drawn_set():
         np.testing.assert_array_equal(rows, rows_full[idx])
         drawn.update(idx.tolist())
     assert len(drawn) == 6
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: msvr_correction_default(4, 0, 0.5), "need 1 <= b1 <= n"),
+        (lambda: msvr_correction_default(4, 5, 0.5), "need 1 <= b1 <= n"),
+        (lambda: theory_hyperparams(0.0, n=1, b1=1, b2=1, outer_lipschitz=1.0),
+         "eps and scale must be positive"),
+        (lambda: theory_hyperparams(0.1, n=1, b1=1, b2=1, outer_lipschitz=1.0, scale=0.0),
+         "eps and scale must be positive"),
+    ],
+    ids=["b1_zero", "b1_above_n", "eps_zero", "scale_zero"],
+)
+def test_theory_helpers_reject_bad_input(call, fragment):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert info.type is ConfigError and fragment in str(info.value)
