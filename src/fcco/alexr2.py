@@ -21,7 +21,6 @@ from .core import (
     FccoProblem,
     SeededRng,
     SolverResult,
-    TraceRow,
     UnsupportedOperationError,
     bounded,
     ensure_finite,
@@ -251,12 +250,7 @@ def outer_momentum_step(
     return w_new, v_new
 
 
-def run_alexr2(
-    problem: FccoProblem,
-    config: Alexr2Config,
-    rng: SeededRng,
-    callback: Callable[[TraceRow, np.ndarray], bool | None] | None = None,
-) -> SolverResult:
+def run_alexr2(problem: FccoProblem, config: Alexr2Config, rng: SeededRng) -> SolverResult:
     """Outer momentum loop over inner proximal-point solves; state.u carries
     the dual trackers between them."""
     config.validate(problem)
@@ -272,6 +266,4 @@ def run_alexr2(
         )
         return (state.w - z_hat) / config.nu, calls + inner_calls, k_t * config.b1
 
-    return _run_outer_loop(
-        problem, config, rng, _TAU, config.beta, config.alpha, step, callback
-    )
+    return _run_outer_loop(problem, config, rng, _TAU, config.beta, config.alpha, step)

@@ -133,6 +133,7 @@ def _point_block(problem, rep) -> dict:
     return block
 
 
+@np.errstate(all="ignore")  # a non-finite sampled block raises SolverAbort below
 def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, result, wall_s):
     """``final`` reads the last metric row's pass at w_final; the one exact
     pass made here is at w_sampled.  A non-finite value in it raises
@@ -184,8 +185,7 @@ def cmd_run(config_path, out_dir=None) -> int:
             _write_outputs(out, run_cfg, problem, extras, kind, solver_cfg, result, wall_s)
         except SolverAbort as exc:
             print(f"solver abort: {exc}", file=sys.stderr)
-            if exc.trace is not None:
-                exc.trace.to_csv(out / "trace.csv")
+            exc.trace.to_csv(out / "trace.csv")
             return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -62,7 +62,7 @@ class UnsupportedOperationError(RuntimeError):
 class SolverAbort(RuntimeError):
     """Solver stopped mid-run; carries the partial trace for post-mortems."""
 
-    def __init__(self, message: str, trace: "SolverTrace | None" = None):
+    def __init__(self, message: str, trace: "SolverTrace"):
         super().__init__(message)
         self.trace = trace
 
@@ -337,7 +337,9 @@ class FccoProblem:
 
     ``idx`` is an int array of k components and ``batches`` a (k, b) int
     array, so every row holds the same number of indices, each within its
-    own component's population.  Oracles must be pure (safe to call
+    own component's population.  ``w`` is a float64 (d,) array and ``Y`` a
+    float64 (k, d1) array (the solvers and the metric entry points coerce
+    once), so oracles take them as given.  Oracles must be pure (safe to call
     concurrently).  The exact inner values and Jacobians are these oracles
     over whole populations, so metrics step along the same vector-Jacobian
     products as the solvers.

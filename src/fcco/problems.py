@@ -188,20 +188,16 @@ def make_synthetic_fcco(spec: SyntheticFccoSpec) -> FccoProblem:
             lin, off = lin_rows.take(rows, axis=0), off_rows.take(rows, axis=0)
             return jacobian_mean(_sigmoid_prime(lin @ w + off)[..., None] * lin)
 
-    def inner_value(idx, w, batches):
-        return values(idx, np.asarray(w, float), batches)
-
     def inner_vjp(idx, w, batches, Y):
         # jacobians: the (k, d1, d) batch-average Jacobians
-        jac = jacobians(idx, np.asarray(w, float), batches)
-        return np.einsum("kad,ka->d", jac, np.asarray(Y, float)) / len(idx)
+        return np.einsum("kad,ka->d", jacobians(idx, w, batches), Y) / len(idx)
 
     c_g, l_g = _synthetic_constants(spec, lin, lin_samp, quad)
     problem = FccoProblem(
         d=d,
         d1=d1,
         outer=make_outer(spec.outer_kind, spec.outer_param),
-        inner_value=inner_value,
+        inner_value=values,
         inner_vjp=inner_vjp,
         populations=(pop,) * n,
         lipschitz_inner=c_g,
@@ -515,12 +511,12 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     data = _RocData(spec)
 
     def h_value(idx, w, batches):
-        r = data.rates(idx, np.asarray(w, float), batches)
+        r = data.rates(idx, w, batches)
         return (np.abs(r[:, 0] - r[:, 1]) - data.margin)[:, None]
 
     def h_grad(idx, w, batches, Y):
         # rates and rate_jacobians from one score pass; s * (1 - s) is _sigmoid_prime
-        x, z = data._scores(idx, np.asarray(w, float), batches)
+        x, z = data._scores(idx, w, batches)
         s = _sigmoid(z)
         r, jac = s.mean(axis=1), ((s * (1.0 - s))[..., None] * x).mean(axis=1)
         return (Y[:, 0] * np.sign(r[:, 0] - r[:, 1])) @ (jac[:, 0] - jac[:, 1]) / len(idx)
@@ -544,18 +540,14 @@ def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
     objective as the additive term.  Smooth inner maps, convex outer."""
     data = _RocData(spec)
 
-    def inner_value(idx, w, batches):
-        return data.rates(idx, np.asarray(w, float), batches)
-
     def inner_vjp(idx, w, batches, Y):
-        jac = data.rate_jacobians(idx, np.asarray(w, float), batches)
-        return np.einsum("kgd,kg->d", jac, np.asarray(Y, float)) / len(idx)
+        return np.einsum("kgd,kg->d", data.rate_jacobians(idx, w, batches), Y) / len(idx)
 
     problem = FccoProblem(
         d=spec.dim,
         d1=2,
         outer=GapHinge(data.margin),
-        inner_value=inner_value,
+        inner_value=data.rates,
         inner_vjp=inner_vjp,
         populations=data.populations,
         additive=data.auc_term(),

@@ -318,6 +318,11 @@ class OuterLoopConfig:
             raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
 
 
+# Every non-finite value of a diverging run reaches a check here (ensure_finite
+# on each iterate and inner iterate, the metric-row check) and ends the run as
+# SolverAbort, so numpy's overflow warnings would only repeat the abort.  The
+# scope is entered once per solve.
+@np.errstate(all="ignore")
 def _run_outer_loop(
     problem: FccoProblem,
     config: OuterLoopConfig,
@@ -326,7 +331,6 @@ def _run_outer_loop(
     beta: float,
     eta: float,
     step: Callable[[SonexState, int], tuple[np.ndarray, int, int]],
-    callback,
     init_u: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SolverResult:
     """Outer loop shared by both solvers.
@@ -393,9 +397,7 @@ def _run_outer_loop(
             w_sampled, sampled_iteration = state.w.copy(), it
         if it % cadence == 0 or it == iters:
             row, report = log_row(it)
-            stopped = callback is not None and bool(callback(row, state.w))
-            if config.stop_grad_norm is not None:
-                stopped = stopped or row.grad_norm <= config.stop_grad_norm
+            stopped = config.stop_grad_norm is not None and row.grad_norm <= config.stop_grad_norm
             if stopped:
                 break
 
@@ -428,20 +430,14 @@ class SonexConfig(OuterLoopConfig):
             warnings.warn("beta > 2/7 leaves the analyzed regime of the momentum recursion")
 
 
-def run_sonex(
-    problem: FccoProblem,
-    config: SonexConfig,
-    rng: SeededRng,
-    callback: Callable[[TraceRow, np.ndarray], bool | None] | None = None,
-) -> SolverResult:
+def run_sonex(problem: FccoProblem, config: SonexConfig, rng: SeededRng) -> SolverResult:
     """Run the single-loop solver for config.iters iterations.
 
     Returns the trace, the final iterate, and one iterate sampled uniformly
     from {1..T} (the output the convergence guarantee concerns).  A non-finite
     iterate, or a metric row whose F, F_lambda or gradient norm is not
-    finite, raises SolverAbort carrying the trace so far.
-    ``callback(row, w)`` runs at every metric row; a truthy return stops the
-    run early, as does ``config.stop_grad_norm``.
+    finite, raises SolverAbort carrying the trace so far.  The one early stop
+    is a metric row whose gradient norm is at most ``config.stop_grad_norm``.
     """
     config.validate(problem)
     n = problem.n
@@ -465,6 +461,6 @@ def run_sonex(
     # update with full mixing
     beta = 1.0 if config.update_kind == "sgd_baseline" else config.beta
     return _run_outer_loop(
-        problem, config, rng, _TAU, beta, config.eta, step, callback,
+        problem, config, rng, _TAU, beta, config.eta, step,
         init_u=lambda w: init_trackers(problem, w, config.b2, rng),
     )

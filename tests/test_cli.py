@@ -555,7 +555,7 @@ def test_shipped_configs_build(tmp_path):
         assert problem.n >= 1
 
 
-@pytest.mark.filterwarnings("ignore:beta > 2/7")
+@pytest.mark.filterwarnings("ignore:beta > 2/7", "error::RuntimeWarning")
 def test_run_solver_abort_exit_code(tmp_path):
     payload = {
         "seed": 1,
@@ -583,7 +583,6 @@ def test_run_solver_abort_exit_code(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_non_finite_metric_row_exits_2(tmp_path, capsys):
     # w0 is finite, but F, F_lambda and grad_norm overflow at row 0: the run
     # ends there instead of writing NaN into report.json
@@ -931,7 +930,7 @@ def test_removed_key_is_unknown(tmp_path, problem, key, value, cls):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:beta > 2/7")
+@pytest.mark.filterwarnings("ignore:beta > 2/7")
 @settings(max_examples=60)
 @given(_fuzzed_configs())
 def test_run_fuzzed_config_exits_cleanly(payload):
