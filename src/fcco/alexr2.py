@@ -176,6 +176,9 @@ def inner_primal_step(
     return (z_k / eta + pull - grad) / denom
 
 
+# every inner iterate reaches ensure_finite, so numpy's overflow warnings would
+# only repeat its NonFiniteError, also on a direct call outside the outer loop
+@np.errstate(all="ignore")
 def run_inner_alexr(
     problem: FccoProblem,
     w_t: np.ndarray,

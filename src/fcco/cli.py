@@ -2,8 +2,8 @@
 
 Configs are JSON (the only input besides the seed inside them); runs write
 ``trace.csv`` with a fixed header plus a ``report.json`` summary.  Identical
-config+seed reproduces trace.csv byte-for-byte (wall time is only recorded
-when asked for, since it would break that contract).
+config+seed reproduces trace.csv byte-for-byte; wall times go to report.json
+only.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class RunConfig:
     problem: dict
     solver: dict
     metric_every: int | None = None
-    record_wall_time: bool = False
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -93,12 +92,11 @@ def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
     kind = cfg.pop("kind", None)
     if kind not in ("sonex", "sgd_baseline", "alexr2"):
         raise ConfigError(f"unknown solver kind {kind!r}")
-    for key in ("metric_every", "record_wall_time"):
-        if key in cfg:
-            raise ConfigError(f"{key} is a run-level key")
+    if "metric_every" in cfg:
+        raise ConfigError("metric_every is a run-level key")
     if kind == "sgd_baseline" and cfg.setdefault("update_kind", kind) != kind:
         raise ConfigError(f"solver kind sgd_baseline conflicts with update_kind {cfg['update_kind']!r}")
-    cfg.update(metric_every=run_cfg.metric_every, record_wall_time=run_cfg.record_wall_time)
+    cfg["metric_every"] = run_cfg.metric_every
     return kind, parse_fields(Alexr2Config if kind == "alexr2" else SonexConfig, cfg)
 
 
@@ -157,6 +155,7 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
         "sampled": sampled,
         "stopped_early": result.stopped_early,
         "wall_seconds": wall_s,
+        "row_wall_seconds": result.row_wall_seconds,
         "gram_min_eig": gram_min,
         "gram_rank_deficient": deficient,
     }

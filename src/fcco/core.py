@@ -413,7 +413,7 @@ class FccoProblem:
 
 TRACE_HEADER = (
     "iteration,inner_oracle_calls,component_draws,F,F_lambda,grad_norm,"
-    "stat_t_residual,max_violation,wall_ms"
+    "stat_t_residual,max_violation"
 )
 
 
@@ -436,7 +436,6 @@ class TraceRow:
     grad_norm: float | None = None
     stat_t_residual: float | None = None
     max_violation: float | None = None
-    wall_ms: float | None = None
 
     def to_csv_line(self) -> str:
         # the field order is TRACE_HEADER's column order; astuple would
@@ -469,7 +468,8 @@ class SolverResult:
     """Run output: trace, the final iterate and its exact pass (the last
     metric row's ``metrics.StationarityReport``), and the uniformly sampled
     iterate the convergence theory talks about.  ``state`` is the solver's
-    final internal state (tracker buffers etc.), mainly for diagnostics."""
+    final internal state (tracker buffers etc.), mainly for diagnostics, and
+    ``row_wall_seconds`` the seconds from the solve's start to each trace row."""
 
     trace: SolverTrace
     w_final: np.ndarray
@@ -478,6 +478,7 @@ class SolverResult:
     final_report: object
     stopped_early: bool = False
     state: object | None = None
+    row_wall_seconds: list[float] = field(default_factory=list)
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -232,7 +232,6 @@ def theory_hyperparams(
     outer_lipschitz: float,
     scale: float = 1.0,
     iters: int = 1000,
-    **overrides,
 ) -> SonexConfig:
     """Config from the analysis scalings at target accuracy ``eps``:
     lam = eps/outer_lipschitz, beta ~ min(b1,b2) eps^2, gamma ~ b2 eps^4,
@@ -248,15 +247,14 @@ def theory_hyperparams(
     beta = min(scale * min(b1, b2) * eps**2, 2.0 / 7.0)
     gamma = min(scale * b2 * eps**4, 0.5)
     eta = scale * b1 * np.sqrt(b2) * eps**3 / n
-    cfg = SonexConfig(
+    return SonexConfig(
         lam=lam, eta=eta, beta=beta, gamma=gamma, gamma_prime=None,
         b1=b1, b2=b2, iters=iters,
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _metric_row(
-    problem, w, lam, iteration, calls, draws, wall_ms
+    problem, w, lam, iteration, calls, draws
 ) -> tuple[TraceRow, StationarityReport]:
     rep = stationarity_report(problem, w, lam)
     return TraceRow(
@@ -268,7 +266,6 @@ def _metric_row(
         grad_norm=rep.grad_F_lambda_norm,
         stat_t_residual=rep.approx_t_residual,
         max_violation=rep.max_inner_value if problem.is_penalty else None,
-        wall_ms=wall_ms,
     ), rep
 
 
@@ -294,7 +291,6 @@ class OuterLoopConfig:
     adam_clip: tuple[float, ...] | None = None
     metric_every: int | None = bounded("[1, inf)", default=None)
     stop_grad_norm: float | None = bounded("[0, inf)", default=None)
-    record_wall_time: bool = False
     w0: np.ndarray | None = None
 
     def validate(self, problem: FccoProblem) -> None:
@@ -345,6 +341,7 @@ def _run_outer_loop(
     and each metric row that its F, F_lambda and gradient norm are.  The last
     row's exact pass is the result's ``final_report``.
     """
+    t0 = time.perf_counter()
     w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
     state = SonexState(
         w=w,
@@ -356,13 +353,11 @@ def _run_outer_loop(
     draws = 0
 
     trace = SolverTrace()
-    t0 = time.perf_counter()
-
-    def wall():
-        return (time.perf_counter() - t0) * 1e3 if config.record_wall_time else None
+    row_wall_seconds = []
 
     def log_row(it: int) -> tuple[TraceRow, StationarityReport]:
-        row, rep = _metric_row(problem, state.w, config.lam, it, calls, draws, wall())
+        row_wall_seconds.append(time.perf_counter() - t0)
+        row, rep = _metric_row(problem, state.w, config.lam, it, calls, draws)
         trace.append(row)
         if not np.isfinite((row.f_value, row.f_lambda_value, row.grad_norm)).all():
             raise SolverAbort(f"non-finite metric row at iteration {it}", trace)
@@ -405,7 +400,7 @@ def _run_outer_loop(
         # no step, or the run stopped before the drawn output iteration; fall
         # back to the final iterate
         w_sampled, sampled_iteration = state.w.copy(), trace.last().iteration
-    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, report, stopped, state=state)
+    return SolverResult(trace, state.w.copy(), w_sampled, sampled_iteration, report, stopped, state, row_wall_seconds)
 
 
 @dataclass(kw_only=True)

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcco import (
     ConfigError,
+    NonFiniteError,
     ScaledHinge,
     SeededRng,
     SolverAbort,
@@ -24,7 +26,7 @@ from fcco.alexr2 import (
     theory_inner_params,
     theory_outer_stepsize,
 )
-from fcco.cli import build_problem
+from fcco.cli import _prepare, build_problem
 from fcco.metrics import finite_difference_gradient, stationarity_report
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from fcco.smoothing import moreau_value
@@ -106,6 +108,16 @@ def test_run_inner_rejects_zero_smoothing_before_any_oracle_call():
     with pytest.raises(ConfigError):
         run_inner_alexr(prob, np.array([1.0]), default_config(lam=0.0), SeededRng(0))
     assert calls == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_inner_diverging_direct_call_raises_nonfinite_error():
+    # no outer loop's errstate scope encloses a direct call, so the inner loop
+    # must keep numpy's overflow warnings from preempting its own abort
+    circle = Path(__file__).resolve().parents[1] / "configs" / "circle_alexr2.json"
+    _, problem, _, _, config = _prepare(circle)
+    with pytest.raises(NonFiniteError, match="inner iterate"):
+        run_inner_alexr(problem, np.array([1e200, 1e200]), config, SeededRng(7), k=5)
 
 
 def test_run_inner_does_not_worsen_stationarity_on_smooth_quadratic():

@@ -323,7 +323,7 @@ def test_gradcheck_passes_on_shipped_configs(path):
     assert cmd_gradcheck(path) == 0
 
 
-@pytest.mark.parametrize("key, value", [("metric_every", 100), ("record_wall_time", True)])
+@pytest.mark.parametrize("key, value", [("metric_every", 100)])
 def test_run_level_key_in_solver_block_rejected(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path / "cfg.json", synthetic_run_config(iters=5, **{key: value}))
     out = tmp_path / "out"
@@ -393,13 +393,13 @@ def test_config_round_trip():
 # trace updates its hash here on purpose.  perfbench/workloads/alexr2-circle
 # is a byte copy of configs/circle_alexr2.json, so it is not run again.
 _GOLDEN_TRACES = {
-    "configs/circle_alexr2.json": "9e0f53153f4abc9dae07059bc78aaca568c6589ab185fac764ca2e255c8b1175",
-    "configs/circle_sonex.json": "b59787fd1fcae42bdbeb25b6aec5a21ecb26ac0729aaf3dc02781d06bc602526",
-    "configs/gdro_cvar_r015_sgd_baseline.json": "e3eaac3f21276c2697264900ce97f49bf9dece97a60a9a877989fc62c0879386",
-    "configs/gdro_cvar_r015_sonex.json": "ad51de0ce2c92d44cd51ffd36596210f5c4a89e8690cd3a5a94ad344c3d74824",
-    "configs/synthetic_a2_sonex.json": "475e09a416c047b12654fefca1ed923e45de96afcca3ebd48afebaa236b3aaff",
-    "perfbench/workloads/sonex-synth.json": "c27ecfd52e77bb2bdc683d04251c7084e35b6ee80aa2944e04db7a7f2332b183",
-    "perfbench/workloads/roc-metrics.json": "334849abe84c575af0855ba6daaa5755272a26d533071faed2689a34992a0895",
+    "configs/circle_alexr2.json": "2b7ffe4445be3d502ff3e4a76125542c5f5e54ab36e70cb229f4784ff3d372f3",
+    "configs/circle_sonex.json": "90560cd87eb85d4ed3156215bde02825ec98ede5b616c0609dbbc5b361bce596",
+    "configs/gdro_cvar_r015_sgd_baseline.json": "7a65d32996e23febdef702c45edb8ca080221d564605003ca1553429de2a85eb",
+    "configs/gdro_cvar_r015_sonex.json": "faac5f66b29becbe4946e25d379ea7164962c78e315d9dfb2fe45203bff4dbe7",
+    "configs/synthetic_a2_sonex.json": "47d693f210e47be35e8542c47f6c767dacc8b40dbb2fd4a2485edb3d65cd129b",
+    "perfbench/workloads/sonex-synth.json": "c510cc97e6104365031ccfafa5addc1be0f1f8a496374dc34e98de099936dc72",
+    "perfbench/workloads/roc-metrics.json": "4bedc900e3d3a16f791a76a39276a9da3d657e9907a72c98753f5019d96d4060",
 }
 _CIRCLE_CONFIGS = ("circle_alexr2", "circle_sonex")
 
@@ -497,7 +497,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 10,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "8eea71bb6a7f755b3481e569a21954db125d4d44d197c35871e4db97b3c93668"),
+    }, "fe258275498d9f9a183ea7a06b5fb9ed5a0f9dea615f7e5cb3f7dfa053bd818a"),
     "roc-penalty-sonex": ({
         "seed": 4,
         "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
@@ -505,14 +505,14 @@ _PINNED_RUNS = {
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 0.05, "beta": 0.2, "gamma": 0.4,
                    "b1": 3, "b2": 8, "iters": 60},
         "metric_every": 10,
-    }, "755dbd8987e69e33deb761acf99b7ea11679237f133ca9a9ac247fcbabd1adfa"),
+    }, "d89cba89de63194ca4d16e944f0743d6c3198aa0a1856bbafec8b5f8b4e417e6"),
     "qp-box-sonex": ({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 1e-3, "beta": 0.2, "gamma": 0.5,
                    "b1": 1, "b2": 1, "iters": 400},
         "metric_every": 50,
-    }, "5d8fd507cee725f491432d6c531816d68538aec622affdfb8ed8c2d91b5b1d3c"),
+    }, "06e1cd894593179e758983f426ee094ba31b6f42e2ae1356d05589fc445c8c42"),
     "weakly-convex-alexr2": ({
         "seed": 7,
         "problem": {"kind": "toy_constrained", "which": "weakly_convex_1d", "curvature": 0.3,
@@ -521,7 +521,7 @@ _PINNED_RUNS = {
                    "gamma": 0.05, "beta": 0.5, "alpha": 0.05, "b1": 1, "b2": 1,
                    "k_inner": 50, "iters": 60},
         "metric_every": 10,
-    }, "37cbc2d88be9eabb0eb60ea4ac890833f55cabcff0d809e438c825de01d6dbba"),
+    }, "4a80fef86f55dc5dd50e4ccf658a1fde9a0960b6f584c5686996ce6c374486ce"),
     "roc-penalty-alexr2": ({
         "seed": 4,
         "problem": {"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
@@ -530,7 +530,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 8,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "26cdc9c6d96ebd0956a65e4dbef80870f06198b2150c71b0283aa8685b892959"),
+    }, "53285396f363ef2f251e7e7bc972044e8df7ff7d1ae02986c5e1e5ad54ba5c24"),
 }
 
 
@@ -591,7 +591,7 @@ def test_run_non_finite_metric_row_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert cmd_run(write_config(tmp_path / "cfg.json", payload), out) == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,8,0,nan,nan,nan,nan,,"]
+    assert (out / "trace.csv").read_text().splitlines()[1:] == ["0,8,0,nan,nan,nan,nan,"]
     assert not (out / "report.json").exists()
 
 
@@ -648,18 +648,17 @@ def test_console_entry_point(tmp_path):
     assert not (tmp_path / "bad_out").exists()
 
 
-def test_wall_time_opt_in(tmp_path):
-    payload = synthetic_run_config(iters=5)
-    payload["record_wall_time"] = True
-    cfg = write_config(tmp_path / "cfg.json", payload)
+def test_report_row_wall_seconds_match_trace_rows(tmp_path):
+    # wall times go to report.json only, one per trace row; trace.csv has no
+    # wall column, so it stays reproducible byte for byte
+    cfg = write_config(tmp_path / "cfg.json", synthetic_run_config(iters=12))
     out = tmp_path / "out"
     assert cmd_run(cfg, out) == 0
-    assert read_trace(out / "trace.csv")[-1]["wall_ms"] != ""
-    # default configs leave the column empty for reproducibility
-    payload["record_wall_time"] = False
-    cfg2 = write_config(tmp_path / "cfg2.json", payload)
-    assert cmd_run(cfg2, tmp_path / "out2") == 0
-    assert read_trace(tmp_path / "out2" / "trace.csv")[-1]["wall_ms"] == ""
+    rows = read_trace(out / "trace.csv")
+    walls = json.loads((out / "report.json").read_text())["row_wall_seconds"]
+    assert len(rows) == len(walls) == 4
+    assert 0 <= walls[0] and walls == sorted(walls)
+    assert not any("wall" in column for column in rows[0])
 
 
 def test_roc_fairness_problem_kinds(tmp_path):
@@ -738,9 +737,8 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         {**_SONEX, _RUN_LEVEL: {"metric_every": 0}},
         {**_SONEX, _RUN_LEVEL: {"metric_every": -3}},
         {**_SONEX, _RUN_LEVEL: {"metric_every": 2.5}},
-        # run-level keys are not coerced: 2.5 is no seed, "false" no bool
+        # run-level keys are not coerced: 2.5 is no seed
         {**_SONEX, _RUN_LEVEL: {"seed": 2.5}},
-        {**_SONEX, _RUN_LEVEL: {"record_wall_time": "false"}},
         # a starting point with a NaN, or of the wrong length (d = 5)
         {**_SONEX, "w0": [math.nan, 0.0, 0.0, 0.0, 0.0]},
         {**_ALEXR2, "w0": [0.0, 0.0]},
@@ -884,8 +882,7 @@ _FUZZ_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.just({}))
 
 def _fuzz_payload(base):
     problem, solver, _ = _FUZZ_BASES[base]
-    return {"seed": 3, "problem": dict(problem), "solver": dict(solver), "metric_every": 2,
-            "record_wall_time": False}
+    return {"seed": 3, "problem": dict(problem), "solver": dict(solver), "metric_every": 2}
 
 
 @st.composite
@@ -916,6 +913,7 @@ def test_fuzz_bases_run(tmp_path, base):
 # keys the schema no longer has: a config that still sets one is rejected, not run
 _REMOVED_KEYS = [
     (None, "out", "elsewhere", "RunConfig"),
+    (None, "record_wall_time", True, "RunConfig"),
     (_SYNTHETIC, "jacobian_corruption", 0.05, "SyntheticFccoSpec"),
     (_ROC_FCCO, "shift", 0.3, "RocFairnessSpec"),
     (_ROC_PENALTY, "identical_groups", True, "RocFairnessSpec"),
@@ -967,7 +965,6 @@ def _problem_class(problem):
 # config fields that no shipped config or perfbench workload sets, each with
 # the reason it stays in the schema
 _UNSET_FIELDS = {
-    "RunConfig.record_wall_time": "opt-in wall-time column, off so that trace.csv is reproducible",
     "SonexConfig.gamma_prime": "0 turns the MSVR correction off, as acceptance criterion 5 runs",
     "Alexr2Config.w0": "the starting point both solvers read; sonex-synth sets it on sonex",
     "Alexr2Config.k_growth": "the growing inner schedule K_t; perfbench reads schedule()",
@@ -998,7 +995,7 @@ def _set_fields(payload):
 def test_every_config_field_is_set_by_a_shipped_run_or_allowlisted():
     shipped = set().union(*(_set_fields(json.loads(p.read_text())) for p in SHIPPED))
     classes = [RunConfig, SonexConfig, Alexr2Config, *(cls for cls, _ in _PROBLEMS.values()), *_TOYS.values()]
-    copied = {"metric_every", "record_wall_time"}  # run-level keys of the solver configs
+    copied = {"metric_every"}  # the run-level key of the solver configs
     unset = {
         f"{cls.__name__}.{f.name}"
         for cls in classes

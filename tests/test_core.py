@@ -200,7 +200,7 @@ def test_trace_row_has_one_field_per_column():
 def test_trace_header_and_formatting(tmp_path):
     trace = SolverTrace()
     trace.append(TraceRow(0, 4, 0, f_value=0.1, f_lambda_value=None, grad_norm=2.0))
-    trace.append(TraceRow(1, 8, 2, max_violation=None, wall_ms=None))
+    trace.append(TraceRow(1, 8, 2, max_violation=None))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()

@@ -180,7 +180,7 @@ def _one_pass_row_case(problem, w, lam):
 
     problem.inner_value = counting
     try:
-        row, _ = _metric_row(problem, w, lam, 7, 11, 3, None)
+        row, _ = _metric_row(problem, w, lam, 7, 11, 3)
     finally:
         problem.inner_value = value
     assert sorted(seen) == list(range(problem.n))  # one exact value per component
