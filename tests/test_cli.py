@@ -737,8 +737,9 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         {**_SONEX, _RUN_LEVEL: {"metric_every": 0}},
         {**_SONEX, _RUN_LEVEL: {"metric_every": -3}},
         {**_SONEX, _RUN_LEVEL: {"metric_every": 2.5}},
-        # run-level keys are not coerced: 2.5 is no seed
+        # run-level keys are not coerced: neither 2.5 nor "2" is a seed
         {**_SONEX, _RUN_LEVEL: {"seed": 2.5}},
+        {**_SONEX, _RUN_LEVEL: {"seed": "2"}},
         # a starting point with a NaN, or of the wrong length (d = 5)
         {**_SONEX, "w0": [math.nan, 0.0, 0.0, 0.0, 0.0]},
         {**_ALEXR2, "w0": [0.0, 0.0]},
