@@ -94,8 +94,10 @@ def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
         raise ConfigError(f"unknown solver kind {kind!r}")
     if "metric_every" in cfg:
         raise ConfigError("metric_every is a run-level key")
-    if kind == "sgd_baseline" and cfg.setdefault("update_kind", kind) != kind:
-        raise ConfigError(f"solver kind sgd_baseline conflicts with update_kind {cfg['update_kind']!r}")
+    if kind == "sgd_baseline":  # momentum with full mixing; a beta in its block is ignored
+        if cfg.get("update_kind", "momentum") != "momentum":
+            raise ConfigError(f"solver kind sgd_baseline conflicts with update_kind {cfg['update_kind']!r}")
+        cfg["beta"] = 1.0
     cfg["metric_every"] = run_cfg.metric_every
     return kind, parse_fields(Alexr2Config if kind == "alexr2" else SonexConfig, cfg)
 

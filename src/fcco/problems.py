@@ -3,7 +3,9 @@
 Every stochastic oracle here is a finite-population model: per-sample
 parameters (including noise) are frozen at construction and empirically
 centered, so the exact values (the batch oracles over the whole population)
-are the population means and batch estimates are unbiased by construction.
+are the population means, and a batch estimate that averages per-sample
+values is unbiased by construction (the ROC penalty's constraint is no such
+average; see ``make_roc_fairness_toy``).
 Declared Lipschitz/smoothness constants are computed from the generated
 parameters over a stated test box.
 """
@@ -81,7 +83,7 @@ def _centered_noise(rng, shape, sigma):
 
 
 @np.errstate(all="ignore")  # non-finite results fail the check below instead
-def _validate_declared_lipschitz(problem: FccoProblem, box_radius: float, seed: int, pairs: int = 100):
+def _validate_declared_lipschitz(problem: FccoProblem, box_radius: float, seed: int):
     # generated constants are claims; check them against sampled difference
     # quotients of the exact maps inside the stated box before handing the
     # problem out.  A non-finite constant, distance or gap fails: a check
@@ -92,7 +94,7 @@ def _validate_declared_lipschitz(problem: FccoProblem, box_radius: float, seed: 
         )
     gen = SeededRng(seed, 424242).gen
     bound = problem.lipschitz_inner * (1.0 + 1e-6)
-    for _ in range(pairs):
+    for _ in range(100):  # sampled pairs
         i = int(gen.integers(problem.n))
         a = gen.normal(size=problem.d)
         a *= box_radius * gen.uniform() ** 0.5 / np.linalg.norm(a)
@@ -290,11 +292,9 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
         out[p] = -y.mean()
         return out
 
-    additive = AdditiveTerm(
-        value=lambda w: float(w[p]),
-        grad=lambda w, batch: np.eye(d)[p],
-        population=1,
-    )
+    threshold_grad = np.eye(d)[p]  # built once; every call returns it, read-only
+    threshold_grad.flags.writeable = False
+    additive = AdditiveTerm(value=lambda w: float(w[p]), grad=lambda w, batch: threshold_grad, population=1)
     # a huge group_shift overflows a constant to inf, which the check rejects
     with np.errstate(over="ignore"):
         max_mean_norm = max(np.linalg.norm(x, axis=1).mean() for x in xs)
@@ -507,7 +507,9 @@ def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
     """Pairwise ranking objective with 2*len(thresholds) rate-gap constraints
     |rate_groupA - rate_groupB| - margin <= 0, rates being sigmoid means of a
     linear scorer at each threshold.  Groups are generated with equal class
-    counts so batches index both groups in lockstep."""
+    counts so batches index both groups in lockstep.  A batch value,
+    |batch rate gap| - margin, is no per-sample average: by Jensen's inequality
+    it is biased upward wherever batches disagree on the sign of the gap."""
     data = _RocData(spec)
 
     def h_value(idx, w, batches):

@@ -205,8 +205,8 @@ def _prox_and_envelope(outer, lam: float, t):
 def hinge_moreau_grad_closed_form(z: float, lam: float, slope: float) -> float:
     """min([z]_+, lam*slope)/lam: the hinge envelope gradient in closed form.
 
-    Must agree exactly with moreau_grad(ScaledHinge(slope), lam, z); this is
-    the multiplier formula of the penalty method.
+    Agrees with moreau_grad(ScaledHinge(slope), lam, z) up to the cancellation
+    in its (z - prox(z))/lam; this is the multiplier formula of the penalty method.
     """
     if lam <= 0 or slope <= 0:
         raise ConfigError("lam and slope must be positive")

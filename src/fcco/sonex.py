@@ -4,8 +4,8 @@ Per iteration: sample a component subset and one data batch per selected
 component, refresh the per-component inner-value trackers with a
 variance-reduced correction (its value at the previous iterate on the same
 batch comes from ``_Draws.values``), aggregate vector-Jacobian products
-through the envelope gradients of the trackers, then take a momentum,
-Adam-type, or plain-SGD parameter step.  All metric evaluation happens on a
+through the envelope gradients of the trackers, then take a momentum or
+rate-bounded Adam-type parameter step.  All metric evaluation happens on a
 configurable cadence through the exact (full-population) oracles.
 """
 
@@ -207,7 +207,7 @@ def adam_step(
     beta2: float,
     eps: float,
     eta: float,
-    clip: tuple[float, float] | None = None,
+    clip: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adam-type update with elementwise rates eta/(sqrt(s)+eps).
 
@@ -216,9 +216,7 @@ def adam_step(
     condition the adaptive analysis assumes instead of assuming it.
     """
     v_new = (1.0 - beta) * v + beta * grad
-    rate = eta / (np.sqrt(s) + eps)
-    if clip is not None:
-        rate = np.clip(rate, eta * clip[0], eta * clip[1])
+    rate = np.clip(eta / (np.sqrt(s) + eps), eta * clip[0], eta * clip[1])
     w_new = w - rate * v_new
     s_new = (1.0 - beta2) * s + beta2 * grad * grad
     return v_new, w_new, s_new
@@ -277,10 +275,9 @@ class OuterLoopConfig:
     them as given: every field's kind and declared range, the update kind,
     lam against the outer function (positive, and below 1/weak_convexity),
     the length of ``w0``, the batch sizes against the problem and the
-    Adam-type rate bounds.
+    Adam-type rate bounds, which the Adam-type update needs and no other
+    update takes.
     """
-
-    update_kinds = ("momentum", "adam")  # the outer updates this solver takes
 
     lam: float
     b1: int = bounded("[1, inf)", default=1)
@@ -295,10 +292,8 @@ class OuterLoopConfig:
 
     def validate(self, problem: FccoProblem) -> None:
         _check_field_types(self)
-        if self.update_kind not in self.update_kinds:
-            raise ConfigError(
-                f"update_kind must be one of {self.update_kinds}, got {self.update_kind!r}"
-            )
+        if self.update_kind not in ("momentum", "adam"):
+            raise ConfigError(f"update_kind must be 'momentum' or 'adam', got {self.update_kind!r}")
         _check_smoothing(problem.outer, self.lam)
         if self.w0 is not None and len(self.w0) != problem.d:
             raise ConfigError(f"w0 must have length d={problem.d}, got {len(self.w0)}")
@@ -308,8 +303,9 @@ class OuterLoopConfig:
         if self.b2 > smallest:
             raise ConfigError(f"b2 must be at most the smallest population {smallest}, got {self.b2}")
         clip = self.adam_clip
-        if clip is not None and self.update_kind != "adam":
-            raise ConfigError(f"adam_clip needs update_kind adam, got {self.update_kind!r}")
+        if (clip is None) == (self.update_kind == "adam"):
+            raise ConfigError(f"adam_clip is set exactly when update_kind is 'adam', got "
+                              f"update_kind {self.update_kind!r} and adam_clip {clip}")
         if clip is not None and not (len(clip) == 2 and 0 < clip[0] <= clip[1]):
             raise ConfigError("adam_clip must be two bounds with 0 < low <= high")
 
@@ -405,8 +401,6 @@ def _run_outer_loop(
 
 @dataclass(kw_only=True)
 class SonexConfig(OuterLoopConfig):
-    update_kinds = ("momentum", "adam", "sgd_baseline")
-
     eta: float = bounded("[0, inf)")
     beta: float = bounded("(0, 1]", default=0.1)
     gamma: float = bounded("(0, 1]", default=0.1)
@@ -421,7 +415,8 @@ class SonexConfig(OuterLoopConfig):
         super().validate(problem)
         if self.resolved_gamma_prime(problem.n) > 0 and self.gamma > 0.5:
             raise ConfigError("gamma must be <= 1/2 when the tracker correction is active")
-        if self.beta > 2.0 / 7.0:
+        # beta = 1 is the SGD-type update, analysed on its own
+        if 2.0 / 7.0 < self.beta < 1.0:
             warnings.warn("beta > 2/7 leaves the analyzed regime of the momentum recursion")
 
 
@@ -452,10 +447,7 @@ def run_sonex(problem: FccoProblem, config: SonexConfig, rng: SeededRng) -> Solv
         )
         return grad, calls + k + (1 if draws.additive else 0), k
 
-    # the plain-SGD comparator shares the whole code path: it is the momentum
-    # update with full mixing
-    beta = 1.0 if config.update_kind == "sgd_baseline" else config.beta
     return _run_outer_loop(
-        problem, config, rng, _TAU, beta, config.eta, step,
+        problem, config, rng, _TAU, config.beta, config.eta, step,
         init_u=lambda w: init_trackers(problem, w, config.b2, rng),
     )

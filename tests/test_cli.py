@@ -555,7 +555,6 @@ def test_shipped_configs_build(tmp_path):
         assert problem.n >= 1
 
 
-@pytest.mark.filterwarnings("ignore:beta > 2/7", "error::RuntimeWarning")
 def test_run_solver_abort_exit_code(tmp_path):
     payload = {
         "seed": 1,
@@ -716,9 +715,9 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
          "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5, "update_kind": "adam",
          "adam_clip": [2.0, 1.0]},
-        # Adam second-moment weight outside (0, 1), without rate clipping
+        # Adam second-moment weight outside (0, 1)
         {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5,
-         "update_kind": "adam", "adam_beta2": 1.5},
+         "update_kind": "adam", "adam_clip": [1e-4, 1.0], "adam_beta2": 1.5},
         # malformed fields: an integer field given a fraction or a string
         {**_SONEX, "iters": 2.5},
         {**_SONEX, "b1": 2.5},
@@ -755,6 +754,9 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
         {**_SONEX, "kind": "sgd_baseline", "update_kind": "adam"},
         # a solver block without its required lam
         {k: v for k, v in _SONEX.items() if k != "lam"},
+        # the Adam-type update without the rate bounds it always applies
+        {**_SONEX, "update_kind": "adam"},
+        {**_ALEXR2, "update_kind": "adam"},
     ],
 )
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
@@ -774,6 +776,18 @@ def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_sgd_baseline_kind_is_beta_one_momentum(tmp_path):
+    # solver kind sgd_baseline is the momentum update at beta = 1 and ignores
+    # a beta in its block
+    def trace(kind, beta):
+        solver = {**_SONEX, "kind": kind, "beta": beta, "iters": 30}
+        cfg = write_config(tmp_path / f"{kind}.json", {"seed": 11, "problem": _GDRO, "solver": solver})
+        assert cmd_run(cfg, tmp_path / kind) == 0
+        return (tmp_path / kind / "trace.csv").read_bytes()
+
+    assert trace("sgd_baseline", 0.123) == trace("sonex", 1.0)
 
 
 _SYNTHETIC = {"kind": "synthetic", "n": 4, "d": 3, "d1": 1, "inner_kind": "affine",

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +71,8 @@ def test_momentum_decay_without_gradient():
 
 def test_adam_step_unit_denominator():
     v0 = np.array([0.5, -2.0])
-    v, w, s = adam_step(v0, np.zeros(2), np.zeros(2), v0, 1.0, 0.1, 1.0, 0.05)
+    # rates inside the clip pass through it unchanged
+    v, w, s = adam_step(v0, np.zeros(2), np.zeros(2), v0, 1.0, 0.1, 1.0, 0.05, clip=(1e-6, 1e6))
     np.testing.assert_allclose(w, -0.05 * v0)  # rate uses the pre-update s = 0
 
 
@@ -80,7 +82,7 @@ def test_adam_ema_fixed_point():
     v = np.array([0.0])
     w = np.array([0.0])
     for _ in range(3000):
-        v, w, s = adam_step(v, w, s, np.array([c]), 0.5, 0.05, 1e-3, 1e-4)
+        v, w, s = adam_step(v, w, s, np.array([c]), 0.5, 0.05, 1e-3, 1e-4, clip=(1e-6, 1e6))
     assert np.sqrt(s[0]) == pytest.approx(c, rel=1e-6)
 
 
@@ -236,22 +238,12 @@ def test_run_sonex_noiseless_full_batch_matches_exact_descent():
     np.testing.assert_allclose(res.w_final, w, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:beta > 2/7")
-def test_run_sonex_sgd_baseline_matches_beta_one_momentum():
-    prob = make_synthetic_fcco(_quad_hinge_spec(population=7, sigma0=0.1))
-    base = dict(lam=0.1, eta=1e-3, gamma=0.4, b1=2, b2=3, iters=30, metric_every=10)
-    r1 = run_sonex(prob, SonexConfig(beta=1.0, update_kind="momentum", **base), SeededRng(4))
-    r2 = run_sonex(prob, SonexConfig(beta=0.123, update_kind="sgd_baseline", **base), SeededRng(4))
-    np.testing.assert_array_equal(r1.w_final, r2.w_final)
-
-
-@pytest.mark.filterwarnings("ignore:beta > 2/7")
 def test_run_sonex_f_lambda_monotone_on_smooth_problem():
     spec = SyntheticFccoSpec(n=5, d=4, d1=1, inner_kind="quadratic", outer_kind="identity", population=1, seed=8)
     prob = make_synthetic_fcco(spec)
     cfg = SonexConfig(
         lam=0.1, eta=5e-3, beta=1.0, gamma=1.0, gamma_prime=0.0, b1=5, b2=1,
-        iters=300, metric_every=1, update_kind="sgd_baseline", w0=np.full(4, 1.0),
+        iters=300, metric_every=1, w0=np.full(4, 1.0),
     )
     res = run_sonex(prob, cfg, SeededRng(0))
     vals = [r.f_lambda_value for r in res.trace.rows]
@@ -269,7 +261,6 @@ def test_run_sonex_stale_trackers_outside_sampled_set():
     assert len(changed) == 1
 
 
-@pytest.mark.filterwarnings("ignore:beta > 2/7")
 def test_run_sonex_aborts_on_nonfinite_with_partial_trace():
     def bad_value(idx, w, batches):
         return np.full((len(idx), 1), w[0] if abs(w[0]) < 0.05 else np.nan)
@@ -297,9 +288,23 @@ def test_config_validation_gates():
         SonexConfig(lam=0.1, eta=1e-3, gamma=0.7).validate(prob)  # correction active
     with pytest.raises(ConfigError):
         SonexConfig(lam=0.1, eta=1e-3, b1=9).validate(prob)
-    with pytest.raises(ConfigError):
-        SonexConfig(lam=0.1, eta=1e-3, update_kind="nesterov").validate(prob)
+    for kind in ("nesterov", "sgd_baseline"):
+        with pytest.raises(ConfigError, match="update_kind must be 'momentum' or 'adam'"):
+            SonexConfig(lam=0.1, eta=1e-3, update_kind=kind).validate(prob)
+    with pytest.raises(ConfigError, match="adam_clip is set exactly when update_kind is 'adam'"):
+        SonexConfig(lam=0.1, eta=1e-3, update_kind="adam").validate(prob)
     SonexConfig(lam=0.1, eta=0.0, beta=0.2, gamma=0.7, gamma_prime=0.0).validate(prob)
+
+
+@pytest.mark.parametrize("beta, warns", [(0.2, False), (0.5, True), (1.0, False)])
+def test_beta_warning_only_between_two_sevenths_and_one(beta, warns):
+    # beta = 1 is the SGD-type update, which the analysis covers apart from
+    # the momentum recursion's (0, 2/7]
+    prob = affine_problem(np.eye(4), np.zeros(4), Identity())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SonexConfig(lam=0.1, eta=1e-3, beta=beta).validate(prob)
+    assert [str(w.message).startswith("beta > 2/7") for w in caught] == ([True] if warns else [])
 
 
 def test_data_batch_must_fit_every_population():
