@@ -306,7 +306,8 @@ class AdditiveTerm:
     threshold coordinate of the CVaR objective, so the solvers need a single
     code path.  ``grad`` is the stochastic gradient over a batch of indices
     into a finite population; ``grad_exact`` defaults to a full-population
-    call.
+    call.  Both return a float64 (d,) array, which ``exact_gradient`` passes
+    on as is.
     """
 
     value: Callable[[np.ndarray], float]
@@ -316,8 +317,8 @@ class AdditiveTerm:
 
     def exact_gradient(self, w: np.ndarray) -> np.ndarray:
         if self.grad_exact is not None:
-            return np.asarray(self.grad_exact(w), dtype=float)
-        return np.asarray(self.grad(w, np.arange(self.population)), dtype=float)
+            return self.grad_exact(w)
+        return self.grad(w, np.arange(self.population))
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Exact evaluation, stationarity certificates, and brute-force test oracles.
 
-The grid prox and finite-difference oracles deliberately share no code with
-the closed forms they check.
+The grid prox oracle, one grid search for d1 <= 2, and the
+finite-difference oracle deliberately share no code with the closed forms
+they check.
 """
 
 from __future__ import annotations
@@ -57,32 +58,20 @@ def _golden_section(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _brute_prox_1d(outer, lam, t, step):
-    t0 = float(np.atleast_1d(t)[0])
-    radius = max(3.0 * lam * outer.lipschitz, 16.0 * step)
+def brute_force_prox(outer, lam: float, t, step: float = 1e-5) -> np.ndarray:
+    """Grid-search prox oracle for d1 <= 2 catalog entries.
 
-    def grid_argmin(lo, hi, h):
-        grid = np.arange(lo, hi + h, h)
-        vals = outer.value(grid[:, None]) + (grid - t0) ** 2 / (2.0 * lam)
-        return float(grid[int(np.argmin(vals))])
-
-    # coarse pass, then re-grid around the argmin at the requested step; the
-    # objective is unimodal (convex f plus strongly convex quadratic) so the
-    # zoom cannot lose the minimizer
-    coarse = max(step, 2.0 * radius / 8000.0)
-    v0 = grid_argmin(t0 - radius, t0 + radius, coarse)
-    if coarse > step:
-        v0 = grid_argmin(v0 - 2.0 * coarse, v0 + 2.0 * coarse, step)
-
-    def objective(v):
-        return outer.value(np.array([v])) + (v - t0) ** 2 / (2.0 * lam)
-
-    v_star = _golden_section(objective, v0 - 2.0 * step, v0 + 2.0 * step)
-    return np.array([v_star])
-
-
-def _brute_prox_2d(outer, lam, t, step):
-    t = np.asarray(t, dtype=float)
+    Searches a grid of 121 points per axis over the box t +- 3*lam*lipschitz
+    (the prox lies within lam*lipschitz of t), re-centred on each stage's
+    argmin until the spacing reaches min(step, 1e-7), and finishes with
+    golden-section refinement.  Independent of the closed-form prox
+    implementations it validates.
+    """
+    if outer.dim > 2:
+        raise UnsupportedOperationError("grid prox oracle supports d1 <= 2 only")
+    if lam <= 0 or step <= 0:
+        raise OracleError("lam and step must be positive")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
 
     def objective(v):
         return outer.value(v) + float(np.sum((v - t) ** 2)) / (2.0 * lam)
@@ -93,10 +82,8 @@ def _brute_prox_2d(outer, lam, t, step):
     # staged zoom: keep a generous box (6 grid spacings) around each stage's
     # argmin; the objective is convex so the zoom tracks the minimizer
     while True:
-        xs = np.linspace(center[0] - half, center[0] + half, npts)
-        ys = np.linspace(center[1] - half, center[1] + half, npts)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        axes = [np.linspace(c - half, c + half, npts) for c in center]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, outer.dim)
         vals = outer.value(pts) + np.sum((pts - t) ** 2, axis=1) / (2.0 * lam)
         center = pts[int(np.argmin(vals))].copy()
         spacing = 2.0 * half / (npts - 1)
@@ -104,14 +91,11 @@ def _brute_prox_2d(outer, lam, t, step):
             break
         half = 6.0 * spacing
 
-    # directional golden polish; diagonal directions cover kinks aligned with
-    # the gap coordinate, where axis-only sweeps can stall
-    dirs = [
-        np.array([1.0, 0.0]),
-        np.array([0.0, 1.0]),
-        np.array([1.0, 1.0]) / math.sqrt(2.0),
-        np.array([1.0, -1.0]) / math.sqrt(2.0),
-    ]
+    # golden polish along each axis and, in 2-D, the diagonals, which cover
+    # kinks aligned with the gap coordinate, where axis-only sweeps can stall
+    dirs = list(np.eye(outer.dim))
+    if outer.dim == 2:
+        dirs += [np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)]
     v = center
     span = 4.0 * spacing
     for _ in range(3):
@@ -120,22 +104,6 @@ def _brute_prox_2d(outer, lam, t, step):
             v = v + s * u
         span = max(span / 8.0, 1e-10)
     return v
-
-
-def brute_force_prox(outer, lam: float, t, step: float = 1e-5) -> np.ndarray:
-    """Grid-search prox oracle for d1 <= 2 catalog entries.
-
-    Searches the box t +- 3*lam*lipschitz (the prox lies within
-    lam*lipschitz of t) and finishes with golden-section refinement.
-    Independent of the closed-form prox implementations it validates.
-    """
-    if outer.dim > 2:
-        raise UnsupportedOperationError("grid prox oracle supports d1 <= 2 only")
-    if lam <= 0 or step <= 0:
-        raise OracleError("lam and step must be positive")
-    if outer.dim == 1:
-        return _brute_prox_1d(outer, lam, t, step)
-    return _brute_prox_2d(outer, lam, t, step)
 
 
 def eval_exact(problem: FccoProblem, w: np.ndarray, lam: float) -> tuple[float, float]:

@@ -152,8 +152,6 @@ def make_outer(kind: str, param: float | None = None):
     """Construct a catalog entry from its serialized (kind, param) form."""
     if kind == "scaled_hinge":
         return ScaledHinge(slope=float(param if param is not None else 1.0))
-    if kind == "cvar_hinge":
-        return CvarHinge(ratio=float(param if param is not None else 0.15))
     if kind == "gap_hinge":
         return GapHinge(margin=float(param if param is not None else 0.0))
     if kind == "identity":

@@ -1,6 +1,6 @@
 """Loop-form references of the single-loop solver and of the double-loop
-solver's inner loop, for tests that compare ``run_sonex`` and
-``run_inner_alexr`` against them.
+solver's inner and outer loops, for tests that compare ``run_sonex``,
+``run_inner_alexr`` and ``run_alexr2`` against them.
 
 They are written straight from the update equations: one oracle call per
 (component, sample) pair, Python sums over samples and components, and the
@@ -35,6 +35,14 @@ def batch_mean_vjp(problem: FccoProblem, i: int, w: np.ndarray, batch, y: np.nda
     for s in batch:
         total = total + problem.inner_vjp(np.array([i]), w, np.array([[s]]), y[None])
     return total / len(batch)
+
+
+def batch_estimates(problem: FccoProblem, rng: SeededRng, w: np.ndarray, b2: int, purpose: int, counter: int):
+    """One batch estimate of every g_i at w, on the batches of b2 samples
+    drawn at (purpose, counter): the trackers' starting values."""
+    draws = _Draws(problem, rng, problem.n, b2)
+    batches = draws.batches(purpose, counter, draws.all)
+    return np.array([batch_mean_value(problem, i, w, batches[i]) for i in range(problem.n)])
 
 
 def envelope_gradient(problem: FccoProblem, idx, batches, u, lam: float, w, batch0) -> np.ndarray:
@@ -73,11 +81,8 @@ def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_
     config, so that a test can turn the correction off.
     """
     rng = SeededRng(seed)
-    n = problem.n
     w = problem.initial_point() if config.w0 is None else np.array(config.w0, dtype=float)
-    init = _Draws(problem, rng, n, config.b2)
-    init_batches = init.batches(_INIT, 0, init.all)
-    u = np.array([batch_mean_value(problem, i, w, init_batches[i]) for i in range(n)])
+    u = batch_estimates(problem, rng, w, config.b2, _INIT, 0)
     draws = _Draws(problem, rng, config.b1, config.b2)
     v, s2 = np.zeros(problem.d), np.zeros(problem.d)
     w_prev = w
@@ -106,7 +111,7 @@ def reference_inner_alexr(
     problem: FccoProblem,
     w_t: np.ndarray,
     config: Alexr2Config,
-    seed: int,
+    rng: SeededRng,
     k: int,
     theta: float,
     u_init: np.ndarray | None = None,
@@ -118,20 +123,16 @@ def reference_inner_alexr(
         z    <- argmin_z <G, z> + ||z - w_t||^2 / (2 nu) + ||z - z_k||^2 / (2 eta)
               = (z_k / eta + w_t / nu - G) / (1 / eta + 1 / nu)
 
-    for every i in the step's component set S, from z_0 = w_t.  G is
-    ``envelope_gradient`` at z_k on the Jacobian batches B'_i, which are
-    drawn apart from the value batches B_i.  The trackers start at
-    ``u_init``, or at one batch estimate of every g_i at w_t, and at k = 0
-    there is no z_{-1}, so the extrapolation is 0.  ``theta`` is taken as
-    given, not read from the config, so that a test can turn the
-    extrapolation off.
+    for every i in the step's component set S, from z_0 = w_t, with the
+    draws of ``rng``.  G is ``envelope_gradient`` at z_k on the Jacobian
+    batches B'_i, which are drawn apart from the value batches B_i.  The
+    trackers start at ``u_init``, or at one batch estimate of every g_i at
+    w_t, and at k = 0 there is no z_{-1}, so the extrapolation is 0.
+    ``theta`` is taken as given, not read from the config, so that a test
+    can turn the extrapolation off.
     """
-    rng = SeededRng(seed)
-    n = problem.n
     if u_init is None:
-        init = _Draws(problem, rng, n, config.b2)
-        init_batches = init.batches(alexr2._INIT, 0, init.all)
-        u = np.array([batch_mean_value(problem, i, w_t, init_batches[i]) for i in range(n)])
+        u = batch_estimates(problem, rng, w_t, config.b2, alexr2._INIT, 0)
     else:
         u = np.array(u_init, dtype=float)
     gamma_hat = config.gamma / (1.0 + config.gamma)
@@ -150,3 +151,32 @@ def reference_inner_alexr(
         z_prev = z
         z = (z / config.eta + w_t / config.nu - grad) / (1.0 / config.eta + 1.0 / config.nu)
     return z, u
+
+
+def reference_alexr2(problem: FccoProblem, config: Alexr2Config, seed: int, theta: float) -> np.ndarray:
+    """The iterate after ``config.iters`` outer steps of
+
+        z   <- reference_inner_alexr from w_t, K_t inner steps, trackers u
+        v   <- (1 - beta) v + beta (w_t - z) / nu
+        w   <- w_t - alpha v
+
+    with K_t = k_inner (1 + t) under ``k_growth`` and k_inner otherwise.
+    Outer step t runs its inner loop on the draws of the child stream
+    (alexr2._COMPONENTS, t) and hands its trackers on to the next step.
+    They start at one batch estimate of every g_i at w_t, drawn from the
+    outer stream at (alexr2._INIT, t), at t = 0 and, without
+    ``warm_start_dual``, at every step.  ``theta`` is passed to the inner
+    loop as given.  The momentum update only.
+    """
+    rng = SeededRng(seed)
+    w = problem.initial_point() if config.w0 is None else np.array(config.w0, dtype=float)
+    v = np.zeros(problem.d)
+    u = None
+    for t in range(config.iters):
+        if u is None or not config.warm_start_dual:
+            u = batch_estimates(problem, rng, w, config.b2, alexr2._INIT, t)
+        k_t = config.k_inner * (1 + t) if config.k_growth else config.k_inner
+        z, u = reference_inner_alexr(problem, w, config, rng.spawn(alexr2._COMPONENTS, t), k_t, theta, u)
+        v = (1.0 - config.beta) * v + config.beta * (w - z) / config.nu
+        w = w - config.alpha * v
+    return w

@@ -20,6 +20,7 @@ from fcco.cli import (
 )
 from fcco.core import TRACE_HEADER, SeededRng
 from fcco.problems import _TOYS, RocFairnessSpec
+from fcco.smoothing import GapHinge, ScaledHinge
 from fcco.sonex import SonexConfig, run_sonex
 from util import read_trace
 
@@ -306,6 +307,31 @@ def test_gradcheck_corrupted_jacobian_fails(tmp_path, capsys, monkeypatch):
     prox = [float(line.rsplit(" ", 1)[1]) for line in out if line.startswith("prox check")]
     assert len(grad) == 3 and min(grad) > 1e-4
     assert len(prox) == 1 and prox[0] <= 1e-4
+
+
+@pytest.mark.parametrize("outer_cls, source", [
+    (ScaledHinge, "synthetic"),
+    (GapHinge, ROOT / "configs" / "synthetic_a2_sonex.json"),
+], ids=["1d", "2d"])
+def test_gradcheck_corrupted_prox_fails(tmp_path, capsys, monkeypatch, outer_cls, source):
+    # the negative control: the closed-form prox scaled by 1 + 1e-3 at a single
+    # point, which only the prox check asks for; the metric pass's row stacks
+    # keep the exact prox, so the gradient checks still pass
+    prox = outer_cls.prox
+
+    def corrupted(self, lam, t):
+        p = prox(self, lam, t)
+        return (1.0 + 1e-3) * p if np.ndim(t) == 1 else p
+
+    monkeypatch.setattr(outer_cls, "prox", corrupted)
+    if source == "synthetic":
+        source = write_config(tmp_path / "cfg.json", synthetic_run_config())
+    assert cmd_gradcheck(source) == 2
+    out = capsys.readouterr().out.splitlines()
+    grad = [float(line.rsplit(" ", 1)[1]) for line in out if line.startswith("grad check")]
+    prox_err = [float(line.rsplit(" ", 1)[1]) for line in out if line.startswith("prox check")]
+    assert len(grad) == 3 and max(grad) <= 1e-4
+    assert len(prox_err) == 1 and prox_err[0] > 1e-4
 
 
 def test_gradcheck_config_error_exits_1(tmp_path, capsys):
@@ -704,61 +730,62 @@ def test_run_phase_config_error_bases_run(tmp_path, solver):
     assert cmd_run(cfg, tmp_path / "out") == 0
 
 
-@pytest.mark.parametrize(
-    "solver",
-    [
-        # b2 larger than the 200 samples each group holds
-        {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 500, "iters": 5},
-        {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
-         "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 500, "iters": 5},
-        # inverted Adam rate bounds
-        {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
-         "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5, "update_kind": "adam",
-         "adam_clip": [2.0, 1.0]},
-        # Adam second-moment weight outside (0, 1)
-        {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5,
-         "update_kind": "adam", "adam_clip": [1e-4, 1.0], "adam_beta2": 1.5},
-        # malformed fields: an integer field given a fraction or a string
-        {**_SONEX, "iters": 2.5},
-        {**_SONEX, "b1": 2.5},
-        {**_SONEX, "b2": 2.5},
-        {**_SONEX, "b1": "4"},
-        {**_ALEXR2, "k_inner": 2.5},
-        # ... or a float field given NaN
-        {**_SONEX, "lam": math.nan},
-        {**_SONEX, "eta": math.nan},
-        {**_ALEXR2, "lam": math.nan},
-        {**_ALEXR2, "nu": math.nan},
-        {**_ALEXR2, "eta": math.nan},
-        {**_ALEXR2, "alpha": math.nan},
-        # the run-level metric cadence: not a positive integer
-        {**_SONEX, _RUN_LEVEL: {"metric_every": "5"}},
-        {**_SONEX, _RUN_LEVEL: {"metric_every": 0}},
-        {**_SONEX, _RUN_LEVEL: {"metric_every": -3}},
-        {**_SONEX, _RUN_LEVEL: {"metric_every": 2.5}},
-        # run-level keys are not coerced: neither 2.5 nor "2" is a seed
-        {**_SONEX, _RUN_LEVEL: {"seed": 2.5}},
-        {**_SONEX, _RUN_LEVEL: {"seed": "2"}},
-        # a starting point with a NaN, or of the wrong length (d = 5)
-        {**_SONEX, "w0": [math.nan, 0.0, 0.0, 0.0, 0.0]},
-        {**_ALEXR2, "w0": [0.0, 0.0]},
-        # Adam rate bounds that are not a pair
-        {**_SONEX, "update_kind": "adam", "adam_clip": [1e-4, 1.0, 2.0]},
-        # list entries that are not numbers are not coerced
-        {**_SONEX, "w0": ["1", "0", "0", "0", "0"]},
-        {**_SONEX, "w0": [True, False, False, False, False]},
-        {**_SONEX, "update_kind": "adam", "adam_clip": [True, 2]},
-        {**_SONEX, "update_kind": "adam", "adam_clip": ["1e-4", "1"]},
-        # a setting the chosen update would ignore
-        {**_SONEX, "adam_clip": [1e-4, 1.0]},
-        {**_SONEX, "kind": "sgd_baseline", "update_kind": "adam"},
-        # a solver block without its required lam
-        {k: v for k, v in _SONEX.items() if k != "lam"},
-        # the Adam-type update without the rate bounds it always applies
-        {**_SONEX, "update_kind": "adam"},
-        {**_ALEXR2, "update_kind": "adam"},
-    ],
-)
+# explicit ids: deleting a case removes its own id and renames no other
+_PHASE_CONFIG_ERRORS = {
+    # b2 larger than the 200 samples each group holds
+    "solver0": {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 500, "iters": 5},
+    "solver1": {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
+                "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 500, "iters": 5},
+    # inverted Adam rate bounds
+    "solver2": {"kind": "alexr2", "lam": 0.0075, "nu": 0.1, "eta": 0.01, "theta": 0.9, "gamma": 0.1,
+                "beta": 0.5, "alpha": 0.01, "b1": 4, "b2": 8, "iters": 5, "update_kind": "adam",
+                "adam_clip": [2.0, 1.0]},
+    # Adam second-moment weight outside (0, 1)
+    "solver3": {"kind": "sonex", "lam": 0.0075, "eta": 0.02, "b1": 4, "b2": 8, "iters": 5,
+                "update_kind": "adam", "adam_clip": [1e-4, 1.0], "adam_beta2": 1.5},
+    # malformed fields: an integer field given a fraction or a string
+    "solver4": {**_SONEX, "iters": 2.5},
+    "solver5": {**_SONEX, "b1": 2.5},
+    "solver6": {**_SONEX, "b2": 2.5},
+    "solver7": {**_SONEX, "b1": "4"},
+    "solver8": {**_ALEXR2, "k_inner": 2.5},
+    # ... or a float field given NaN
+    "solver9": {**_SONEX, "lam": math.nan},
+    "solver10": {**_SONEX, "eta": math.nan},
+    "solver11": {**_ALEXR2, "lam": math.nan},
+    "solver12": {**_ALEXR2, "nu": math.nan},
+    "solver13": {**_ALEXR2, "eta": math.nan},
+    "solver14": {**_ALEXR2, "alpha": math.nan},
+    # the run-level metric cadence: not a positive integer
+    "solver15": {**_SONEX, _RUN_LEVEL: {"metric_every": "5"}},
+    "solver16": {**_SONEX, _RUN_LEVEL: {"metric_every": 0}},
+    "solver17": {**_SONEX, _RUN_LEVEL: {"metric_every": -3}},
+    "solver18": {**_SONEX, _RUN_LEVEL: {"metric_every": 2.5}},
+    # run-level keys are not coerced: neither 2.5 nor "2" is a seed
+    "solver19": {**_SONEX, _RUN_LEVEL: {"seed": 2.5}},
+    "solver20": {**_SONEX, _RUN_LEVEL: {"seed": "2"}},
+    # a starting point with a NaN, or of the wrong length (d = 5)
+    "solver21": {**_SONEX, "w0": [math.nan, 0.0, 0.0, 0.0, 0.0]},
+    "solver22": {**_ALEXR2, "w0": [0.0, 0.0]},
+    # Adam rate bounds that are not a pair
+    "solver23": {**_SONEX, "update_kind": "adam", "adam_clip": [1e-4, 1.0, 2.0]},
+    # list entries that are not numbers are not coerced
+    "solver24": {**_SONEX, "w0": ["1", "0", "0", "0", "0"]},
+    "solver25": {**_SONEX, "w0": [True, False, False, False, False]},
+    "solver26": {**_SONEX, "update_kind": "adam", "adam_clip": [True, 2]},
+    "solver27": {**_SONEX, "update_kind": "adam", "adam_clip": ["1e-4", "1"]},
+    # a setting the chosen update would ignore
+    "solver28": {**_SONEX, "adam_clip": [1e-4, 1.0]},
+    "solver29": {**_SONEX, "kind": "sgd_baseline", "update_kind": "adam"},
+    # a solver block without its required lam
+    "solver30": {k: v for k, v in _SONEX.items() if k != "lam"},
+    # the Adam-type update without the rate bounds it always applies
+    "solver31": {**_SONEX, "update_kind": "adam"},
+    "solver32": {**_ALEXR2, "update_kind": "adam"},
+}
+
+
+@pytest.mark.parametrize("solver", list(_PHASE_CONFIG_ERRORS.values()), ids=list(_PHASE_CONFIG_ERRORS))
 def test_run_phase_config_error_exits_1(tmp_path, capsys, solver):
     from fcco.cli import main
 

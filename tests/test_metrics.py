@@ -124,7 +124,7 @@ def test_stationarity_identity_t_residual_is_lam():
 
 
 def test_stationarity_residual_bounded_by_lam_times_lipschitz():
-    spec = SyntheticFccoSpec(n=5, d=4, d1=1, inner_kind="affine", outer_kind="cvar_hinge", outer_param=0.2, seed=2)
+    spec = SyntheticFccoSpec(n=5, d=4, d1=1, inner_kind="affine", outer_kind="scaled_hinge", outer_param=5.0, seed=2)
     prob = make_synthetic_fcco(spec)
     gen = np.random.default_rng(3)
     c_f = prob.outer.lipschitz

@@ -11,12 +11,16 @@ one comparison of the last iterate.
 Each run_inner_alexr case runs 50 inner steps from cold trackers and from
 warm ones.  It starts where its hinges are active and below their
 saturation at lam times the slope, so the trackers move the iterate.
+
+The run_alexr2 case takes 4 outer steps of 10, 20, 30 and 40 inner steps
+(k_growth) on the group-DRO inner case, with the trackers handed on
+between outer steps and with a cold start at each.
 """
 
 import numpy as np
 import pytest
 
-from fcco.alexr2 import Alexr2Config, run_inner_alexr
+from fcco.alexr2 import Alexr2Config, run_alexr2, run_inner_alexr
 from fcco.cli import build_problem
 from fcco.core import SeededRng
 from fcco.problems import (
@@ -28,7 +32,7 @@ from fcco.problems import (
     make_synthetic_fcco,
 )
 from fcco.sonex import SonexConfig, run_sonex
-from reference import reference_inner_alexr, reference_sonex
+from reference import reference_alexr2, reference_inner_alexr, reference_sonex
 
 _RTOL = 1e-10  # on ||x_ref - x|| / ||x|| after the last step, for each output x
 _SEED = 5
@@ -112,7 +116,7 @@ def _inner_gaps(case, warm, extrapolated):
         _, u_init, _ = run_inner_alexr(problem, w_t, config, SeededRng(_SEED + 1), k=_INNER_STEPS)
     z, u, _ = run_inner_alexr(problem, w_t, config, SeededRng(_SEED), u_init=u_init, k=_INNER_STEPS)
     theta = config.theta if extrapolated else 0.0
-    z_ref, u_ref = reference_inner_alexr(problem, w_t, config, _SEED, _INNER_STEPS, theta, u_init)
+    z_ref, u_ref = reference_inner_alexr(problem, w_t, config, SeededRng(_SEED), _INNER_STEPS, theta, u_init)
     return np.linalg.norm(z_ref - z) / np.linalg.norm(z), np.linalg.norm(u_ref - u) / np.linalg.norm(u)
 
 
@@ -128,3 +132,28 @@ def test_inner_loop_reference_without_extrapolation_misses(case, warm):
     # the negative control: without the extrapolation both z and u are told
     # apart from the solver's at the same tolerance
     assert min(_inner_gaps(case, warm, extrapolated=False)) > _RTOL
+
+
+def _outer_gap(warm, extrapolated):
+    """Relative distance between run_alexr2's final iterate and the
+    reference's, the reference's inner loops run with the solver's theta or
+    with 0."""
+    make, fields, _ = _INNER_CASES["gdro"]
+    problem = make()
+    config = Alexr2Config(**fields, **_ALEXR2_OUTER, k_inner=10, k_growth=True, iters=4,
+                          warm_start_dual=warm)
+    w = run_alexr2(problem, config, SeededRng(_SEED)).w_final
+    w_ref = reference_alexr2(problem, config, _SEED, config.theta if extrapolated else 0.0)
+    return np.linalg.norm(w_ref - w) / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_run_alexr2_matches_loop_reference(warm):
+    assert _outer_gap(warm, extrapolated=True) <= _RTOL
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_outer_loop_reference_without_extrapolation_misses(warm):
+    # the negative control: inner loops without the extrapolation are told
+    # apart from the solver at the same tolerance
+    assert _outer_gap(warm, extrapolated=False) > _RTOL

@@ -241,8 +241,6 @@ def test_sonex_validate_applies_weakly_convex_lam_gate():
     [
         ("scaled_hinge", 4.0, ScaledHinge(4.0)),
         ("scaled_hinge", None, ScaledHinge(1.0)),
-        ("cvar_hinge", 0.25, ScaledHinge(4.0)),
-        ("cvar_hinge", None, ScaledHinge(1.0 / 0.15)),
         ("gap_hinge", 0.3, GapHinge(0.3)),
         ("gap_hinge", None, GapHinge(0.0)),
         ("identity", None, Identity()),
@@ -250,6 +248,12 @@ def test_sonex_validate_applies_weakly_convex_lam_gate():
 )
 def test_make_outer_table(kind, param, expected):
     assert make_outer(kind, param) == expected
+
+
+def test_make_outer_has_no_cvar_hinge_kind():
+    # the CVaR hinge is ScaledHinge(1/ratio): make_outer spells it scaled_hinge
+    with pytest.raises(ConfigError, match="unknown outer function kind"):
+        make_outer("cvar_hinge", 0.25)
 
 
 # Plain-float per-point reference for the row-stack catalog: the hinge's three
