@@ -21,7 +21,6 @@ from .core import (
     sample_data_batch,
 )
 from .smoothing import (
-    CvarHinge,
     GapHinge,
     Identity,
     ScaledHinge,

@@ -25,7 +25,7 @@ from .core import (
     bounded,
     ensure_finite,
 )
-from .sonex import OuterLoopConfig, _Draws, _run_outer_loop, init_trackers, momentum_step
+from .sonex import OuterLoopConfig, _Draws, _run_outer_loop, gradient_estimate, init_trackers, momentum_step
 from .smoothing import _check_smoothing, dual_tracker_update
 
 __all__ = [
@@ -201,12 +201,10 @@ def run_inner_alexr(
     check_assumptions(problem)
     _check_smoothing(problem.outer, config.lam)
     k = config.k_inner if k is None else k
-    calls = 0
     if u_init is None:
-        u = init_trackers(problem, w_t, config.b2, rng, (_INIT, 0))
-        calls += problem.n
+        u, calls = init_trackers(problem, w_t, config.b2, rng, (_INIT, 0))
     else:
-        u = np.array(u_init, dtype=float)
+        u, calls = np.array(u_init, dtype=float), 0
     z = np.array(w_t, dtype=float)
     gamma_hat = config.gamma_hat
     # fixed over the run, as float64 0-d arrays, which numpy applies faster than
@@ -225,11 +223,10 @@ def run_inner_alexr(
             u, y = dual_tracker_update(problem.outer, config.lam, u, g_tilde, gamma_hat)
         else:
             u[idx], y = dual_tracker_update(problem.outer, config.lam, u[idx], g_tilde, gamma_hat)
-        grad = problem.inner_vjp(idx, z, batch_jac, y)
-        calls += value_calls + len(idx)
-        if draws.additive:
-            grad = grad + problem.additive.grad(z, draws.additive_batch(_ADDITIVE, step))
-            calls += 1
+        grad, grad_calls = gradient_estimate(
+            problem, z, idx, batch_jac, y, draws.additive_batch(_ADDITIVE, step)
+        )
+        calls += value_calls + grad_calls
         z = inner_primal_step(z, pull, grad, eta, denom)
         ensure_finite(z, "inner iterate")
         if on_step is not None:
@@ -261,8 +258,7 @@ def run_alexr2(problem: FccoProblem, config: Alexr2Config, rng: SeededRng) -> So
     def step(state, t: int):
         calls = 0
         if state.u is None or not config.warm_start_dual:
-            state.u = init_trackers(problem, state.w, config.b2, rng, (_INIT, t))
-            calls += problem.n
+            state.u, calls = init_trackers(problem, state.w, config.b2, rng, (_INIT, t))
         k_t = config.schedule(t)
         z_hat, state.u, inner_calls = run_inner_alexr(
             problem, state.w, config, rng.spawn(_COMPONENTS, t), u_init=state.u, k=k_t

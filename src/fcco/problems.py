@@ -21,7 +21,7 @@ from .core import (
     AdditiveTerm, ConfigError, FccoProblem, SeededRng, _check_field_types, bounded, parse_fields,
 )
 from .penalty import ConstrainedProblem, build_penalty_problem
-from .smoothing import CvarHinge, GapHinge, make_outer
+from .smoothing import GapHinge, ScaledHinge, make_outer
 
 __all__ = [
     "SyntheticFccoSpec",
@@ -303,7 +303,7 @@ def make_gdro_cvar(spec: GdroCvarSpec) -> FccoProblem:
     problem = FccoProblem(
         d=d,
         d1=1,
-        outer=CvarHinge(spec.ratio),
+        outer=ScaledHinge(1.0 / spec.ratio),
         inner_value=inner_value,
         inner_vjp=inner_vjp,
         populations=(m,) * n,

@@ -30,7 +30,6 @@ from .core import ConfigError
 
 __all__ = [
     "ScaledHinge",
-    "CvarHinge",
     "GapHinge",
     "Identity",
     "make_outer",
@@ -79,14 +78,6 @@ class ScaledHinge:
         # 0.0 (t - t) up to lam*slope, then t - lam*slope
         t = _as1d(t)
         return t - np.minimum(np.maximum(t, 0.0), lam * self.slope)
-
-
-def CvarHinge(ratio: float) -> ScaledHinge:
-    """f(z) = (1/ratio) * max(z, 0): the hinge appearing in level-(ratio) CVaR
-    threshold objectives, built as ScaledHinge with slope 1/ratio."""
-    if not 0 < ratio <= 1:
-        raise ConfigError("CVaR ratio must lie in (0, 1]")
-    return ScaledHinge(1.0 / ratio)
 
 
 @dataclass(frozen=True)

@@ -164,30 +164,27 @@ class _Draws:
 
 def init_trackers(
     problem: FccoProblem, w0: np.ndarray, b2: int, rng: SeededRng, key: tuple = (_INIT, 0)
-) -> np.ndarray:
-    """One batch estimate of every inner value at w0, from one oracle call;
-    the batches are drawn at ``key`` = (purpose, counter)."""
+) -> tuple[np.ndarray, int]:
+    """(trackers, inner-oracle calls): one batch estimate of every inner value
+    at w0, from one value call over all n components, so n calls; the batches
+    are drawn at ``key`` = (purpose, counter)."""
     draws = _Draws(problem, rng, problem.n, b2)
-    return problem.inner_value(draws.all, w0, draws.batches(*key, draws.all))
+    return problem.inner_value(draws.all, w0, draws.batches(*key, draws.all)), problem.n
 
 
 def gradient_estimate(
-    problem: FccoProblem,
-    state: SonexState,
-    b1_set: np.ndarray,
-    batches: np.ndarray,
-    lam: float,
+    problem: FccoProblem, w: np.ndarray, idx: np.ndarray, batches: np.ndarray, y: np.ndarray,
     additive_batch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mean of the vector-Jacobian products through the tracker envelope
-    gradients over the sampled components, plus the additive-term gradient
-    on ``additive_batch`` (which a problem with an additive term needs);
-    ``batches`` holds one row per sampled component."""
-    y = moreau_grad(problem.outer, lam, state.u[b1_set])
-    acc = problem.inner_vjp(b1_set, state.w, batches, y)
-    if problem.additive is not None:
-        acc = acc + problem.additive.grad(state.w, additive_batch)
-    return acc
+) -> tuple[np.ndarray, int]:
+    """(gradient, inner-oracle calls) at ``w``: the mean over the components
+    ``idx`` of the vector-Jacobian products with the envelope gradients ``y``
+    (one row each, as ``batches``), plus the additive-term gradient on
+    ``additive_batch`` (which a problem with an additive term needs).  The
+    calls are one per component and one for the additive batch."""
+    grad = problem.inner_vjp(idx, w, batches, y)
+    if problem.additive is None:
+        return grad, len(idx)
+    return grad + problem.additive.grad(w, additive_batch), len(idx) + 1
 
 
 def momentum_step(
@@ -323,7 +320,7 @@ def _run_outer_loop(
     beta: float,
     eta: float,
     step: Callable[[SonexState, int], tuple[np.ndarray, int, int]],
-    init_u: Callable[[np.ndarray], np.ndarray] | None = None,
+    init_u: Callable[[np.ndarray], tuple[np.ndarray, int]] | None = None,
 ) -> SolverResult:
     """Outer loop shared by both solvers.
 
@@ -332,20 +329,19 @@ def _run_outer_loop(
     momentum or Adam-type step with mixing ``beta`` and step size ``eta``,
     logs a metric row on the configured cadence, and keeps the iterate at a
     step drawn uniformly from {1..iters} off stream ``tau_stream``.
-    ``init_u(w0)``, when given, fills state.u for n oracle calls.  The
-    config is validated; each step checks only that the new iterate is finite,
-    and each metric row that its F, F_lambda and gradient norm are.  The last
-    row's exact pass is the result's ``final_report``.
+    ``init_u(w0)``, when given, returns state.u's starting value and the
+    inner-oracle calls it made.  The config is validated; each step checks
+    only that the new iterate is finite, and each metric row that its F,
+    F_lambda and gradient norm are.  The last row's exact pass is the
+    result's ``final_report``.
     """
     t0 = time.perf_counter()
     w = np.array(config.w0, dtype=float) if config.w0 is not None else problem.initial_point()
+    u, calls = (None, 0) if init_u is None else init_u(w)
     state = SonexState(
-        w=w,
-        u=None if init_u is None else init_u(w),
-        v=np.zeros(problem.d),
+        w=w, u=u, v=np.zeros(problem.d),
         s=np.zeros(problem.d) if config.update_kind == "adam" else None,
     )
-    calls = 0 if init_u is None else problem.n
     draws = 0
 
     trace = SolverTrace()
@@ -438,14 +434,13 @@ def run_sonex(problem: FccoProblem, config: SonexConfig, rng: SeededRng) -> Solv
     def step(state: SonexState, t: int):
         idx = draws.components(_COMPONENTS, t)
         batches = draws.batches(_BATCH, t, idx)
-        g_new, g_prev, calls = draws.values(problem, idx, batches, state.w, gamma_prime)
-        k = len(idx)
+        g_new, g_prev, value_calls = draws.values(problem, idx, batches, state.w, gamma_prime)
         state.u[idx] = msvr_update(state.u[idx], g_new, g_prev, config.gamma, gamma_prime)
-        grad = gradient_estimate(
-            problem, state, idx, batches, config.lam,
-            additive_batch=draws.additive_batch(_ADDITIVE, t),
+        y = moreau_grad(problem.outer, config.lam, state.u[idx])
+        grad, grad_calls = gradient_estimate(
+            problem, state.w, idx, batches, y, draws.additive_batch(_ADDITIVE, t)
         )
-        return grad, calls + k + (1 if draws.additive else 0), k
+        return grad, value_calls + grad_calls, config.b1
 
     return _run_outer_loop(
         problem, config, rng, _TAU, config.beta, config.eta, step,

@@ -62,22 +62,32 @@ def envelope_gradient(problem: FccoProblem, idx, batches, u, lam: float, w, batc
     return grad
 
 
+def parameter_step(config, eta: float, w, v, s2, grad):
+    """(w, v, s2) after v <- (1 - beta) v + beta G, then w <- w - eta v for
+    the momentum update, or, for the Adam-type update, w <- w - r v with the
+    elementwise rate r = eta / (sqrt(s) + eps) clamped into [eta low,
+    eta high] by ``adam_clip``, and s <- (1 - beta2) s + beta2 G^2 after it."""
+    v = (1.0 - config.beta) * v + config.beta * grad
+    if config.update_kind != "adam":
+        return w - eta * v, v, s2
+    low, high = config.adam_clip
+    rate = eta / (np.sqrt(s2) + _ADAM_EPS)
+    rate = np.minimum(np.maximum(rate, eta * low), eta * high)
+    return w - rate * v, v, (1.0 - config.adam_beta2) * s2 + config.adam_beta2 * grad * grad
+
+
 def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_prime: float) -> np.ndarray:
     """The iterate after ``config.iters`` steps of
 
         u_i <- (1 - gamma) u_i + gamma g_i(w_t; B_i) + gamma' (g_i(w_t; B_i) - g_i(w_{t-1}; B_i))
         G   <- (1/|S|) sum_{i in S} J_i(w_t; B_i)^T (u_i - prox_{lam f}(u_i)) / lam + grad g_0(w_t; B_0)
-        v   <- (1 - beta) v + beta G
 
     (G from ``envelope_gradient``) for every i in the step's component set
-    S, then w <- w - eta v for the momentum update, or, for the Adam-type
-    update, w <- w - r v with the elementwise rate r = eta / (sqrt(s) + eps)
-    clamped into [eta low, eta high] by ``adam_clip``, and
-    s <- (1 - beta2) s + beta2 G^2 after it.  g_i(w; B)
-    is component i's inner value averaged over batch B, J_i its Jacobian and
-    g_0 the additive term.  The trackers start at one batch estimate of
-    every g_i at w_0, and at t = 0 there is no w_{-1}, so the correction
-    term is 0.  ``gamma_prime`` is taken as given, not resolved from the
+    S, then the momentum or Adam-type step of ``parameter_step`` on G with
+    step size eta.  g_i(w; B) is component i's inner value averaged over
+    batch B, J_i its Jacobian and g_0 the additive term.  The trackers start
+    at one batch estimate of every g_i at w_0, and at t = 0 there is no
+    w_{-1}, so the correction term is 0.  ``gamma_prime`` is taken as given, not resolved from the
     config, so that a test can turn the correction off.
     """
     rng = SeededRng(seed)
@@ -95,15 +105,7 @@ def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_
             u[i] = (1.0 - config.gamma) * u[i] + config.gamma * g_now + gamma_prime * (g_now - g_prev)
         grad = envelope_gradient(problem, idx, batches, u, config.lam, w, draws.additive_batch(_ADDITIVE, t))
         w_prev = w
-        v = (1.0 - config.beta) * v + config.beta * grad
-        if config.update_kind == "adam":
-            low, high = config.adam_clip
-            rate = config.eta / (np.sqrt(s2) + _ADAM_EPS)
-            rate = np.minimum(np.maximum(rate, config.eta * low), config.eta * high)
-            w = w - rate * v
-            s2 = (1.0 - config.adam_beta2) * s2 + config.adam_beta2 * grad * grad
-        else:
-            w = w - config.eta * v
+        w, v, s2 = parameter_step(config, config.eta, w, v, s2, grad)
     return w
 
 
@@ -157,26 +159,24 @@ def reference_alexr2(problem: FccoProblem, config: Alexr2Config, seed: int, thet
     """The iterate after ``config.iters`` outer steps of
 
         z   <- reference_inner_alexr from w_t, K_t inner steps, trackers u
-        v   <- (1 - beta) v + beta (w_t - z) / nu
-        w   <- w_t - alpha v
 
-    with K_t = k_inner (1 + t) under ``k_growth`` and k_inner otherwise.
-    Outer step t runs its inner loop on the draws of the child stream
-    (alexr2._COMPONENTS, t) and hands its trackers on to the next step.
-    They start at one batch estimate of every g_i at w_t, drawn from the
+    then the momentum or Adam-type step of ``parameter_step`` on
+    G = (w_t - z) / nu with step size alpha, with K_t = k_inner (1 + t)
+    under ``k_growth`` and k_inner otherwise.  Outer step t runs its inner
+    loop on the draws of the child stream (alexr2._COMPONENTS, t) and hands
+    its trackers on to the next step.  They start at one batch estimate of every g_i at w_t, drawn from the
     outer stream at (alexr2._INIT, t), at t = 0 and, without
     ``warm_start_dual``, at every step.  ``theta`` is passed to the inner
-    loop as given.  The momentum update only.
+    loop as given.
     """
     rng = SeededRng(seed)
     w = problem.initial_point() if config.w0 is None else np.array(config.w0, dtype=float)
-    v = np.zeros(problem.d)
+    v, s2 = np.zeros(problem.d), np.zeros(problem.d)
     u = None
     for t in range(config.iters):
         if u is None or not config.warm_start_dual:
             u = batch_estimates(problem, rng, w, config.b2, alexr2._INIT, t)
         k_t = config.k_inner * (1 + t) if config.k_growth else config.k_inner
         z, u = reference_inner_alexr(problem, w, config, rng.spawn(alexr2._COMPONENTS, t), k_t, theta, u)
-        v = (1.0 - config.beta) * v + config.beta * (w - z) / config.nu
-        w = w - config.alpha * v
+        w, v, s2 = parameter_step(config, config.alpha, w, v, s2, (w - z) / config.nu)
     return w

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from fcco import (
-    CvarHinge,
     GapHinge,
     Identity,
     ScaledHinge,
@@ -52,7 +51,7 @@ from fcco.smoothing import moreau_value
 from fcco.sonex import SonexConfig, run_sonex, theory_hyperparams
 from util import affine_problem, scalar_chain_problem
 
-CATALOG = [ScaledHinge(1.0), CvarHinge(0.15), GapHinge(0.05), Identity()]
+CATALOG = [ScaledHinge(1.0), ScaledHinge(1 / 0.15), GapHinge(0.05), Identity()]
 
 
 def check(num, desc, ok, detail=""):

@@ -12,9 +12,10 @@ Each run_inner_alexr case runs 50 inner steps from cold trackers and from
 warm ones.  It starts where its hinges are active and below their
 saturation at lam times the slope, so the trackers move the iterate.
 
-The run_alexr2 case takes 4 outer steps of 10, 20, 30 and 40 inner steps
+The run_alexr2 cases take 4 outer steps of 10, 20, 30 and 40 inner steps
 (k_growth) on the group-DRO inner case, with the trackers handed on
-between outer steps and with a cold start at each.
+between outer steps and with a cold start at each, under the momentum and
+the Adam-type outer update.
 """
 
 import numpy as np
@@ -50,13 +51,20 @@ _CASES = {
                                 "adam_beta2": 0.1}),
     # an additive term whose batch is sampled: 6 of its 576 pairs per step
     "roc-momentum": ("roc", {**_GDRO, "eta": 0.05, "b2": 6}),
+    # ragged populations of 20 and 9 (core._subsets): at b2 = 4, b2^2 = 16,
+    # so the 20-sample rows are redrawn and the 9-sample rows ranked, the
+    # mixed path; at b2 = 5 every row is ranked, the 9-sample rows padded to
+    # 20.  The 720-pair additive batch is redrawn in both
+    "roc-ragged-momentum": ("roc-ragged", {**_GDRO, "eta": 0.05, "b2": 4}),
+    "roc-ragged-ranked-momentum": ("roc-ragged", {**_GDRO, "eta": 0.05, "b2": 5}),
 }
 
 
 def _problem(kind):
     if kind == "gdro":
         return make_gdro_cvar(GdroCvarSpec())
-    return make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=12, n_neg=12, seed=6))
+    n_pos, n_neg = (20, 9) if kind == "roc-ragged" else (12, 12)
+    return make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=n_pos, n_neg=n_neg, seed=6))
 
 
 def _gap(case, corrected):
@@ -134,26 +142,39 @@ def test_inner_loop_reference_without_extrapolation_misses(case, warm):
     assert min(_inner_gaps(case, warm, extrapolated=False)) > _RTOL
 
 
-def _outer_gap(warm, extrapolated):
+_ADAM_OUTER = dict(update_kind="adam", adam_clip=(1.5, 5.0), adam_beta2=0.1)
+# case id -> (warm_start_dual, outer-update fields).  Under _ADAM_OUTER the
+# clip binds on 14 of the 20 rates, warm and cold: on all 5 at the first step
+# (s = 0), then on two coordinates at the upper bound and one at the lower
+_OUTER_CASES = {
+    "cold": (False, {}),
+    "warm": (True, {}),
+    "adam-cold": (False, _ADAM_OUTER),
+    "adam-warm": (True, _ADAM_OUTER),
+}
+
+
+def _outer_gap(case, extrapolated):
     """Relative distance between run_alexr2's final iterate and the
     reference's, the reference's inner loops run with the solver's theta or
     with 0."""
     make, fields, _ = _INNER_CASES["gdro"]
+    warm, update = _OUTER_CASES[case]
     problem = make()
-    config = Alexr2Config(**fields, **_ALEXR2_OUTER, k_inner=10, k_growth=True, iters=4,
+    config = Alexr2Config(**fields, **_ALEXR2_OUTER, **update, k_inner=10, k_growth=True, iters=4,
                           warm_start_dual=warm)
     w = run_alexr2(problem, config, SeededRng(_SEED)).w_final
     w_ref = reference_alexr2(problem, config, _SEED, config.theta if extrapolated else 0.0)
     return np.linalg.norm(w_ref - w) / np.linalg.norm(w)
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_run_alexr2_matches_loop_reference(warm):
-    assert _outer_gap(warm, extrapolated=True) <= _RTOL
+@pytest.mark.parametrize("case", list(_OUTER_CASES))
+def test_run_alexr2_matches_loop_reference(case):
+    assert _outer_gap(case, extrapolated=True) <= _RTOL
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_outer_loop_reference_without_extrapolation_misses(warm):
+@pytest.mark.parametrize("case", list(_OUTER_CASES))
+def test_outer_loop_reference_without_extrapolation_misses(case):
     # the negative control: inner loops without the extrapolation are told
     # apart from the solver at the same tolerance
-    assert _outer_gap(warm, extrapolated=False) > _RTOL
+    assert _outer_gap(case, extrapolated=False) > _RTOL

@@ -16,11 +16,11 @@ from fcco import (
     sample_data_batch,
 )
 from fcco.alexr2 import Alexr2Config, run_alexr2
+from fcco.smoothing import moreau_grad
 from fcco.metrics import stationarity_report
 from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
 from fcco.sonex import (
     SonexConfig,
-    SonexState,
     adam_step,
     gradient_estimate,
     init_trackers,
@@ -122,7 +122,8 @@ def test_init_trackers_exact_on_full_population():
     spec = SyntheticFccoSpec(n=4, d=3, d1=1, inner_kind="affine", sigma0=0.4, population=12, seed=0)
     prob = make_synthetic_fcco(spec)
     w0 = np.array([0.1, -0.2, 0.3])
-    u = init_trackers(prob, w0, 12, SeededRng(1))
+    u, calls = init_trackers(prob, w0, 12, SeededRng(1))
+    assert calls == 4
     for i in range(4):
         np.testing.assert_allclose(u[i], prob.inner_exact(i, w0))
 
@@ -132,15 +133,16 @@ def test_init_trackers_unbiased_over_seeds():
     prob = make_synthetic_fcco(spec)
     w0 = np.zeros(3)
     b2 = 8
-    means = np.mean([init_trackers(prob, w0, b2, SeededRng(s)) for s in range(300)], axis=0)
+    means = np.mean([init_trackers(prob, w0, b2, SeededRng(s))[0] for s in range(300)], axis=0)
     exact = np.array([prob.inner_exact(i, w0) for i in range(2)])
     # CLT: std of the mean ~ sigma0/sqrt(300*b2)
     tol = 4 * 0.5 / np.sqrt(300 * b2)
     assert np.max(np.abs(means - exact)) < tol
 
 
-def _state(prob, w, u):
-    return SonexState(w=w, u=u, v=np.zeros(prob.d))
+def _estimate(prob, w, u, idx, batches, lam):
+    # the envelope gradients read off the trackers, as run_sonex's step does
+    return gradient_estimate(prob, w, idx, batches, moreau_grad(prob.outer, lam, u[idx]))
 
 
 def test_gradient_estimate_identity_affine_mean():
@@ -150,8 +152,9 @@ def test_gradient_estimate_identity_affine_mean():
     u = np.array([prob.inner_exact(i, w) for i in range(3)])
     b1 = np.array([0, 1, 2])
     batches = np.zeros((3, 1), dtype=int)
-    got = gradient_estimate(prob, _state(prob, w, u), b1, batches, lam=0.1)
+    got, calls = _estimate(prob, w, u, b1, batches, lam=0.1)
     np.testing.assert_allclose(got, A.mean(axis=0))
+    assert calls == 3
 
 
 def test_gradient_estimate_flat_hinge_is_zero():
@@ -159,7 +162,7 @@ def test_gradient_estimate_flat_hinge_is_zero():
     prob = affine_problem(A, [-3.0, -4.0], ScaledHinge(1.0))
     w = np.zeros(2)
     u = np.array([prob.inner_exact(i, w) for i in range(2)])
-    got = gradient_estimate(prob, _state(prob, w, u), np.array([0, 1]), np.zeros((2, 1), dtype=int), 0.2)
+    got, _ = _estimate(prob, w, u, np.array([0, 1]), np.zeros((2, 1), dtype=int), 0.2)
     np.testing.assert_allclose(got, np.zeros(2))
 
 
@@ -168,7 +171,7 @@ def test_gradient_estimate_chain_rule_single_component():
     lam = 0.3
     w = np.array([0.1])  # inside the envelope's quadratic band
     u = np.array([prob.inner_exact(0, w)])
-    got = gradient_estimate(prob, _state(prob, w, u), np.array([0]), np.array([[0]]), lam)
+    got, _ = _estimate(prob, w, u, np.array([0]), np.array([[0]]), lam)
     exact = stationarity_report(prob, w, lam).grad_F_lambda
     np.testing.assert_allclose(got, exact, rtol=1e-12)
 
@@ -256,7 +259,7 @@ def test_run_sonex_stale_trackers_outside_sampled_set():
     cfg = SonexConfig(lam=0.1, eta=1e-3, beta=0.5, gamma=0.4, gamma_prime=0.0, b1=1, b2=2, iters=1)
     rng = SeededRng(33)
     res = run_sonex(prob, cfg, rng)
-    u0 = init_trackers(prob, prob.initial_point(), 2, SeededRng(33))
+    u0, _ = init_trackers(prob, prob.initial_point(), 2, SeededRng(33))
     changed = [i for i in range(prob.n) if not np.array_equal(res.state.u[i], u0[i])]
     assert len(changed) == 1
 
@@ -362,7 +365,7 @@ def test_tracker_error_nonincreasing_and_hits_noise_floor():
         w = np.zeros(4)
         g_exact = np.array([prob.inner_exact(i, w) for i in range(n_comp)])
         rng = SeededRng(seed)
-        u = init_trackers(prob, w, b2, rng)
+        u, _ = init_trackers(prob, w, b2, rng)
         every = np.arange(n_comp)
         for t in range(1, 1001):
             batches = sample_data_batch(rng.philox(7, t), prob.populations, b2)
