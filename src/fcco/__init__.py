@@ -9,13 +9,11 @@ from .core import (
     ConfigError,
     FccoProblem,
     NonFiniteError,
-    OracleError,
     SeededRng,
     SolverAbort,
     SolverResult,
     SolverTrace,
     TraceRow,
-    UnsupportedOperationError,
     parse_fields,
     sample_components,
     sample_data_batch,

@@ -21,7 +21,6 @@ from .core import (
     FccoProblem,
     SeededRng,
     SolverResult,
-    UnsupportedOperationError,
     bounded,
     ensure_finite,
 )
@@ -147,16 +146,14 @@ def check_assumptions(problem: FccoProblem) -> None:
     outer function must be convex, and when the inner maps are only weakly
     convex (no declared smoothness) it must be monotone nondecreasing."""
     if problem.outer.weak_convexity > 0:
-        raise UnsupportedOperationError(
-            "double-loop solver requires convex outer functions"
-        )
+        raise ConfigError("double-loop solver requires convex outer functions")
     if problem.smoothness_inner is None:
         if problem.weak_convexity_inner is None:
             raise ConfigError(
                 "declare smoothness_inner or weak_convexity_inner on the problem"
             )
         if not problem.outer.monotone_nondecreasing:
-            raise UnsupportedOperationError(
+            raise ConfigError(
                 "weakly convex inner maps require monotone nondecreasing outer functions"
             )
 

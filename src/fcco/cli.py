@@ -108,7 +108,9 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-_CONFIG_ERRORS = (OSError, TypeError, ValueError)  # ConfigError, JSONDecodeError are ValueErrors
+# ConfigError and JSONDecodeError are ValueErrors; a Warning is one that a
+# -W error filter raised, a MemoryError a problem too large to build
+_CONFIG_ERRORS = (OSError, TypeError, ValueError, MemoryError, Warning)
 
 
 def _prepare(config_path):

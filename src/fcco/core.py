@@ -27,10 +27,8 @@ __all__ = [
     "ConfigError",
     "bounded",
     "parse_fields",
-    "OracleError",
     "NonFiniteError",
     "SolverAbort",
-    "UnsupportedOperationError",
     "SeededRng",
     "sample_components",
     "sample_data_batch",
@@ -44,19 +42,12 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid solver or problem configuration."""
-
-
-class OracleError(RuntimeError):
-    """An oracle was called with invalid arguments."""
+    """Invalid solver or problem configuration, including a problem outside
+    the assumptions a method or oracle requires."""
 
 
 class NonFiniteError(RuntimeError):
     """A NaN/Inf appeared in a solver iterate."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    """Operation invoked outside the assumptions it requires."""
 
 
 class SolverAbort(RuntimeError):

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FccoProblem, OracleError, UnsupportedOperationError
+from .core import ConfigError, FccoProblem
 from .smoothing import _prox_and_envelope
 
 __all__ = [
@@ -68,9 +68,9 @@ def brute_force_prox(outer, lam: float, t, step: float = 1e-5) -> np.ndarray:
     implementations it validates.
     """
     if outer.dim > 2:
-        raise UnsupportedOperationError("grid prox oracle supports d1 <= 2 only")
+        raise ConfigError("grid prox oracle supports d1 <= 2 only")
     if lam <= 0 or step <= 0:
-        raise OracleError("lam and step must be positive")
+        raise ConfigError("lam and step must be positive")
     t = np.atleast_1d(np.asarray(t, dtype=float))
 
     def objective(v):

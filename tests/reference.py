@@ -76,8 +76,8 @@ def parameter_step(config, eta: float, w, v, s2, grad):
     return w - rate * v, v, (1.0 - config.adam_beta2) * s2 + config.adam_beta2 * grad * grad
 
 
-def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_prime: float) -> np.ndarray:
-    """The iterate after ``config.iters`` steps of
+def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_prime: float) -> list[np.ndarray]:
+    """The iterates w_0, ..., w_T, T = ``config.iters``, of the steps
 
         u_i <- (1 - gamma) u_i + gamma g_i(w_t; B_i) + gamma' (g_i(w_t; B_i) - g_i(w_{t-1}; B_i))
         G   <- (1/|S|) sum_{i in S} J_i(w_t; B_i)^T (u_i - prox_{lam f}(u_i)) / lam + grad g_0(w_t; B_0)
@@ -96,6 +96,7 @@ def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_
     draws = _Draws(problem, rng, config.b1, config.b2)
     v, s2 = np.zeros(problem.d), np.zeros(problem.d)
     w_prev = w
+    iterates = [w]
     for t in range(config.iters):
         idx = draws.components(_COMPONENTS, t)
         batches = draws.batches(_BATCH, t, idx)
@@ -106,7 +107,8 @@ def reference_sonex(problem: FccoProblem, config: SonexConfig, seed: int, gamma_
         grad = envelope_gradient(problem, idx, batches, u, config.lam, w, draws.additive_batch(_ADDITIVE, t))
         w_prev = w
         w, v, s2 = parameter_step(config, config.eta, w, v, s2, grad)
-    return w
+        iterates.append(w)
+    return iterates
 
 
 def reference_inner_alexr(
@@ -155,8 +157,8 @@ def reference_inner_alexr(
     return z, u
 
 
-def reference_alexr2(problem: FccoProblem, config: Alexr2Config, seed: int, theta: float) -> np.ndarray:
-    """The iterate after ``config.iters`` outer steps of
+def reference_alexr2(problem: FccoProblem, config: Alexr2Config, seed: int, theta: float) -> list[np.ndarray]:
+    """The iterates w_0, ..., w_T, T = ``config.iters``, of the outer steps
 
         z   <- reference_inner_alexr from w_t, K_t inner steps, trackers u
 
@@ -173,10 +175,12 @@ def reference_alexr2(problem: FccoProblem, config: Alexr2Config, seed: int, thet
     w = problem.initial_point() if config.w0 is None else np.array(config.w0, dtype=float)
     v, s2 = np.zeros(problem.d), np.zeros(problem.d)
     u = None
+    iterates = [w]
     for t in range(config.iters):
         if u is None or not config.warm_start_dual:
             u = batch_estimates(problem, rng, w, config.b2, alexr2._INIT, t)
         k_t = config.k_inner * (1 + t) if config.k_growth else config.k_inner
         z, u = reference_inner_alexr(problem, w, config, rng.spawn(alexr2._COMPONENTS, t), k_t, theta, u)
         w, v, s2 = parameter_step(config, config.alpha, w, v, s2, (w - z) / config.nu)
-    return w
+        iterates.append(w)
+    return iterates

@@ -10,7 +10,6 @@ from fcco import (
     ScaledHinge,
     SeededRng,
     SolverAbort,
-    UnsupportedOperationError,
 )
 from fcco.alexr2 import (
     Alexr2Config,
@@ -249,7 +248,7 @@ def test_gate_rejects_nonmonotone_outer_with_weakly_convex_inner():
     prob = make_synthetic_fcco(spec)
     prob.smoothness_inner = None
     prob.weak_convexity_inner = 0.5
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ConfigError, match="weakly convex inner maps require monotone nondecreasing outer functions"):
         check_assumptions(prob)
 
 

@@ -22,7 +22,7 @@ from fcco.core import TRACE_HEADER, SeededRng
 from fcco.problems import _TOYS, RocFairnessSpec
 from fcco.smoothing import GapHinge, ScaledHinge
 from fcco.sonex import SonexConfig, run_sonex
-from util import read_trace
+from util import read_trace, scalar_chain_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/workloads/*.json"))
@@ -867,13 +867,16 @@ _ROC_PENALTY = {**_ROC_FCCO, "kind": "roc_fairness", "penalty_slope": 10.0}
         {**_SYNTHETIC, "inner_kind": "sigmoid", "box_radius": 1e300},
         # group means so far out that the declared constants overflow
         {**_GDRO, "group_shift": 1e155},
+        # 10**14 coordinates need 3.2 PB for the inner maps, more than a
+        # 64-bit address space maps, so numpy refuses the allocation at once
+        {**_SYNTHETIC, "d": 10**14},
     ],
     ids=["outer_param", "sigma0", "box_radius", "population", "group_shift", "penalty_slope",
          "margin", "penalty_margin", "toy_unknown_key", "qp_box_center", "qp_box_bound",
          "circle_center", "circle_center_size", "thresholds", "thresholds_empty", "n_pos",
          "penalty_thresholds", "circle_slope_bool", "circle_slope_str", "roc_slope_bool",
          "roc_slope_str", "identity_outer_param", "affine_huge_box", "quadratic_huge_box",
-         "sigmoid_huge_box", "gdro_huge_shift"],
+         "sigmoid_huge_box", "gdro_huge_shift", "synthetic_too_large_to_allocate"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_nonfinite_problem_field_exits_1(tmp_path, capsys, problem):
@@ -1105,3 +1108,43 @@ def test_run_accepts_the_largest_seed(tmp_path):
     # neighbours; 2^53 + 1 is a declared-range error above
     payload = {**_fuzz_payload("run_level"), "seed": 2**53}
     assert _run_quietly(payload, tmp_path) == (0, "")
+
+
+def _beta_half_payload():
+    # the shipped CVaR run at a momentum weight inside (2/7, 1), cut to 5 steps
+    payload = json.loads((ROOT / "configs/gdro_cvar_r015_sonex.json").read_text())
+    payload["solver"].update(beta=0.5, iters=5)
+    return payload
+
+
+def test_run_warning_raised_as_error_exits_1(tmp_path):
+    # tier-1 raises every warning, as python -W error does
+    code, err = _run_quietly(_beta_half_payload(), tmp_path)
+    assert (code, err) == (1, "config error: beta > 2/7 leaves the analyzed regime of the momentum recursion\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_warning_not_raised_runs(tmp_path):
+    with pytest.warns(UserWarning, match="beta > 2/7"):
+        assert _run_quietly(_beta_half_payload(), tmp_path) == (0, "")
+    assert (tmp_path / "out" / "trace.csv").is_file()
+
+
+def test_run_alexr2_outside_assumptions_exits_1(tmp_path, monkeypatch):
+    # the double loop refuses a weakly convex outer when it validates its
+    # config, before anything is written
+    from test_smoothing import ConcaveQuadratic
+
+    problem = scalar_chain_problem(ConcaveQuadratic(0.5))
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: (problem, {}))
+    solver = {"kind": "alexr2", "lam": 0.1, "nu": 0.5, "eta": 0.05, "theta": 0.9, "gamma": 0.1,
+              "beta": 0.5, "alpha": 0.1, "b1": 1, "b2": 1, "iters": 2}
+    code, err = _run_quietly({"seed": 3, "problem": _SYNTHETIC, "solver": solver}, tmp_path)
+    assert (code, err) == (1, "config error: double-loop solver requires convex outer functions\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_not_a_directory_exits_1(tmp_path, capsys):
+    a_file = write_config(tmp_path / "cfg.json", synthetic_run_config())
+    assert cli.main(["bench", str(a_file)]) == 1
+    assert capsys.readouterr() == ("", f"not a directory: {a_file}\n")

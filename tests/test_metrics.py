@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fcco import (
+    ConfigError,
     Identity,
-    OracleError,
     ScaledHinge,
-    UnsupportedOperationError,
     brute_force_prox,
     eval_exact,
     finite_difference_gradient,
@@ -47,7 +46,7 @@ def test_brute_prox_rejects_high_dim():
         dim = 3
         lipschitz = 1.0
 
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ConfigError, match="grid prox oracle supports d1 <= 2 only"):
         brute_force_prox(Big(), 0.1, np.zeros(3))
 
 
@@ -270,6 +269,6 @@ def test_sum_in_order_is_a_running_sum_from_zero():
 
 @pytest.mark.parametrize("lam, step", [(0.0, 1e-5), (0.5, 0.0)], ids=["lam", "step"])
 def test_brute_force_prox_rejects_nonpositive_lam_and_step(lam, step):
-    with pytest.raises(OracleError) as info:
+    with pytest.raises(ConfigError) as info:
         brute_force_prox(ScaledHinge(1.0), lam, [0.2], step=step)
-    assert info.type is OracleError and "lam and step must be positive" in str(info.value)
+    assert info.type is ConfigError and "lam and step must be positive" in str(info.value)

@@ -16,7 +16,14 @@ The run_alexr2 cases take 4 outer steps of 10, 20, 30 and 40 inner steps
 (k_growth) on the group-DRO inner case, with the trackers handed on
 between outer steps and with a cold start at each, under the momentum and
 the Adam-type outer update.
+
+The lockstep cases run longer, 300 sonex steps and 8 alexr2 outer steps
+(10 to 80 inner steps), with a metric row after every step.  Each row's
+values are compared with ``stationarity_report`` at the reference's iterate
+of that row, so a miss is named by the first step it shows at.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ import pytest
 from fcco.alexr2 import Alexr2Config, run_alexr2, run_inner_alexr
 from fcco.cli import build_problem
 from fcco.core import SeededRng
+from fcco.metrics import stationarity_report
 from fcco.problems import (
     GdroCvarSpec,
     RocFairnessSpec,
@@ -74,7 +82,7 @@ def _gap(case, corrected):
     problem, config = _problem(kind), SonexConfig(**fields)
     w = run_sonex(problem, config, SeededRng(_SEED)).w_final
     gamma_prime = config.resolved_gamma_prime(problem.n) if corrected else 0.0
-    w_ref = reference_sonex(problem, config, _SEED, gamma_prime)
+    w_ref = reference_sonex(problem, config, _SEED, gamma_prime)[-1]
     return np.linalg.norm(w_ref - w) / np.linalg.norm(w)
 
 
@@ -164,7 +172,7 @@ def _outer_gap(case, extrapolated):
     config = Alexr2Config(**fields, **_ALEXR2_OUTER, **update, k_inner=10, k_growth=True, iters=4,
                           warm_start_dual=warm)
     w = run_alexr2(problem, config, SeededRng(_SEED)).w_final
-    w_ref = reference_alexr2(problem, config, _SEED, config.theta if extrapolated else 0.0)
+    w_ref = reference_alexr2(problem, config, _SEED, config.theta if extrapolated else 0.0)[-1]
     return np.linalg.norm(w_ref - w) / np.linalg.norm(w)
 
 
@@ -178,3 +186,68 @@ def test_outer_loop_reference_without_extrapolation_misses(case):
     # the negative control: inner loops without the extrapolation are told
     # apart from the solver at the same tolerance
     assert _outer_gap(case, extrapolated=False) > _RTOL
+
+
+_LOCKSTEP_RTOL = 1e-10  # on |x - x_ref| / max(1, |x_ref|), for each value of each row
+_LOCKSTEP_SONEX = ("gdro-momentum", "gdro-adam-clip")
+
+
+def _first_missed_row(problem, lam, trace, iterates):
+    """The iteration of the first trace row whose F, F_lambda, gradient norm
+    or t residual misses ``stationarity_report`` at the reference's iterate
+    of that row, or None when every row matches."""
+    for row in trace.rows:
+        rep = stationarity_report(problem, iterates[row.iteration], lam)
+        got = (row.f_value, row.f_lambda_value, row.grad_norm, row.stat_t_residual)
+        want = (rep.f_value, rep.f_lambda_value, rep.grad_F_lambda_norm, rep.approx_t_residual)
+        if any(abs(x - x_ref) > _LOCKSTEP_RTOL * max(1.0, abs(x_ref)) for x, x_ref in zip(got, want)):
+            return row.iteration
+    return None
+
+
+# the solver runs, shared by each case's test and its control
+@functools.cache
+def _sonex_lockstep_run(case):
+    kind, fields = _CASES[case]
+    problem, config = _problem(kind), SonexConfig(**{**fields, "iters": 300}, metric_every=1)
+    return problem, config, run_sonex(problem, config, SeededRng(_SEED)).trace
+
+
+@functools.cache
+def _alexr2_lockstep_run():
+    make, fields, _ = _INNER_CASES["gdro"]
+    problem = make()
+    config = Alexr2Config(**fields, **_ALEXR2_OUTER, k_inner=10, k_growth=True, iters=8, metric_every=1)
+    return problem, config, run_alexr2(problem, config, SeededRng(_SEED)).trace
+
+
+def _sonex_lockstep_miss(case, corrected):
+    problem, config, trace = _sonex_lockstep_run(case)
+    gamma_prime = config.resolved_gamma_prime(problem.n) if corrected else 0.0
+    return _first_missed_row(problem, config.lam, trace, reference_sonex(problem, config, _SEED, gamma_prime))
+
+
+def _alexr2_lockstep_miss(extrapolated):
+    problem, config, trace = _alexr2_lockstep_run()
+    iterates = reference_alexr2(problem, config, _SEED, config.theta if extrapolated else 0.0)
+    return _first_missed_row(problem, config.lam, trace, iterates)
+
+
+@pytest.mark.parametrize("case", _LOCKSTEP_SONEX)
+def test_run_sonex_trace_matches_loop_reference_in_lockstep(case):
+    missed = _sonex_lockstep_miss(case, corrected=True)
+    assert missed is None, f"first row that missed: iteration {missed}"
+
+
+@pytest.mark.parametrize("case", _LOCKSTEP_SONEX)
+def test_lockstep_reference_without_correction_misses(case):
+    assert _sonex_lockstep_miss(case, corrected=False) is not None
+
+
+def test_run_alexr2_trace_matches_loop_reference_in_lockstep():
+    missed = _alexr2_lockstep_miss(extrapolated=True)
+    assert missed is None, f"first row that missed: iteration {missed}"
+
+
+def test_lockstep_outer_reference_without_extrapolation_misses():
+    assert _alexr2_lockstep_miss(extrapolated=False) is not None

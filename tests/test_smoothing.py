@@ -11,7 +11,6 @@ from fcco import (
     GapHinge,
     Identity,
     ScaledHinge,
-    UnsupportedOperationError,
     dual_tracker_update,
     hinge_moreau_grad_closed_form,
     moreau_grad,
@@ -213,10 +212,10 @@ def test_dual_tracker_rejects_nonconvex_outer():
     # the tracker step takes a convex outer as given: the double loop proves
     # it once per run, in check_assumptions, which its validate() calls
     prob = scalar_chain_problem(ConcaveQuadratic(0.5))
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ConfigError, match="double-loop solver requires convex outer functions"):
         check_assumptions(prob)
     cfg = Alexr2Config(lam=0.1, nu=0.5, eta=0.05, theta=0.9, gamma=0.1, beta=0.5, alpha=0.1)
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(ConfigError, match="double-loop solver requires convex outer functions"):
         cfg.validate(prob)
 
 
