@@ -74,7 +74,6 @@ from .problems import (
     cvar_from_losses,
     make_gdro_cvar,
     make_roc_fairness_fcco,
-    make_roc_fairness_toy,
     make_synthetic_fcco,
     make_toy_constrained,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .alexr2 import Alexr2Config, run_alexr2
-from .core import ConfigError, SeededRng, SolverAbort, _fmt, bounded, parse_fields
+from .core import ConfigError, SeededRng, SolverAbort, _finite_number, _fmt, bounded, parse_fields
 from .metrics import (
     _gram_min_eig,
     brute_force_prox,
@@ -33,7 +33,6 @@ from .problems import (
     SyntheticFccoSpec,
     make_gdro_cvar,
     make_roc_fairness_fcco,
-    make_roc_fairness_toy,
     make_synthetic_fcco,
     make_toy_constrained,
 )
@@ -65,26 +64,28 @@ _PROBLEMS = {
     "gdro_cvar": (GdroCvarSpec, make_gdro_cvar),
     "roc_fairness_fcco": (RocFairnessSpec, make_roc_fairness_fcco),
 }
-# constrained kind -> maker of the ConstrainedProblem behind the penalty
-_CONSTRAINED = {
-    "toy_constrained": lambda cfg: make_toy_constrained(cfg.pop("which", "qp_box"), **cfg),
-    "roc_fairness": lambda cfg: make_roc_fairness_toy(parse_fields(RocFairnessSpec, cfg)),
-}
+_PENALTIES = ("toy_constrained", "roc_fairness")
 
 
 def build_problem(problem_cfg: dict):
-    """Returns (FccoProblem, extras); extras holds the constrained-problem
-    view and penalty parameters when applicable."""
+    """Returns (FccoProblem, extras).  A penalty kind reads ``penalty_slope``
+    and puts it in extras, with the ConstrainedProblem behind the penalty
+    for ``toy_constrained``; ``roc_fairness`` is ``roc_fairness_fcco`` with
+    its gap hinge at that slope."""
     cfg = dict(problem_cfg)
     kind = cfg.pop("kind", None)
-    if kind not in (*_PROBLEMS, *_CONSTRAINED):
+    if kind not in (*_PROBLEMS, *_PENALTIES):
         raise ConfigError(f"unknown problem kind {kind!r}")
-    if kind in _CONSTRAINED:
-        slope = cfg.pop("penalty_slope", 10.0)
-        cp = _CONSTRAINED[kind](cfg)
-        return build_penalty_problem(cp, slope), {"constrained": cp, "penalty_slope": slope}
-    spec_cls, make = _PROBLEMS[kind]
-    return make(parse_fields(spec_cls, cfg)), {}
+    if kind in _PROBLEMS:
+        spec_cls, make = _PROBLEMS[kind]
+        return make(parse_fields(spec_cls, cfg)), {}
+    slope = cfg.pop("penalty_slope", 10.0)
+    if not (_finite_number(slope) and slope > 0):
+        raise ConfigError(f"penalty slope must be a positive finite number, got {slope!r}")
+    if kind == "roc_fairness":
+        return make_roc_fairness_fcco(parse_fields(RocFairnessSpec, cfg), slope), {"penalty_slope": slope}
+    cp = make_toy_constrained(cfg.pop("which", "qp_box"), **cfg)
+    return build_penalty_problem(cp, slope), {"constrained": cp, "penalty_slope": slope}
 
 
 def _solver_config(solver_cfg: dict, run_cfg: RunConfig):
@@ -148,7 +149,7 @@ def _write_outputs(out_dir: Path, run_cfg, problem, extras, kind, solver_cfg, re
     out_dir.mkdir(parents=True, exist_ok=True)
     result.trace.to_csv(out_dir / "trace.csv")
     last = result.trace.last()
-    gram_min, deficient = _gram_min_eig(problem, result.w_final)
+    gram_min, deficient = _gram_min_eig(problem, result.w_final, result.final_report.inner_values)
     report = {
         "config": run_cfg.to_dict(),
         "solver": kind,

@@ -152,15 +152,15 @@ class StationarityReport:
     (plus the additive gradient), and on a penalty problem its column over m
     gives the multipliers.  approx_t_residual is bounded by lam * the outer
     Lipschitz constant.  f_value and f_lambda_value equal eval_exact's
-    (F, F_lam); max_inner_value is the largest inner-value coordinate over the
-    components (the largest constraint value on a penalty problem).
+    (F, F_lam); constraint_values holds the m constraint values c(g_i), read
+    through the outer function, on a penalty problem and is None elsewhere.
     """
 
     grad_F_lambda_norm: float
     approx_t_residual: float
     f_value: float
     f_lambda_value: float
-    max_inner_value: float
+    constraint_values: np.ndarray | None
     grad_F_lambda: np.ndarray
     inner_values: np.ndarray
     envelope_grads: np.ndarray
@@ -181,21 +181,29 @@ def stationarity_report(problem: FccoProblem, w: np.ndarray, lam: float) -> Stat
         approx_t_residual=float(np.max(np.linalg.norm(r, axis=1))),
         f_value=f,
         f_lambda_value=f_lam,
-        max_inner_value=float(np.max(g)),
+        constraint_values=problem.outer.constraint(g) if problem.is_penalty else None,
         grad_F_lambda=acc,
         inner_values=g,
         envelope_grads=y,
     )
 
 
-def _gram_min_eig(problem: FccoProblem, w: np.ndarray) -> tuple[float, bool]:
-    """(smallest eigenvalue of J J^T, rank-deficient by shape) for the
-    (n d1, d) stack J of the exact inner Jacobians at w.  More rows than d
-    make J J^T singular by shape: that reports (0.0, True) and builds no J.
-    A diagnostic for the regularity condition that upgrades the stationarity
-    surrogates to a nearly-stationary guarantee, not a certificate by itself
-    (the theory's threshold constant is existential and cannot be checked)."""
-    if problem.n * problem.d1 > problem.d:
+def _gram_min_eig(problem: FccoProblem, w: np.ndarray, inner_values=None) -> tuple[float, bool]:
+    """(smallest eigenvalue of J J^T, rank-deficient by shape) for the stack
+    J of the exact inner Jacobians at w: its n d1 rows, or on a penalty
+    problem the m constraint gradients J_i^T grad c(g_i), the exact g_i read
+    from ``inner_values`` when a pass at w already holds them.  More rows
+    than d make J J^T singular by shape: that reports (0.0, True) and builds
+    no J.  A diagnostic for the regularity condition that upgrades the
+    stationarity surrogates to a nearly-stationary guarantee, not a
+    certificate by itself (the theory's threshold constant is existential
+    and cannot be checked)."""
+    if (problem.n if problem.is_penalty else problem.n * problem.d1) > problem.d:
         return 0.0, True
-    stacked = np.vstack([problem.inner_jacobian_exact(i, w) for i in range(problem.n)])
+    rows = [problem.inner_jacobian_exact(i, w) for i in range(problem.n)]
+    if problem.is_penalty:
+        if inner_values is None:
+            inner_values = [problem.inner_exact(i, w) for i in range(problem.n)]
+        rows = [problem.outer.constraint_grad(g) @ jac for g, jac in zip(inner_values, rows)]
+    stacked = np.vstack(rows)
     return float(np.linalg.eigvalsh(stacked @ stacked.T)[0]), False

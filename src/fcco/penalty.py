@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdditiveTerm, ConfigError, FccoProblem, _finite_number
+from .core import AdditiveTerm, ConfigError, FccoProblem
 from .metrics import StationarityReport, _gram_min_eig, stationarity_report
 from .smoothing import ScaledHinge
 
@@ -76,9 +76,9 @@ class KktReport:
     """KKT residuals read off the smoothed-penalty metric pass."""
 
     stationarity: float  # ||grad g0 + sum nu_i grad g_i||
-    max_violation: float  # max_i g_i(w)
-    complementarity: float  # sum_i |g_i(w) nu_i|
-    multipliers: np.ndarray  # envelope gradients / m, in [0, slope/m] up to rounding
+    max_violation: float  # max_i c_i(w)
+    complementarity: float  # sum_i |c_i(w) nu_i|
+    multipliers: np.ndarray  # |y_i1| / m, in [0, slope/m] up to rounding
 
 
 @dataclass
@@ -97,9 +97,6 @@ def build_penalty_problem(cp: ConstrainedProblem, slope: float) -> FccoProblem:
     here.  The result is solvable by the single-loop solver when constraints
     are smooth and by the double-loop solver when merely weakly convex.
     """
-    if not (_finite_number(slope) and slope > 0):
-        raise ConfigError(f"penalty slope must be a positive finite number, got {slope!r}")
-
     # forwarders, not cp's oracles: perfbench/tracer.py rebinds those by name
     def inner_value(idx, w, batches):
         return cp.constraint_value(idx, w, batches)
@@ -131,13 +128,16 @@ def kkt_report(cp: ConstrainedProblem, w: np.ndarray, slope: float, lam: float) 
 
 
 def kkt_from_stationarity(rep: StationarityReport) -> KktReport:
-    """KKT residuals of a penalty problem, read off its stationarity report."""
-    g = rep.inner_values[:, 0]
-    nu = rep.envelope_grads[:, 0] / g.size
+    """KKT residuals of a penalty problem, read off its stationarity report.
+    Constraint i's multiplier is |y_i1| / m, y_i its envelope gradient: a
+    hinge's y_i is that nonnegative scalar, and a gap hinge's is
+    |y_i1| grad c(g_i), so J_i^T y_i is |y_i1| times the constraint gradient."""
+    c = rep.constraint_values
+    nu = np.abs(rep.envelope_grads[:, 0]) / c.size
     return KktReport(
         stationarity=rep.grad_F_lambda_norm,
-        max_violation=rep.max_inner_value,
-        complementarity=float(np.sum(np.abs(g * nu))),
+        max_violation=float(np.max(c)),
+        complementarity=float(np.sum(np.abs(c * nu))),
         multipliers=nu,
     )
 

@@ -4,8 +4,7 @@ Every stochastic oracle here is a finite-population model: per-sample
 parameters (including noise) are frozen at construction and empirically
 centered, so the exact values (the batch oracles over the whole population)
 are the population means, and a batch estimate that averages per-sample
-values is unbiased by construction (the ROC penalty's constraint is no such
-average; see ``make_roc_fairness_toy``).
+values is unbiased by construction.
 Declared Lipschitz/smoothness constants are computed from the generated
 parameters over a stated test box.
 """
@@ -30,7 +29,6 @@ __all__ = [
     "make_synthetic_fcco",
     "make_gdro_cvar",
     "make_toy_constrained",
-    "make_roc_fairness_toy",
     "make_roc_fairness_fcco",
     "cvar_from_losses",
 ]
@@ -417,7 +415,8 @@ def make_toy_constrained(kind: str, **params) -> ConstrainedProblem:
 
 @dataclass
 class RocFairnessSpec:
-    """ROC fairness instance shared by the penalty and the compositional form.
+    """ROC fairness instance: a ranking objective under group rate-gap
+    constraints.
 
     ``thresholds`` are the score thresholds (at least one) at which each
     group's true- and false-positive rates are compared; ``margin`` is the
@@ -440,121 +439,74 @@ class RocFairnessSpec:
             raise ConfigError("need at least one threshold")
 
 
-class _RocData:
-    """One ROC fairness instance: its samples, one threshold per constraint
-    and the sizes and feature scale the makers declare."""
+def make_roc_fairness_fcco(spec: RocFairnessSpec, penalty_slope: float | None = None) -> FccoProblem:
+    """The instance in compositional form: one 2-vector of group rates per
+    (threshold, class) through a gap hinge, with the ranking objective as the
+    additive term.  Smooth inner maps, convex outer.  The rates are
+    per-sample averages, so batch values are unbiased.  With a
+    ``penalty_slope`` it is the smoothed hinge penalty of the m rate-gap
+    constraints |rate_groupA - rate_groupB| - margin <= 0: the gap hinge
+    takes that slope and the problem is marked as a penalty problem."""
+    spec.validate()
+    n_pos, n_neg, dim = spec.n_pos, spec.n_neg, spec.dim
+    rng = SeededRng(spec.seed).gen
+    mu_a = rng.normal(size=dim) * 0.5 + 0.3
+    mu_b = rng.normal(size=dim) * 0.5
+    pos_a = rng.normal(size=(n_pos, dim)) + mu_a
+    neg_a = rng.normal(size=(n_neg, dim)) - mu_a
+    pos_b = rng.normal(size=(n_pos, dim)) + mu_b
+    neg_b = rng.normal(size=(n_neg, dim)) - mu_b
+    pos, neg = np.vstack([pos_a, pos_b]), np.vstack([neg_a, neg_b])
+    # component k covers threshold k//2; even k compares positives
+    # (true-positive rates), odd k negatives (false-positive rates).
+    # feats[c] holds class c's samples of both groups side by side,
+    # zero-padded to the larger class size: (2, rows, 2, dim)
+    tau = np.repeat([float(t) for t in spec.thresholds], 2)
+    feats = np.zeros((2, max(n_pos, n_neg), 2, dim))
+    feats[0, :n_pos] = np.stack([pos_a, pos_b], axis=1)
+    feats[1, :n_neg] = np.stack([neg_a, neg_b], axis=1)
+    scale = float(max(np.linalg.norm(x, axis=1).mean() for x in (pos_a, pos_b, neg_a, neg_b)))
 
-    def __init__(self, spec: RocFairnessSpec):
-        spec.validate()
-        n_pos, n_neg, dim = spec.n_pos, spec.n_neg, spec.dim
-        rng = SeededRng(spec.seed).gen
-        mu_a = rng.normal(size=dim) * 0.5 + 0.3
-        mu_b = rng.normal(size=dim) * 0.5
-        pos_a = rng.normal(size=(n_pos, dim)) + mu_a
-        neg_a = rng.normal(size=(n_neg, dim)) - mu_a
-        pos_b = rng.normal(size=(n_pos, dim)) + mu_b
-        neg_b = rng.normal(size=(n_neg, dim)) - mu_b
-        self.margin = float(spec.margin)
-        self.all_pos = np.vstack([pos_a, pos_b])
-        self.all_neg = np.vstack([neg_a, neg_b])
-        # constraint k covers threshold k//2; even k compares positives
-        # (true-positive rates), odd k negatives (false-positive rates).
-        # feats[c] holds class c's samples of both groups side by side,
-        # zero-padded to the larger class size: (2, rows, 2, dim)
-        self.tau = np.repeat([float(t) for t in spec.thresholds], 2)
-        self.feats = np.zeros((2, max(n_pos, n_neg), 2, dim))
-        self.feats[0, :n_pos] = np.stack([pos_a, pos_b], axis=1)
-        self.feats[1, :n_neg] = np.stack([neg_a, neg_b], axis=1)
-        self.populations = (n_pos, n_neg) * len(spec.thresholds)
-        self.scale = float(max(np.linalg.norm(x, axis=1).mean() for x in (pos_a, pos_b, neg_a, neg_b)))
+    def scores(idx, w, batches):
+        x = feats[(idx % 2)[:, None], batches]  # (k, b, 2, dim)
+        return x, x @ w - tau[idx][:, None, None]
 
-    def _scores(self, idx, w, batches):
-        x = self.feats[(idx % 2)[:, None], batches]  # (k, b, 2, dim)
-        return x, x @ w - self.tau[idx][:, None, None]
-
-    def rates(self, idx, w, batches):
-        """(k, 2) group rates of constraints ``idx`` on their batches."""
-        return _sigmoid(self._scores(idx, w, batches)[1]).mean(axis=1)
-
-    def rate_jacobians(self, idx, w, batches):
-        """(k, 2, dim) Jacobians of ``rates``."""
-        x, z = self._scores(idx, w, batches)
-        return (_sigmoid_prime(z)[..., None] * x).mean(axis=1)
-
-    def auc_term(self):
-        pos, neg = self.all_pos, self.all_neg
-        n_pairs = len(pos) * len(neg)
-
-        def value(w):
-            diff = pos @ w
-            return -float(_sigmoid(diff[:, None] - (neg @ w)[None, :]).mean())
-
-        def grad(w, batch):
-            i, j = np.divmod(batch, len(neg))
-            delta = pos[i] - neg[j]
-            sp = _sigmoid_prime(pos[i] @ w - neg[j] @ w)
-            return -(sp[:, None] * delta).mean(axis=0)
-
-        def grad_exact(w):
-            # the pair sum of sp_ij (pos_i - neg_j), grouped by class sample
-            sp = _sigmoid_prime((pos @ w)[:, None] - (neg @ w)[None, :])
-            return -(sp.sum(axis=1) @ pos - sp.sum(axis=0) @ neg) / sp.size
-
-        return AdditiveTerm(value=value, grad=grad, population=n_pairs, grad_exact=grad_exact)
-
-
-def make_roc_fairness_toy(spec: RocFairnessSpec) -> ConstrainedProblem:
-    """Pairwise ranking objective with 2*len(thresholds) rate-gap constraints
-    |rate_groupA - rate_groupB| - margin <= 0, rates being sigmoid means of a
-    linear scorer at each threshold.  Groups are generated with equal class
-    counts so batches index both groups in lockstep.  A batch value,
-    |batch rate gap| - margin, is no per-sample average: by Jensen's inequality
-    it is biased upward wherever batches disagree on the sign of the gap."""
-    data = _RocData(spec)
-
-    def h_value(idx, w, batches):
-        r = data.rates(idx, w, batches)
-        return (np.abs(r[:, 0] - r[:, 1]) - data.margin)[:, None]
-
-    def h_grad(idx, w, batches, Y):
-        # rates and rate_jacobians from one score pass; s * (1 - s) is _sigmoid_prime
-        x, z = data._scores(idx, w, batches)
-        s = _sigmoid(z)
-        r, jac = s.mean(axis=1), ((s * (1.0 - s))[..., None] * x).mean(axis=1)
-        return (Y[:, 0] * np.sign(r[:, 0] - r[:, 1])) @ (jac[:, 0] - jac[:, 1]) / len(idx)
-
-    cp = ConstrainedProblem(
-        d=spec.dim,
-        objective=data.auc_term(),
-        constraint_value=h_value,
-        constraint_grad=h_grad,
-        populations=data.populations,
-        lipschitz_constraints=data.scale / 2.0,
-        smoothness_constraints=None,  # the gap has an absolute-value kink
-        weak_convexity_constraints=0.2 * data.scale**2,
-    )
-    return _validate_constraint_lipschitz(cp)
-
-
-def make_roc_fairness_fcco(spec: RocFairnessSpec) -> FccoProblem:
-    """The same instance in native compositional form: one 2-vector of group
-    rates per (threshold, class) through a gap hinge, with the ranking
-    objective as the additive term.  Smooth inner maps, convex outer."""
-    data = _RocData(spec)
+    def rates(idx, w, batches):
+        """(k, 2) group rates of components ``idx`` on their batches."""
+        return _sigmoid(scores(idx, w, batches)[1]).mean(axis=1)
 
     def inner_vjp(idx, w, batches, Y):
-        return np.einsum("kgd,kg->d", data.rate_jacobians(idx, w, batches), Y) / len(idx)
+        x, z = scores(idx, w, batches)
+        jacobians = (_sigmoid_prime(z)[..., None] * x).mean(axis=1)  # (k, 2, dim)
+        return np.einsum("kgd,kg->d", jacobians, Y) / len(idx)
+
+    def auc_value(w):
+        diff = pos @ w
+        return -float(_sigmoid(diff[:, None] - (neg @ w)[None, :]).mean())
+
+    def auc_grad(w, batch):
+        i, j = np.divmod(batch, len(neg))
+        delta = pos[i] - neg[j]
+        sp = _sigmoid_prime(pos[i] @ w - neg[j] @ w)
+        return -(sp[:, None] * delta).mean(axis=0)
+
+    def auc_grad_exact(w):
+        # the pair sum of sp_ij (pos_i - neg_j), grouped by class sample
+        sp = _sigmoid_prime((pos @ w)[:, None] - (neg @ w)[None, :])
+        return -(sp.sum(axis=1) @ pos - sp.sum(axis=0) @ neg) / sp.size
 
     problem = FccoProblem(
-        d=spec.dim,
+        d=dim,
         d1=2,
-        outer=GapHinge(data.margin),
-        inner_value=data.rates,
+        outer=GapHinge(float(spec.margin), 1.0 if penalty_slope is None else penalty_slope),
+        inner_value=rates,
         inner_vjp=inner_vjp,
-        populations=data.populations,
-        additive=data.auc_term(),
-        lipschitz_inner=math.sqrt(2.0) * data.scale / 4.0,
-        smoothness_inner=0.15 * data.scale**2,
+        populations=(n_pos, n_neg) * len(spec.thresholds),
+        additive=AdditiveTerm(value=auc_value, grad=auc_grad, population=len(pos) * len(neg),
+                              grad_exact=auc_grad_exact),
+        lipschitz_inner=math.sqrt(2.0) * scale / 4.0,
+        smoothness_inner=0.15 * scale**2,
         weak_convexity_inner=None,
+        is_penalty=penalty_slope is not None,
     )
     return _validate_declared_lipschitz(problem, 2.0, spec.seed)

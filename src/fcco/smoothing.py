@@ -5,6 +5,8 @@ its weak-convexity modulus (0 for the convex members), and whether it is
 monotone nondecreasing.  The dimension, monotonicity and weak-convexity
 modulus (and Identity's Lipschitz constant) are class constants, not
 constructor arguments: ``slope`` and ``margin`` are the only parameters.
+The two hinges can serve as the outer function of a penalty problem, and
+each states the constraint function c it penalizes, f = slope * [c]_+.
 ``value`` and ``prox`` take a row stack of shape (..., d1) and work row by
 row: ``value`` returns shape (...,) and ``prox`` the input's shape, so one
 call covers a single point, the n exact inner values of a metric pass or a
@@ -73,6 +75,13 @@ class ScaledHinge:
     def value(self, t):
         return self.slope * _relu(_as1d(t)[..., 0])
 
+    def constraint(self, t):
+        """c(t) = t, one value per row."""
+        return _as1d(t)[..., 0]
+
+    def constraint_grad(self, t) -> np.ndarray:
+        return np.ones_like(_as1d(t))
+
     def prox(self, lam: float, t) -> np.ndarray:
         # argmin_v slope*[v]_+ + (v-t)^2/(2 lam): t up to 0 (t - 0.0), then
         # 0.0 (t - t) up to lam*slope, then t - lam*slope
@@ -82,29 +91,46 @@ class ScaledHinge:
 
 @dataclass(frozen=True)
 class GapHinge:
-    """f(z) = max(|z1 - z2| - margin, 0) over 2-vectors.
+    """f(z) = slope * max(|z1 - z2| - margin, 0) over 2-vectors.
 
     prox splits after rotating to gap/sum coordinates a=(z1-z2)/sqrt2,
     b=(z1+z2)/sqrt2: b is untouched and the gap coordinate solves the prox of
-    the shifted two-sided hinge sqrt2*[|a| - margin/sqrt2]_+, i.e. a dead zone
-    up to margin/sqrt2, a clamp-to-threshold band of width lam*sqrt2, and a
-    soft shift by lam*sqrt2 beyond it.
+    the shifted two-sided hinge slope*sqrt2*[|a| - margin/sqrt2]_+, i.e. a
+    dead zone up to margin/sqrt2, a clamp-to-threshold band of width
+    lam*slope*sqrt2, and a soft shift by lam*slope*sqrt2 beyond it.  Its
+    envelope gradient y has y_2 = -y_1 and |y_1| = min([c]_+, 2 lam slope) /
+    (2 lam) for the constraint c(z) = |z1 - z2| - margin.
     """
 
     dim: ClassVar[int] = 2
     monotone_nondecreasing: ClassVar[bool] = False
     weak_convexity: ClassVar[float] = 0.0
-    lipschitz: ClassVar[float] = math.sqrt(2.0)
 
     margin: float
+    slope: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.margin < math.inf:
             raise ConfigError("gap margin must be nonnegative and finite")
+        if not 0 < self.slope < math.inf:
+            raise ConfigError("gap hinge slope must be positive and finite")
+
+    @property
+    def lipschitz(self) -> float:
+        return self.slope * math.sqrt(2.0)
 
     def value(self, t):
+        return self.slope * _relu(self.constraint(t))
+
+    def constraint(self, t):
+        """c(t) = |t1 - t2| - margin, one value per row."""
         t = _as1d(t)
-        return _relu(np.abs(t[..., 0] - t[..., 1]) - self.margin)
+        return np.abs(t[..., 0] - t[..., 1]) - self.margin
+
+    def constraint_grad(self, t) -> np.ndarray:
+        t = _as1d(t)
+        sign = np.sign(t[..., 0] - t[..., 1])
+        return np.stack([sign, -sign], axis=-1)
 
     def prox(self, lam: float, t) -> np.ndarray:
         t = _as1d(t)
@@ -112,7 +138,7 @@ class GapHinge:
         a = (t[..., 0] - t[..., 1]) * inv
         b = (t[..., 0] + t[..., 1]) * inv
         thr = self.margin * inv
-        width = lam * math.sqrt(2.0)
+        width = lam * self.slope * math.sqrt(2.0)
         s = np.abs(a)
         a_new = np.where(
             s <= thr, a, np.copysign(np.where(s <= thr + width, thr, s - width), a)

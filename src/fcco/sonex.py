@@ -260,7 +260,7 @@ def _metric_row(
         f_lambda_value=rep.f_lambda_value,
         grad_norm=rep.grad_F_lambda_norm,
         stat_t_residual=rep.approx_t_residual,
-        max_violation=rep.max_inner_value if problem.is_penalty else None,
+        max_violation=None if rep.constraint_values is None else float(np.max(rep.constraint_values)),
     ), rep
 
 

@@ -360,7 +360,7 @@ _INNER_RUN_HASHES = {
     "roc-penalty": ({"kind": "roc_fairness", "thresholds": [-1.0, 0.0, 1.0], "margin": 0.05,
                      "n_pos": 20, "n_neg": 24, "seed": 6, "penalty_slope": 4.0},
                     dict(lam=0.01, nu=0.1, eta=0.02, theta=0.9, gamma=0.2, b1=2, b2=8),
-                    "0a0a410559a66a4856f16f4a35ad30b741694f79d3e50cdee232fd0c37b82e98"),
+                    "59bcbcedc358ac0e787f0fa5f11438900d80f9935083e0c45174fff430a74edf"),
 }
 
 

@@ -510,8 +510,8 @@ def test_sampled_trace_does_not_depend_on_blas_threads(tmp_path):
 
 # trace.csv sha256 of short runs down paths no shipped run takes: alexr2 with
 # sampled draws, whose extrapolation evaluates the previous inner iterate on
-# the step's batch, and the constraint oracles of the penalty toys and of the
-# ROC fairness instance under both solvers.  They live here, not in
+# the step's batch, the constraint oracles of the penalty toys, and the ROC
+# fairness penalty (its gap hinge at slope 4) under both solvers.  They live here, not in
 # configs/, so the hashes above stay one per shipped run.
 _PINNED_RUNS = {
     "alexr2-sampled": ({
@@ -531,7 +531,7 @@ _PINNED_RUNS = {
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 0.05, "beta": 0.2, "gamma": 0.4,
                    "b1": 3, "b2": 8, "iters": 60},
         "metric_every": 10,
-    }, "d89cba89de63194ca4d16e944f0743d6c3198aa0a1856bbafec8b5f8b4e417e6"),
+    }, "2011731d7c3842a8395d9da2a4defa68ccd1110686573161d4dc32840d5edcde"),
     "qp-box-sonex": ({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
@@ -556,7 +556,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 8,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "53285396f363ef2f251e7e7bc972044e8df7ff7d1ae02986c5e1e5ad54ba5c24"),
+    }, "e8851bbff1cc0ca3ed2ad2e27e200de18c54f2b11ff08af9810ad5a9683b15bc"),
 }
 
 
@@ -700,6 +700,7 @@ def test_roc_fairness_problem_kinds(tmp_path):
     assert cmd_run(cfg, out) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["final"]["multipliers"]) == 4
+    assert cmd_gradcheck(cfg) == 0  # the prox check runs on the gap hinge at slope 4
 
     fcco_form = {
         "seed": 4,

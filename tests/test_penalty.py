@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcco import ConfigError, Identity, ScaledHinge, SeededRng
-from fcco.metrics import eval_exact, stationarity_report
+from fcco.cli import build_problem
+from fcco.metrics import _gram_min_eig, eval_exact, finite_difference_gradient, stationarity_report
 from fcco.penalty import (
     ConstrainedProblem,
     build_penalty_problem,
+    kkt_from_stationarity,
     kkt_report,
     regularity_check,
     suggest_penalty_slope,
 )
-from fcco.problems import RocFairnessSpec, make_roc_fairness_toy, make_toy_constrained
+from fcco.problems import RocFairnessSpec, make_roc_fairness_fcco, make_toy_constrained
 from fcco.smoothing import hinge_moreau_grad_closed_form, moreau_value
 from fcco.sonex import SonexConfig, run_sonex
 from util import affine_problem
@@ -111,22 +113,68 @@ def test_multiplier_formula_consistency(w0, slope, lam):
     assert rep.multipliers[0] * cp.m * lam == pytest.approx(min(max(g, 0.0), lam * slope), abs=1e-12)
 
 
+def _roc_constraints(pen, w):
+    """The exact rate-gap constraint values |r_A - r_B| - margin, from the
+    rates."""
+    rates = np.array([pen.inner_exact(i, w) for i in range(pen.n)])
+    return np.abs(rates[:, 0] - rates[:, 1]) - pen.outer.margin
+
+
 def test_kkt_report_reads_the_metric_pass():
-    # m = 6 rate-gap constraints; lam*slope = 0.02 leaves inactive, unsaturated
-    # and saturated hinges at these points
-    cp = make_roc_fairness_toy(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0]))
+    # m = 6 rate-gap constraints through the gap hinge, whose multiplier
+    # |y_1| / m is the hinge's at twice lam: 2 lam slope = 0.04 leaves
+    # inactive, unsaturated and saturated hinges at these points
     slope, lam = 10.0, 0.002
-    pen = build_penalty_problem(cp, slope)
+    pen = make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0]), penalty_slope=slope)
     gen = np.random.default_rng(0)
+    regimes = set()
     for _ in range(4):
-        w = 2.0 * gen.normal(size=cp.d)
-        kkt = kkt_report(cp, w, slope, lam)
+        w = 2.0 * gen.normal(size=pen.d)
         rep = stationarity_report(pen, w, lam)
+        kkt = kkt_from_stationarity(rep)
+        c = _roc_constraints(pen, w)
         assert kkt.stationarity == rep.grad_F_lambda_norm
-        assert kkt.max_violation == rep.max_inner_value
-        expect = [hinge_moreau_grad_closed_form(cp.constraint_value_exact(i, w), lam, slope) / cp.m
-                  for i in range(cp.m)]
-        np.testing.assert_allclose(kkt.multipliers, expect, rtol=1e-12)
+        assert kkt.max_violation == pytest.approx(np.max(c), rel=1e-12, abs=1e-15)
+        expect = [hinge_moreau_grad_closed_form(ci, 2.0 * lam, slope) / pen.n for ci in c]
+        np.testing.assert_allclose(kkt.multipliers, expect, rtol=1e-9, atol=1e-12)
+        regimes |= {"inactive" if ci <= 0 else "saturated" if ci >= 2.0 * lam * slope else "unsaturated"
+                    for ci in c}
+    assert regimes == {"inactive", "unsaturated", "saturated"}
+
+
+def _zoom_argmin(fn, lo=-3.0, hi=3.0):
+    """Argmin of fn over [lo, hi] by a grid of 401 points, re-centred on
+    each stage's argmin four times, to a spacing of about 1e-8."""
+    for _ in range(4):
+        grid = np.linspace(lo, hi, 401)
+        k = int(np.argmin([fn(x) for x in grid]))
+        lo, hi = grid[k] - 2.0 * (grid[1] - grid[0]), grid[k] + 2.0 * (grid[1] - grid[0])
+    return grid[k]
+
+
+def test_gap_hinge_multipliers_match_a_grid_searched_kkt_pair():
+    # one threshold and dim = 1: two rate-gap constraints on a scalar w.  The
+    # constrained minimizer w* is found by grid search, and its multiplier
+    # from the KKT condition g0'(w*) + nu c_j'(w*) = 0 on the active
+    # constraint j.  The penalty at slope 4 > m nu, minimized by grid search
+    # at small lam, must read nu off its metric pass
+    slope, lam = 4.0, 1e-4
+    pen = make_roc_fairness_fcco(
+        RocFairnessSpec(thresholds=[0.0], margin=0.05, n_pos=10, n_neg=10, dim=1, seed=0), penalty_slope=slope)
+    objective = pen.additive.value
+    w_star = _zoom_argmin(lambda x: objective([x]) if np.max(_roc_constraints(pen, [x])) <= 0 else np.inf)
+    c_star = _roc_constraints(pen, [w_star])
+    j = int(np.argmax(c_star))
+    assert abs(c_star[j]) <= 1e-6 and c_star[1 - j] < -1e-3  # one active constraint
+    dc_j = finite_difference_gradient(lambda v: _roc_constraints(pen, v)[j], np.array([w_star]))[0]
+    nu = np.zeros(pen.n)
+    nu[j] = -finite_difference_gradient(objective, np.array([w_star]))[0] / dc_j
+    assert 0.1 < nu[j] < slope / pen.n
+
+    w_lam = _zoom_argmin(lambda x: eval_exact(pen, np.array([x]), lam)[1])
+    kkt = kkt_from_stationarity(stationarity_report(pen, np.array([w_lam]), lam))
+    assert abs(w_lam - w_star) <= 1e-3
+    np.testing.assert_allclose(kkt.multipliers, nu, atol=1e-3)
 
 
 def _cp_with_grads(rows):
@@ -175,6 +223,22 @@ def test_regularity_clamps_rounding_below_zero():
     assert math.isfinite(rep.sigma_min)
     assert rep.sigma_min == pytest.approx(0.0, abs=1e-12)
     assert not rep.rank_deficient
+
+
+def test_roc_penalty_gram_reads_the_constraint_gradients():
+    # one threshold, dim 4: m = 2 constraint gradients J_i^T grad c(g_i), not
+    # the 4 rate rows, whose Gram matrix reads 0.00356 here
+    pen, _ = build_problem({"kind": "roc_fairness", "thresholds": [0.0], "margin": 0.05,
+                            "n_pos": 8, "n_neg": 8, "seed": 1, "penalty_slope": 10.0})
+    w = np.array([0.3, -0.2, 0.5, 0.1])
+    fd = np.array([
+        finite_difference_gradient(lambda v, j=j: _roc_constraints(pen, v)[j], w) for j in range(pen.n)
+    ])
+    gram_min, deficient = _gram_min_eig(pen, w)
+    assert not deficient
+    assert gram_min == pytest.approx(np.linalg.eigvalsh(fd @ fd.T)[0], rel=1e-6)
+    # the report writer hands over the inner values of an exact pass at w
+    assert _gram_min_eig(pen, w, stationarity_report(pen, w, 0.01).inner_values) == (gram_min, False)
 
 
 def test_constraint_count_is_the_population_count():

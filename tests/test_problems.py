@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcco import ConfigError, SeededRng
+from fcco.cli import build_problem
 from fcco.metrics import (
     eval_exact,
     finite_difference_gradient,
@@ -18,7 +19,6 @@ from fcco.problems import (
     cvar_from_losses,
     make_gdro_cvar,
     make_roc_fairness_fcco,
-    make_roc_fairness_toy,
     make_synthetic_fcco,
     make_toy_constrained,
 )
@@ -288,57 +288,95 @@ def test_unknown_toy_kind_rejected():
 
 
 def test_roc_large_margin_is_vacuous():
-    cp = make_roc_fairness_toy(RocFairnessSpec([0.0], margin=1.0, seed=1))
+    pen = make_roc_fairness_fcco(RocFairnessSpec([0.0], margin=1.0, seed=1), penalty_slope=1.0)
     gen = np.random.default_rng(4)
     for _ in range(10):
-        w = gen.normal(size=cp.d) * 3
-        for k in range(cp.m):
-            assert cp.constraint_value_exact(k, w) < 0
+        w = gen.normal(size=pen.d) * 3
+        for k in range(pen.n):
+            assert pen.outer.constraint(pen.inner_exact(k, w)) < 0
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))
 
 
 def test_roc_constraint_gradients_match_fd():
-    cp = make_roc_fairness_toy(RocFairnessSpec([-0.5, 0.5], margin=0.01, seed=2))
+    # the rate Jacobians against finite differences of the exact rates, and
+    # each constraint gradient J_k^T grad c(g_k) against finite differences
+    # of the exact constraint |r_A - r_B| - margin
+    pen = make_roc_fairness_fcco(RocFairnessSpec([-0.5, 0.5], margin=0.01, seed=2), penalty_slope=1.0)
     gen = np.random.default_rng(5)
-    w = gen.normal(size=cp.d) * 0.7
-    for k in range(cp.m):
-        exact = cp.constraint_grad_exact(k, w)
-        fd = finite_difference_gradient(
-            lambda v, k=k: cp.constraint_value_exact(k, v), w, h=1e-6
-        )
-        assert np.linalg.norm(fd - exact) / max(1.0, np.linalg.norm(exact)) <= 1e-5
+    w = gen.normal(size=pen.d) * 0.7
+    for k in range(pen.n):
+        jac = pen.inner_jacobian_exact(k, w)
+        fd = np.array([finite_difference_gradient(lambda v, k=k, a=a: pen.inner_exact(k, v)[a], w)
+                       for a in range(2)])
+        assert _rel_err(fd, jac) <= 1e-5
+        exact = pen.outer.constraint_grad(pen.inner_exact(k, w)) @ jac
+        fd = finite_difference_gradient(lambda v, k=k: pen.outer.constraint(pen.inner_exact(k, v)), w)
+        assert _rel_err(fd, exact) <= 1e-5
 
 
 def test_roc_degenerate_group_rejected():
     with pytest.raises(ConfigError):
-        make_roc_fairness_toy(RocFairnessSpec([0.0], margin=0.1, n_pos=0))
+        make_roc_fairness_fcco(RocFairnessSpec([0.0], margin=0.1, n_pos=0), penalty_slope=1.0)
 
 
 def test_roc_fcco_view_matches_constrained_view():
+    # the penalty is the compositional form with its gap hinge at the slope:
+    # the same rates, the constraint values |r_A - r_B| - margin read through
+    # the outer function, and the exact objective of the ranking term plus
+    # slope/m times the constraint hinges
     spec = RocFairnessSpec(thresholds=[-1.0, 1.0], margin=0.05, seed=9)
-    cp = make_roc_fairness_toy(spec)
     prob = make_roc_fairness_fcco(spec)
-    assert prob.n == cp.m
+    pen = make_roc_fairness_fcco(spec, penalty_slope=4.0)
+    assert pen.is_penalty and not prob.is_penalty
     gen = np.random.default_rng(1)
     w = gen.normal(size=prob.d)
+    gaps = []
     for k in range(prob.n):
         rates = prob.inner_exact(k, w)
-        gap = abs(rates[0] - rates[1]) - 0.05
-        assert gap == pytest.approx(cp.constraint_value_exact(k, w), abs=1e-12)
-    # objective agrees too
-    assert prob.additive.value(w) == pytest.approx(cp.objective.value(w))
+        np.testing.assert_array_equal(pen.inner_exact(k, w), rates)
+        gaps.append(abs(rates[0] - rates[1]) - 0.05)
+        assert pen.outer.constraint(rates) == pytest.approx(gaps[-1], abs=1e-12)
+    assert max(gaps) > 0
+    hinges = sum(max(c, 0.0) for c in gaps) / prob.n
+    assert eval_exact(prob, w, 0.01)[0] == pytest.approx(prob.additive.value(w) + hinges, rel=1e-12)
+    assert eval_exact(pen, w, 0.01)[0] == pytest.approx(prob.additive.value(w) + 4.0 * hinges, rel=1e-12)
+
+
+def test_roc_batch_values_are_unbiased():
+    # the rates are per-sample averages, so their batch values average to the
+    # exact rates; the bound was fixed before the first run.  The negative
+    # control is the constraint value the penalty form once sampled,
+    # |batch rate gap| - margin, which Jensen's inequality biases upward
+    # where batches disagree on the sign of the gap: at this point the
+    # largest constraint is near 0, as at a solution, and the scores spread
+    # the per-sample rates
+    draws, b2, bound = 4000, 4, 0.02
+    pen = make_roc_fairness_fcco(RocFairnessSpec([-1.0, 0.0, 1.0], n_pos=20, n_neg=20, seed=6), penalty_slope=4.0)
+    w = np.array([-0.4, -0.25, 0.3, 0.8])
+    idx = np.arange(pen.n)
+    gen = np.random.default_rng(12)
+    rates = np.array([
+        pen.inner_value(idx, w, np.array([gen.choice(20, size=b2, replace=False) for _ in idx]))
+        for _ in range(draws)
+    ])
+    exact = np.array([pen.inner_exact(i, w) for i in idx])
+    assert abs(np.max(pen.outer.constraint(exact))) < 0.01
+    assert np.max(np.abs(rates.mean(axis=0) - exact)) <= bound
+    biased = np.abs(rates[..., 0] - rates[..., 1]) - pen.outer.margin
+    assert np.max(np.abs(biased.mean(axis=0) - pen.outer.constraint(exact))) > bound
 
 
 def _per_component_reference(prob, idx, w, batches, Y):
     """Values and mean VJP assembled by hand from one-component oracle calls:
     the batch average of one-sample calls per component, then the mean over
-    the components of J_i^T y_i, with J_i's rows read off unit-vector VJPs.
-    A constraint's batch value is its own function of the batch (the ROC
-    rate gap is the gap of batch-mean rates), so on a penalty problem each
-    component makes one call over its whole batch instead."""
+    the components of J_i^T y_i, with J_i's rows read off unit-vector VJPs."""
     values, vjps = [], []
     for i, batch, y in zip(idx, batches, Y):
         one = np.array([i])
-        parts = batch[None, None] if prob.is_penalty else batch[:, None, None]
+        parts = batch[:, None, None]
         values.append(np.mean([prob.inner_value(one, w, part)[0] for part in parts], axis=0))
         jac = np.mean(
             [[prob.inner_vjp(one, w, part, e[None]) for e in np.eye(prob.d1)] for part in parts],
@@ -376,8 +414,8 @@ def _assert_close(got, ref, rel=1e-12):
         lambda: build_penalty_problem(make_toy_constrained("qp_box"), 1.0),
         lambda: build_penalty_problem(make_toy_constrained("circle", center=[1.5, -0.5]), 1.0),
         lambda: build_penalty_problem(make_toy_constrained("weakly_convex_1d"), 1.0),
-        lambda: build_penalty_problem(
-            make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)), 1.0),
+        lambda: build_problem({"kind": "roc_fairness", "thresholds": [-0.5, 0.5], "n_pos": 7,
+                               "n_neg": 11, "seed": 5, "penalty_slope": 4.0})[0],
     ],
     ids=["affine", "quadratic", "sigmoid", "gdro_cvar", "roc_fairness_fcco",
          "qp_box", "circle", "weakly_convex_1d", "roc_fairness"],
@@ -405,16 +443,13 @@ def test_batched_oracles_match_per_component_reference(make):
 
 
 def test_penalty_wrapper_matches_constraint_oracles():
-    cp = make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5))
+    cp = make_toy_constrained("circle", center=[1.5, -0.5])
     prob = build_penalty_problem(cp, 4.0)
     gen = np.random.default_rng(9)
-    for k, b in ((1, 2), (3, 5), (prob.n, 7)):
-        idx, w, batches, Y = _random_call(prob, gen, k, b)
-        rows = [(np.array([i]), batch[None]) for i, batch in zip(idx, batches)]
-        ref_values = np.concatenate([cp.constraint_value(i, w, batch) for i, batch in rows])
-        ref_vjp = np.mean([cp.constraint_grad(i, w, batch, y[None]) for (i, batch), y in zip(rows, Y)], axis=0)
-        _assert_close(prob.inner_value(idx, w, batches), ref_values)
-        _assert_close(prob.inner_vjp(idx, w, batches, Y), ref_vjp)
+    for _ in range(3):
+        idx, w, batches, Y = _random_call(prob, gen, 1, 1)
+        _assert_close(prob.inner_value(idx, w, batches), cp.constraint_value(idx, w, batches))
+        _assert_close(prob.inner_vjp(idx, w, batches, Y), cp.constraint_grad(idx, w, batches, Y))
 
 
 @pytest.mark.parametrize(
@@ -423,9 +458,8 @@ def test_penalty_wrapper_matches_constraint_oracles():
         lambda: make_toy_constrained("qp_box"),
         lambda: make_toy_constrained("circle", center=[1.5, -0.5]),
         lambda: make_toy_constrained("weakly_convex_1d"),
-        lambda: make_roc_fairness_toy(RocFairnessSpec(thresholds=[-0.5, 0.5], n_pos=7, n_neg=11, seed=5)),
     ],
-    ids=["qp_box", "circle", "weakly_convex_1d", "roc_fairness"],
+    ids=["qp_box", "circle", "weakly_convex_1d"],
 )
 def test_batched_constraint_oracles_match_one_row_calls(make):
     cp = make()
@@ -465,8 +499,8 @@ def test_declared_constraint_lipschitz_is_checked():
         _validate_constraint_lipschitz(dataclasses.replace(circle, lipschitz_constraints=1.0))
 
 
-@pytest.mark.parametrize("make", [make_roc_fairness_toy, make_roc_fairness_fcco], ids=["toy", "fcco"])
-def test_roc_needs_a_threshold(make):
+@pytest.mark.parametrize("penalty_slope", [4.0, None], ids=["penalty", "fcco"])
+def test_roc_needs_a_threshold(penalty_slope):
     with pytest.raises(ConfigError) as info:
-        make(RocFairnessSpec(()))
+        make_roc_fairness_fcco(RocFairnessSpec(()), penalty_slope)
     assert info.type is ConfigError and "need at least one threshold" in str(info.value)

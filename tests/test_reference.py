@@ -65,6 +65,8 @@ _CASES = {
     # 20.  The 720-pair additive batch is redrawn in both
     "roc-ragged-momentum": ("roc-ragged", {**_GDRO, "eta": 0.05, "b2": 4}),
     "roc-ragged-ranked-momentum": ("roc-ragged", {**_GDRO, "eta": 0.05, "b2": 5}),
+    # the roc_fairness penalty: the same instance with its gap hinge at slope 4
+    "roc-penalty-momentum": ("roc-penalty", {**_GDRO, "eta": 0.05, "b2": 6}),
 }
 
 
@@ -72,7 +74,8 @@ def _problem(kind):
     if kind == "gdro":
         return make_gdro_cvar(GdroCvarSpec())
     n_pos, n_neg = (20, 9) if kind == "roc-ragged" else (12, 12)
-    return make_roc_fairness_fcco(RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=n_pos, n_neg=n_neg, seed=6))
+    spec = RocFairnessSpec(thresholds=[-1.0, 0.0, 1.0], n_pos=n_pos, n_neg=n_neg, seed=6)
+    return make_roc_fairness_fcco(spec, penalty_slope=4.0 if kind == "roc-penalty" else None)
 
 
 def _gap(case, corrected):

@@ -59,6 +59,7 @@ def test_outer_constants_are_class_constants():
             make()
     assert (ScaledHinge(2.0).dim, GapHinge(0.1).dim, Identity().dim) == (1, 2, 1)
     assert Identity().lipschitz == 1.0
+    assert GapHinge(0.1, 4.0).lipschitz == 4.0 * math.sqrt(2.0)
 
 
 def test_hinge_moreau_grad_examples():
@@ -115,9 +116,10 @@ def test_gap_hinge_inactive_region_prox_is_identity():
     t2=st.floats(-3, 3),
     lam=st.floats(1e-2, 1.0),
     margin=st.floats(0.0, 1.0),
+    slope=st.sampled_from([1.0, 0.5, 4.0]),
 )
-def test_gap_hinge_prox_matches_grid_oracle(t1, t2, lam, margin):
-    g = GapHinge(margin)
+def test_gap_hinge_prox_matches_grid_oracle(t1, t2, lam, margin, slope):
+    g = GapHinge(margin, slope)
     t = np.array([t1, t2])
     np.testing.assert_allclose(g.prox(lam, t), brute_force_prox(g, lam, t, step=1e-5), atol=1e-5)
 
@@ -254,7 +256,7 @@ def _ref_value(outer, t):
     if isinstance(outer, ScaledHinge):
         return outer.slope * max(t[0], 0.0)
     if isinstance(outer, GapHinge):
-        return max(abs(t[0] - t[1]) - outer.margin, 0.0)
+        return outer.slope * max(abs(t[0] - t[1]) - outer.margin, 0.0)
     return t[0]
 
 
@@ -270,7 +272,7 @@ def _ref_prox(outer, lam, t):
         a = (t[0] - t[1]) * inv
         b = (t[0] + t[1]) * inv
         thr = outer.margin * inv
-        width = lam * math.sqrt(2.0)
+        width = lam * outer.slope * math.sqrt(2.0)
         s = abs(a)
         if s <= thr:
             a_new = a
@@ -293,14 +295,14 @@ def _ref_moreau(outer, lam, t):
 def _kink_rows(outer, lam):
     """Points on and next to every regime boundary, plus signed zeros; some
     rotated gap rows land exactly on |a| = margin/sqrt2 and on
-    margin/sqrt2 + lam*sqrt2."""
+    margin/sqrt2 + lam*slope*sqrt2."""
     if outer.dim == 1:
         kink = lam * outer.lipschitz
         xs = [0.0, -0.0, kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf), -kink, 2.5, -1.0]
         return [[float(x)] for x in xs]
     inv = 1.0 / math.sqrt(2.0)
     thr = outer.margin * inv
-    edges = [thr, thr + lam * math.sqrt(2.0)]
+    edges = [thr, thr + lam * outer.slope * math.sqrt(2.0)]
     gaps = [0.0, -0.0] + [s * x for x in edges for s in (1.0, -1.0)]
     gaps += [float(np.nextafter(g, d)) for g in gaps[2:] for d in (-np.inf, np.inf)]
     rows = [[(a + b) * inv, (b - a) * inv] for a in gaps for b in (0.0, -0.7, 1.3)]
@@ -308,7 +310,8 @@ def _kink_rows(outer, lam):
 
 
 @pytest.mark.parametrize(
-    "outer", CATALOG + [GapHinge(0.0)], ids=["hinge1", "hinge4", "gap", "identity", "gap0"]
+    "outer", CATALOG + [GapHinge(0.0), GapHinge(0.3, 0.5), GapHinge(0.3, 4.0)],
+    ids=["hinge1", "hinge4", "gap", "identity", "gap0", "gap_slope0.5", "gap_slope4"],
 )
 @pytest.mark.parametrize("lam", [1e-3, 0.25, 1.0])
 def test_row_stack_matches_per_point_reference_bit_for_bit(outer, lam):
@@ -363,11 +366,13 @@ def test_hinge_prox_at_kink_points():
         (lambda: ScaledHinge(math.inf), "hinge slope must be positive and finite"),
         (lambda: GapHinge(-0.1), "gap margin must be nonnegative and finite"),
         (lambda: GapHinge(math.inf), "gap margin must be nonnegative and finite"),
+        (lambda: GapHinge(0.1, 0.0), "gap hinge slope must be positive and finite"),
+        (lambda: GapHinge(0.1, math.inf), "gap hinge slope must be positive and finite"),
         (lambda: hinge_moreau_grad_closed_form(1.0, 0.0, 1.0), "lam and slope must be positive"),
         (lambda: hinge_moreau_grad_closed_form(1.0, 0.1, 0.0), "lam and slope must be positive"),
     ],
-    ids=["slope_zero", "slope_inf", "margin_negative", "margin_inf",
-         "closed_form_lam", "closed_form_slope"],
+    ids=["slope_zero", "slope_inf", "margin_negative", "margin_inf", "gap_slope_zero",
+         "gap_slope_inf", "closed_form_lam", "closed_form_slope"],
 )
 def test_outer_functions_reject_bad_parameters(call, fragment):
     with pytest.raises(ConfigError) as info:
