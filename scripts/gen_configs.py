@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the shipped experiment configs in configs/.
 
-Step sizes for the double-loop runs come from the stability-coupled helpers,
-so the JSON stays consistent with the solver defaults if those change.
+The double-loop run's lam, nu, theta, eta and gamma come from the alexr2
+epsilon map ``theory_config``, so the JSON stays consistent with the
+analysis couplings if those change.
 """
 
 import json
@@ -11,11 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fcco.alexr2 import (  # noqa: E402
-    rho_outer_smoothed,
-    stable_extrapolation,
-    theory_inner_params,
-)
+from fcco.alexr2 import theory_config  # noqa: E402
 from fcco.penalty import build_penalty_problem  # noqa: E402
 from fcco.problems import make_toy_constrained  # noqa: E402
 
@@ -58,34 +55,17 @@ def gdro_cvar_r015(update_kind):
 
 
 def circle_alexr2():
-    cp = make_toy_constrained("circle")
-    slope, eps = 20.0, 0.01
-    lam = eps / slope
-    pen = build_penalty_problem(cp, slope)
-    nu = 0.0125
-    theta = stable_extrapolation(pen, lam, nu, 1)
-    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(pen), pen.n, 1)
+    pen = build_penalty_problem(make_toy_constrained("circle"), 20.0)
+    cfg = theory_config(
+        pen, 0.01, 1, 1, beta=0.5, alpha=0.01, update_kind="adam", adam_beta2=0.1,
+        adam_clip=(1e-4, 1.0), k_inner=700, iters=800, stop_grad_norm=0.005,
+    )
+    shipped = ("lam", "nu", "eta", "theta", "gamma", "beta", "alpha", "update_kind", "adam_beta2",
+               "adam_clip", "k_inner", "iters", "b1", "b2", "stop_grad_norm")
     return {
         "seed": 7,
-        "problem": {"kind": "toy_constrained", "which": "circle", "penalty_slope": slope},
-        "solver": {
-            "kind": "alexr2",
-            "lam": lam,
-            "nu": nu,
-            "eta": eta,
-            "theta": theta,
-            "gamma": gamma,
-            "beta": 0.5,
-            "alpha": 0.01,
-            "update_kind": "adam",
-            "adam_beta2": 0.1,
-            "adam_clip": [1e-4, 1.0],
-            "k_inner": 700,
-            "iters": 800,
-            "b1": 1,
-            "b2": 1,
-            "stop_grad_norm": 0.005,
-        },
+        "problem": {"kind": "toy_constrained", "which": "circle", "penalty_slope": 20.0},
+        "solver": {"kind": "alexr2", **{name: getattr(cfg, name) for name in shipped}},
         "metric_every": 25,
     }
 

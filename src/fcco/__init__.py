@@ -54,9 +54,7 @@ from .alexr2 import (
     rho_outer_smoothed,
     run_alexr2,
     run_inner_alexr,
-    stable_extrapolation,
-    theory_inner_params,
-    theory_outer_stepsize,
+    theory_config,
 )
 from .penalty import (
     ConstrainedProblem,

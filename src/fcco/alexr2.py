@@ -30,9 +30,7 @@ from .smoothing import _check_smoothing, dual_tracker_update
 __all__ = [
     "Alexr2Config",
     "rho_outer_smoothed",
-    "theory_inner_params",
-    "theory_outer_stepsize",
-    "stable_extrapolation",
+    "theory_config",
     "extrapolated_inner_value",
     "inner_primal_step",
     "run_inner_alexr",
@@ -57,50 +55,6 @@ def rho_outer_smoothed(problem: FccoProblem) -> float:
             "problem must declare smoothness_inner or weak_convexity_inner"
         )
     return float(np.sqrt(problem.d1) * c_f * curv)
-
-
-def smoothed_objective_smoothness(nu: float, rho: float) -> float:
-    """Gradient Lipschitz constant (2 - nu rho)/(nu - nu^2 rho) of the
-    nested-smoothed objective."""
-    if not (0 < nu and (rho == 0 or nu < 1.0 / rho)):
-        raise ConfigError("need 0 < nu < 1/rho")
-    return (2.0 - nu * rho) / (nu - nu * nu * rho)
-
-
-def theory_inner_params(
-    theta: float, nu: float, rho: float, n: int, b1: int
-) -> tuple[float, float]:
-    """Analysis coupling of the inner step sizes to the extrapolation theta:
-    eta = (1-theta)/(theta/nu - rho) and gamma = (1-theta) n / b1."""
-    if not 0 < theta < 1:
-        raise ConfigError("theta must lie in (0, 1)")
-    denom = theta / nu - rho
-    if denom <= 0:
-        raise ConfigError("need theta/nu > weak-convexity bound; decrease nu")
-    return (1.0 - theta) / denom, (1.0 - theta) * n / b1
-
-
-def stable_extrapolation(problem: FccoProblem, lam: float, nu: float, b1: int) -> float:
-    """Extrapolation theta keeping the primal-dual coupling stable.
-
-    The contraction argument needs roughly eta * gamma <= lam / (8 C_g^2);
-    with the theta-couplings of theory_inner_params this pins
-    (1-theta)^2 <= lam (1/nu - rho) b1 / (8 C_g^2 n).  The analysis only
-    asserts such a theta exists (1-theta shrinking with the target accuracy);
-    this helper returns the least aggressive one."""
-    if problem.lipschitz_inner is None:
-        raise ConfigError("problem must declare lipschitz_inner")
-    rho = rho_outer_smoothed(problem)
-    mu = 1.0 / nu - rho
-    if mu <= 0:
-        raise ConfigError("nu too large for this problem's curvature bound")
-    bound = lam * mu * b1 / (8.0 * problem.lipschitz_inner**2 * problem.n)
-    one_minus = min(0.3, float(np.sqrt(bound)))
-    return 1.0 - one_minus
-
-
-def theory_outer_stepsize(beta: float, nu: float, rho: float) -> float:
-    return beta / (2.0 * smoothed_objective_smoothness(nu, rho))
 
 
 @dataclass(kw_only=True)
@@ -156,6 +110,49 @@ def check_assumptions(problem: FccoProblem) -> None:
             raise ConfigError(
                 "weakly convex inner maps require monotone nondecreasing outer functions"
             )
+
+
+def theory_config(
+    problem: FccoProblem, eps: float, b1: int, b2: int, *, beta: float, **fields
+) -> Alexr2Config:
+    """Validated config from the analysis couplings at target accuracy ``eps``.
+
+    lam = eps/C_f, as in sonex.theory_hyperparams.  nu = 1/(2 rho) under the
+    weak-convexity bound rho = rho_outer_smoothed: the half is this package's
+    choice, not the paper's (it gives the circle toy's 0.5/40 = 0.0125), and
+    at rho = 0, where nothing bounds nu, the caller passes nu.  The
+    contraction argument needs roughly eta gamma <= lam/(8 C_g^2); with
+    eta = (1-theta)/(theta/nu - rho) and gamma = (1-theta) n/b1 that pins
+    (1-theta)^2 <= lam (1/nu - rho) b1/(8 C_g^2 n).  The analysis only asserts
+    such a theta exists; this is the least aggressive one, with 1-theta at most
+    0.3.  alpha = beta/(2L), with L = (2 - nu rho)/(nu - nu^2 rho) the gradient
+    Lipschitz constant of the nested-smoothed objective.  ``fields`` sets any
+    other Alexr2Config field; a nu, theta or alpha there replaces the derived one.
+    """
+    if not (0 < eps < np.inf and 1 <= b1 <= problem.n):
+        raise ConfigError(f"need 0 < eps < inf and 1 <= b1 <= n={problem.n}, got eps={eps!r}, b1={b1!r}")
+    c_g = problem.lipschitz_inner
+    if c_g is None:
+        raise ConfigError("problem must declare lipschitz_inner")
+    rho = rho_outer_smoothed(problem)
+    nu = fields.pop("nu", 0.5 / rho if rho > 0 else None)
+    if nu is None or not (0 < nu and nu * rho < 1):
+        raise ConfigError(f"pass nu in (0, 1/rho) for rho={rho:.6g}, got nu={nu!r}")
+    lam = eps / problem.outer.lipschitz
+    one_minus = 0.3  # the cap, also where C_g = 0 leaves the coupling vacuous
+    if c_g > 0:
+        one_minus = min(0.3, float(np.sqrt(lam * (1.0 / nu - rho) * b1 / (8.0 * c_g**2 * problem.n))))
+    theta = fields.pop("theta", 1.0 - one_minus)
+    denom = theta / nu - rho
+    if not (0 < theta < 1 and denom > 0):
+        raise ConfigError(f"need 0 < theta < 1 and theta/nu > rho={rho:.6g}, got theta={theta!r}")
+    fields.setdefault("alpha", beta / (2.0 * ((2.0 - nu * rho) / (nu - nu * nu * rho))))
+    config = Alexr2Config(
+        lam=lam, nu=nu, eta=(1.0 - theta) / denom, theta=theta,
+        gamma=(1.0 - theta) * problem.n / b1, beta=beta, b1=b1, b2=b2, **fields,
+    )
+    config.validate(problem)
+    return config
 
 
 def extrapolated_inner_value(

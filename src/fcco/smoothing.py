@@ -140,13 +140,13 @@ class GapHinge:
         thr = self.margin * inv
         width = lam * self.slope * math.sqrt(2.0)
         s = np.abs(a)
-        a_new = np.where(
-            s <= thr, a, np.copysign(np.where(s <= thr + width, thr, s - width), a)
-        )
+        a_new = np.copysign(np.where(s <= thr + width, thr, s - width), a)
         p = np.empty_like(t)
         p[..., 0] = (a_new + b) * inv
         p[..., 1] = (b - a_new) * inv
-        return p
+        # the dead zone returns t itself: rotating there and back leaves
+        # rounding residue in t - prox(t), an inactive constraint's multiplier
+        return np.where((s <= thr)[..., None], t, p)
 
 
 @dataclass(frozen=True)

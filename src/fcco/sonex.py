@@ -236,8 +236,9 @@ def theory_hyperparams(
     gamma, eta jointly.  beta and gamma are clamped into their analyzed
     ranges (0, 2/7] and (0, 1/2].
     """
-    if eps <= 0 or scale <= 0:
-        raise ConfigError("eps and scale must be positive")
+    if not (0 < eps < np.inf and 0 < scale < np.inf and 0 < outer_lipschitz < np.inf):
+        raise ConfigError(f"eps, scale and outer_lipschitz must lie in (0, inf), "
+                          f"got {eps!r}, {scale!r} and {outer_lipschitz!r}")
     lam = eps / outer_lipschitz
     beta = min(scale * min(b1, b2) * eps**2, 2.0 / 7.0)
     gamma = min(scale * b2 * eps**4, 0.5)

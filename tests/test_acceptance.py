@@ -14,14 +14,7 @@ from fcco import (
     ScaledHinge,
     SeededRng,
 )
-from fcco.alexr2 import (
-    Alexr2Config,
-    rho_outer_smoothed,
-    run_alexr2,
-    run_inner_alexr,
-    stable_extrapolation,
-    theory_inner_params,
-)
+from fcco.alexr2 import Alexr2Config, run_alexr2, run_inner_alexr, theory_config
 from fcco.cli import cmd_run
 from fcco.metrics import (
     _golden_section,
@@ -179,13 +172,10 @@ def test_criterion_05_tracker_noise_floor():
 def test_criterion_06_inner_loop_quality():
     # (a) 1-D hinge proximal instance against the grid prox
     prob = scalar_chain_problem(ScaledHinge(1.0))
-    lam, nu = 0.1, 0.5
-    eta, gamma = theory_inner_params(0.9, nu, 0.0, 1, 1)
-    cfg = Alexr2Config(lam=lam, nu=nu, eta=eta, theta=0.9, gamma=gamma, beta=0.5,
-                       alpha=0.1, k_inner=500, b1=1, b2=1)
+    cfg = theory_config(prob, 0.1, 1, 1, nu=0.5, theta=0.9, beta=0.5, alpha=0.1, k_inner=500)
     z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(3))
     grid = np.linspace(-1.0, 2.0, 300001)
-    vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - 1.0) ** 2
+    vals = moreau_value(ScaledHinge(1.0), cfg.lam, grid[:, None]) + (grid - 1.0) ** 2
     z_star = float(grid[int(np.argmin(vals))])
     inner_err = abs(float(z[0]) - z_star)
 
@@ -213,10 +203,10 @@ def test_criterion_06_inner_loop_quality():
                 q[dim] += a
                 return prox_objective(q)
             z_ref[dim] += _golden_section(slice_fn, -0.02, 0.02, tol=1e-13)
-    theta = stable_extrapolation(saddle, lam2, nu2, 1)
-    eta2, gamma2 = theory_inner_params(theta, nu2, 0.0, 3, 1)
-    cfg2 = Alexr2Config(lam=lam2, nu=nu2, eta=eta2, theta=theta, gamma=gamma2, beta=0.5,
-                        alpha=0.1, k_inner=300, b1=3, b2=1)
+    # theta and gamma couple at b1 = 1 while the run draws b1 = 3 components,
+    # which no single theory_config call gives
+    cfg2 = Alexr2Config(lam=lam2, nu=nu2, eta=0.026876766875765047, theta=0.9489885138888607,
+                        gamma=0.15303445833341778, beta=0.5, alpha=0.1, k_inner=300, b1=3, b2=1)
     dists = []
     run_inner_alexr(saddle, w, cfg2, SeededRng(0),
                     on_step=lambda k, zk: dists.append(float(np.linalg.norm(zk - z_ref))))
@@ -229,17 +219,12 @@ def test_criterion_06_inner_loop_quality():
 
 def _solve_toy_alexr2(kind, nu, k_inner, iters, seed=7):
     cp = make_toy_constrained(kind)
-    slope, eps = 20.0, 0.01
-    lam = eps / slope
-    pen = build_penalty_problem(cp, slope)
-    theta = stable_extrapolation(pen, lam, nu, 1)
-    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(pen), pen.n, 1)
-    cfg = Alexr2Config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, beta=0.5,
-                       alpha=0.01, update_kind="adam", adam_beta2=0.1, adam_clip=(1e-4, 1.0),
-                       k_inner=k_inner, iters=iters, b1=1, b2=1,
-                       metric_every=25, stop_grad_norm=5e-3)
+    pen = build_penalty_problem(cp, 20.0)
+    cfg = theory_config(pen, 0.01, 1, 1, nu=nu, beta=0.5, alpha=0.01, update_kind="adam",
+                        adam_beta2=0.1, adam_clip=(1e-4, 1.0), k_inner=k_inner, iters=iters,
+                        metric_every=25, stop_grad_norm=5e-3)
     res = run_alexr2(pen, cfg, SeededRng(seed))
-    return cp, kkt_report(cp, res.w_final, slope, lam), res
+    return cp, kkt_report(cp, res.w_final, 20.0, cfg.lam), res
 
 
 def test_criterion_07_constrained_toys():

@@ -20,14 +20,11 @@ from fcco.alexr2 import (
     rho_outer_smoothed,
     run_alexr2,
     run_inner_alexr,
-    smoothed_objective_smoothness,
-    stable_extrapolation,
-    theory_inner_params,
-    theory_outer_stepsize,
+    theory_config,
 )
 from fcco.cli import _prepare, build_problem
 from fcco.metrics import finite_difference_gradient, stationarity_report
-from fcco.problems import SyntheticFccoSpec, make_synthetic_fcco
+from fcco.problems import GdroCvarSpec, SyntheticFccoSpec, make_gdro_cvar, make_synthetic_fcco
 from fcco.smoothing import moreau_value
 from util import outputs_sha256, scalar_chain_problem
 
@@ -91,9 +88,7 @@ def test_refine_zero_iterations_is_identity():
 def test_refine_prox_accuracy_on_hinge_instance():
     # one long inner run from the anchor refines it to the prox point
     prob = hinge_chain()
-    lam, nu = 0.1, 0.5
-    eta, gamma = theory_inner_params(0.9, nu, 0.0, 1, 1)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, gamma=gamma)
+    cfg = theory_config(prob, 0.1, 1, 1, nu=0.5, theta=0.9, beta=0.5, alpha=0.1)
     z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(4), k=500)
     assert abs(z[0] - 0.5) <= 1e-3  # grid prox of the 1-D instance is 0.5
 
@@ -125,26 +120,21 @@ def test_run_inner_does_not_worsen_stationarity_on_smooth_quadratic():
         population=1, seed=9, linear_scale=0.5, offset_shift=-0.5,
     )
     prob = make_synthetic_fcco(spec)
-    lam, nu = 0.05, 0.1
-    theta = stable_extrapolation(prob, lam, nu, 4)
-    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(prob), 4, 4)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, b1=4, k_inner=600)
+    cfg = theory_config(prob, 0.05, 4, 1, nu=0.1, beta=0.5, alpha=0.1, k_inner=600)
     w = np.full(3, 0.8)
     z, _, _ = run_inner_alexr(prob, w, cfg, SeededRng(2))
-    before = stationarity_report(prob, w, lam).grad_F_lambda_norm
-    after = stationarity_report(prob, z, lam).grad_F_lambda_norm
+    before = stationarity_report(prob, w, cfg.lam).grad_F_lambda_norm
+    after = stationarity_report(prob, z, cfg.lam).grad_F_lambda_norm
     assert after <= before + 1e-9
 
 
 def test_run_inner_hinge_instance_matches_grid_prox():
     # min over z of envelope(z) + (z-1)^2 / (2*0.5); grid says 0.5
     prob = hinge_chain()
-    lam, nu = 0.1, 0.5
-    eta, gamma = theory_inner_params(0.9, nu, 0.0, 1, 1)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, gamma=gamma, k_inner=500)
+    cfg = theory_config(prob, 0.1, 1, 1, nu=0.5, theta=0.9, beta=0.5, alpha=0.1, k_inner=500)
     z, _, _ = run_inner_alexr(prob, np.array([1.0]), cfg, SeededRng(3))
     grid = np.linspace(-1.0, 2.0, 300001)
-    vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - 1.0) ** 2
+    vals = moreau_value(ScaledHinge(1.0), cfg.lam, grid[:, None]) + (grid - 1.0) ** 2
     z_star = grid[int(np.argmin(vals))]
     assert z_star == pytest.approx(0.5, abs=1e-5)
     assert abs(z[0] - z_star) <= 1e-4
@@ -168,9 +158,10 @@ def test_run_inner_contracts_on_quadratic_identity():
         quad += hess_i / 3
         lin += jac0 / 3
     z_star = np.linalg.solve(quad + np.eye(3) / nu, w / nu - lin)
-    theta = stable_extrapolation(prob, lam, nu, 1)
-    eta, gamma = theory_inner_params(theta, nu, 0.0, 3, 3)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, b1=3, k_inner=800)
+    # theta from the stability coupling at b1 = 1, (eta, gamma) from the
+    # theta-coupling at n = b1 = 3 with rho taken as 0: no single map call
+    cfg = default_config(lam=lam, nu=nu, eta=0.003271020010253303, theta=0.9839080848313335,
+                         gamma=0.016091915168666482, b1=3, k_inner=800)
     dists = []
     z, _, _ = run_inner_alexr(
         prob, w, cfg, SeededRng(1), on_step=lambda k, zk: dists.append(np.linalg.norm(zk - z_star))
@@ -194,18 +185,16 @@ def test_prox_residual_matches_envelope_gradient_in_1d():
     # nested-smoothed objective; check against finite differences of a grid
     # evaluation of that envelope
     prob = hinge_chain()
-    lam, nu = 0.1, 0.5
-    eta, gamma = theory_inner_params(0.95, nu, 0.0, 1, 1)
-    cfg = default_config(lam=lam, nu=nu, eta=eta, theta=0.95, gamma=gamma, k_inner=800)
+    cfg = theory_config(prob, 0.1, 1, 1, nu=0.5, theta=0.95, beta=0.5, alpha=0.1, k_inner=800)
 
     def nested_value(wv):
         grid = np.linspace(wv[0] - 2.0, wv[0] + 2.0, 80001)
-        vals = moreau_value(ScaledHinge(1.0), lam, grid[:, None]) + (grid - wv[0]) ** 2 / (2 * nu)
+        vals = moreau_value(ScaledHinge(1.0), cfg.lam, grid[:, None]) + (grid - wv[0]) ** 2 / (2 * cfg.nu)
         return float(np.min(vals))
 
     w = np.array([0.8])
     z, _, _ = run_inner_alexr(prob, w, cfg, SeededRng(5))
-    residual = (w - z) / nu
+    residual = (w - z) / cfg.nu
     fd = finite_difference_gradient(nested_value, w, h=1e-4)
     assert abs(residual[0] - fd[0]) <= 1e-3
 
@@ -286,18 +275,6 @@ def test_batch_size_and_adam_gates():
             default_config(**bad).validate(prob)
 
 
-def test_smoothed_objective_smoothness_needs_nu_below_inverse_rho():
-    for nu, rho in ((2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-0.5, 0.0)):
-        with pytest.raises(ConfigError):
-            smoothed_objective_smoothness(nu, rho)
-    with pytest.raises(ConfigError):
-        theory_outer_stepsize(0.5, 1.0, 1.0)
-    # rho = 0 (convex smoothed objective) puts no upper bound on nu
-    assert smoothed_objective_smoothness(0.5, 0.0) == pytest.approx(4.0)
-    assert smoothed_objective_smoothness(0.5, 1.0) == pytest.approx(1.5 / 0.25)
-    assert theory_outer_stepsize(0.5, 0.5, 0.0) == pytest.approx(0.0625)
-
-
 def test_rho_outer_smoothed_prefers_smoothness():
     prob = hinge_chain()
     prob.smoothness_inner = 2.0
@@ -305,10 +282,6 @@ def test_rho_outer_smoothed_prefers_smoothness():
     assert rho_outer_smoothed(prob) == pytest.approx(2.0)
     prob.smoothness_inner = None
     assert rho_outer_smoothed(prob) == pytest.approx(9.0)
-
-
-def test_theory_outer_stepsize_matches_formula():
-    assert theory_outer_stepsize(0.5, 0.1, 0.0) == pytest.approx(0.5 / (2 * 20.0))
 
 
 def test_dual_restart_and_growth_schedule_run_deterministically():
@@ -332,14 +305,8 @@ def test_outer_residual_norm_trends_down_on_constrained_toy():
     from fcco.penalty import build_penalty_problem
     from fcco.problems import make_toy_constrained
 
-    cp = make_toy_constrained("qp_box")
-    pen = build_penalty_problem(cp, 20.0)
-    lam, nu = 5e-4, 0.1
-    theta = stable_extrapolation(pen, lam, nu, 1)
-    eta, gamma = theory_inner_params(theta, nu, rho_outer_smoothed(pen), 1, 1)
-    cfg = Alexr2Config(lam=lam, nu=nu, eta=eta, theta=theta, gamma=gamma, beta=0.5,
-                       alpha=theory_outer_stepsize(0.5, nu, 0.0), k_inner=250, iters=120,
-                       b1=1, b2=1, metric_every=5)
+    pen = build_penalty_problem(make_toy_constrained("qp_box"), 20.0)
+    cfg = theory_config(pen, 0.01, 1, 1, nu=0.1, beta=0.5, k_inner=250, iters=120, metric_every=5)
     res = run_alexr2(pen, cfg, SeededRng(7))
     rows = [r for r in res.trace.rows if r.iteration > 0 and r.grad_norm > 1e-12]
     xs = np.array([r.iteration for r in rows], dtype=float)
@@ -378,23 +345,89 @@ def _chain(**constants):
     return replace(scalar_chain_problem(ScaledHinge(1.0)), **constants)
 
 
+def _map(eps=0.1, b1=1, smoothness_inner=0.0, lipschitz_inner=1.0, **fields):
+    """theory_config on the 1-D hinge chain, whose rho is its smoothness_inner."""
+    chain = _chain(smoothness_inner=smoothness_inner, lipschitz_inner=lipschitz_inner)
+    return theory_config(chain, eps, b1, 1, beta=0.5, **fields)
+
+
 @pytest.mark.parametrize(
     "call, fragment",
     [
         (lambda: rho_outer_smoothed(_chain(smoothness_inner=None, weak_convexity_inner=None)),
          "problem must declare smoothness_inner or weak_convexity_inner"),
-        (lambda: theory_inner_params(1.0, 0.1, 0.0, 4, 2), "theta must lie in (0, 1)"),
-        (lambda: theory_inner_params(0.5, 1.0, 1.0, 4, 2), "decrease nu"),
-        (lambda: stable_extrapolation(_chain(lipschitz_inner=None), 0.1, 0.1, 1),
-         "problem must declare lipschitz_inner"),
-        (lambda: stable_extrapolation(_chain(smoothness_inner=1.0), 0.1, 2.0, 1), "nu too large"),
+        (lambda: _map(nu=0.1, theta=1.0), "need 0 < theta < 1"),
+        (lambda: _map(smoothness_inner=1.0, nu=0.9, theta=0.5), "theta/nu > rho=1"),
+        (lambda: _map(lipschitz_inner=None, nu=0.1), "problem must declare lipschitz_inner"),
+        (lambda: _map(smoothness_inner=1.0, nu=2.0), "pass nu in (0, 1/rho) for rho=1"),
+        (lambda: _map(smoothness_inner=1.0, nu=1.0), "pass nu in (0, 1/rho) for rho=1"),
+        (lambda: _map(smoothness_inner=1.0, nu=0.0), "pass nu in (0, 1/rho) for rho=1"),
+        (lambda: _map(nu=-0.5), "pass nu in (0, 1/rho) for rho=0"),
+        (lambda: _map(), "pass nu in (0, 1/rho) for rho=0, got nu=None"),
+        (lambda: _map(eps=0.0, nu=0.1), "need 0 < eps < inf"),
+        (lambda: _map(eps=np.nan, nu=0.1), "need 0 < eps < inf"),
+        (lambda: _map(eps=np.inf, nu=0.1), "need 0 < eps < inf"),
+        (lambda: _map(b1=0, nu=0.1, theta=0.9), "1 <= b1 <= n=1"),
         (lambda: check_assumptions(_chain(smoothness_inner=None, weak_convexity_inner=None)),
          "declare smoothness_inner or weak_convexity_inner on the problem"),
     ],
     ids=["rho_no_curvature", "theta_one", "theta_below_rho_nu", "no_lipschitz", "nu_too_large",
-         "assumptions_no_curvature"],
+         "nu_at_inverse_rho", "nu_zero", "nu_negative", "nu_missing_at_rho_zero", "eps_zero",
+         "eps_nan", "eps_inf", "b1_zero", "assumptions_no_curvature"],
 )
 def test_double_loop_helpers_reject_bad_input(call, fragment):
     with pytest.raises(ConfigError) as info:
         call()
     assert info.type is ConfigError and fragment in str(info.value)
+
+
+def test_theory_config_derives_the_documented_values():
+    # on the hinge chain C_f = C_g = n = 1 and rho is the declared smoothness
+    cfg = _map(eps=0.2, smoothness_inner=2.0)
+    one_minus = np.sqrt(0.2 * (1 / 0.25 - 2.0) / 8.0)  # (1-theta)^2 = lam (1/nu - rho) b1 / (8 C_g^2 n)
+    assert (cfg.lam, cfg.nu) == (0.2, 0.25)
+    assert cfg.theta == pytest.approx(1 - one_minus)
+    assert cfg.eta == pytest.approx(one_minus / (cfg.theta / 0.25 - 2.0))
+    assert cfg.gamma == pytest.approx(one_minus)
+    assert _map(eps=10.0, nu=0.5).theta == pytest.approx(0.7)  # 1-theta capped at 0.3
+    # alpha = beta/(2L) with L = (2 - nu rho)/(nu - nu^2 rho): 4, 6 and 20 here
+    for nu, rho, alpha in ((0.5, 0.0, 0.0625), (0.5, 1.0, 0.5 / 12), (0.1, 0.0, 0.5 / 40)):
+        assert _map(smoothness_inner=rho, nu=nu, theta=0.9).alpha == pytest.approx(alpha)
+
+
+def test_theory_config_takes_the_cap_when_inner_lipschitz_is_zero():
+    # a declared C_g = 0 leaves the stability coupling vacuous
+    prob = make_synthetic_fcco(SyntheticFccoSpec(
+        n=3, d=2, inner_kind="affine", outer_kind="scaled_hinge", outer_param=1.0, linear_scale=0.0,
+    ))
+    assert prob.lipschitz_inner == 0.0
+    assert theory_config(prob, 0.1, 1, 1, nu=0.5, beta=0.5).theta == pytest.approx(0.7)
+
+
+# every problem kind the double loop accepts
+_MAP_PROBLEMS = {
+    "gdro_cvar": {"kind": "gdro_cvar"},
+    "synthetic-quadratic": {"kind": "synthetic", "inner_kind": "quadratic", "outer_kind": "scaled_hinge"},
+    "synthetic-sigmoid": {"kind": "synthetic", "d1": 2, "inner_kind": "sigmoid", "outer_kind": "gap_hinge"},
+    **{which: {"kind": "toy_constrained", "which": which, "penalty_slope": 20.0}
+       for which in ("circle", "weakly_convex_1d", "qp_box")},
+    "roc-penalty": {"kind": "roc_fairness", "thresholds": [0.0], "penalty_slope": 4.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MAP_PROBLEMS))
+def test_theory_config_validates_on_an_eps_grid(case):
+    problem, _ = build_problem(_MAP_PROBLEMS[case])
+    fields = {"nu": 0.1} if case == "qp_box" else {}  # rho = 0 leaves nu to the caller
+    for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
+        cfg = theory_config(problem, eps, 1, 1, beta=0.5, **fields)
+        cfg.validate(problem)
+        assert cfg.lam == eps / problem.outer.lipschitz and 0.7 <= cfg.theta < 1
+
+
+def test_theory_config_run_converges_on_gdro_cvar():
+    # the factor 10 was fixed before the first run
+    prob = make_gdro_cvar(GdroCvarSpec())
+    cfg = theory_config(prob, 0.1, 4, 32, beta=0.5, k_inner=10, iters=200, metric_every=200)
+    rows = run_alexr2(prob, cfg, SeededRng(0)).trace.rows
+    assert rows[-1].grad_norm <= rows[0].grad_norm / 10

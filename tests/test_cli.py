@@ -423,9 +423,9 @@ _GOLDEN_TRACES = {
     "configs/circle_sonex.json": "90560cd87eb85d4ed3156215bde02825ec98ede5b616c0609dbbc5b361bce596",
     "configs/gdro_cvar_r015_sgd_baseline.json": "7a65d32996e23febdef702c45edb8ca080221d564605003ca1553429de2a85eb",
     "configs/gdro_cvar_r015_sonex.json": "faac5f66b29becbe4946e25d379ea7164962c78e315d9dfb2fe45203bff4dbe7",
-    "configs/synthetic_a2_sonex.json": "47d693f210e47be35e8542c47f6c767dacc8b40dbb2fd4a2485edb3d65cd129b",
+    "configs/synthetic_a2_sonex.json": "aca3d0d5359a2e3619dcffeefbc89fbe16f078fa43418d9509e4d11af3c7de24",
     "perfbench/workloads/sonex-synth.json": "c510cc97e6104365031ccfafa5addc1be0f1f8a496374dc34e98de099936dc72",
-    "perfbench/workloads/roc-metrics.json": "4bedc900e3d3a16f791a76a39276a9da3d657e9907a72c98753f5019d96d4060",
+    "perfbench/workloads/roc-metrics.json": "e4b131b34c4e87e6cef9ae1100936f744049602ea95aaa70b490279f2531c338",
 }
 _CIRCLE_CONFIGS = ("circle_alexr2", "circle_sonex")
 
@@ -531,7 +531,7 @@ _PINNED_RUNS = {
         "solver": {"kind": "sonex", "lam": 0.01, "eta": 0.05, "beta": 0.2, "gamma": 0.4,
                    "b1": 3, "b2": 8, "iters": 60},
         "metric_every": 10,
-    }, "2011731d7c3842a8395d9da2a4defa68ccd1110686573161d4dc32840d5edcde"),
+    }, "1003e39c1fa4c5de19eec5612f06afcbafce3b50ff29ccc0fdafd05f845b9eaf"),
     "qp-box-sonex": ({
         "seed": 3,
         "problem": {"kind": "toy_constrained", "which": "qp_box", "penalty_slope": 5.0},
@@ -556,7 +556,7 @@ _PINNED_RUNS = {
                    "gamma": 0.2, "beta": 0.5, "alpha": 0.05, "b1": 2, "b2": 8,
                    "k_inner": 20, "iters": 20},
         "metric_every": 5,
-    }, "e8851bbff1cc0ca3ed2ad2e27e200de18c54f2b11ff08af9810ad5a9683b15bc"),
+    }, "a23c5a520bade2449af119827b2a16717bb281afc8e2f166014ed5412194adb1"),
 }
 
 

@@ -1,5 +1,5 @@
-"""scripts/gen_configs.py derives the double-loop step sizes from the
-stability helpers; the shipped configs must be exactly what it writes."""
+"""scripts/gen_configs.py derives the double-loop step sizes from the alexr2
+epsilon map theory_config; the shipped configs must be exactly what it writes."""
 
 import importlib.util
 from pathlib import Path

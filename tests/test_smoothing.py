@@ -104,10 +104,13 @@ def test_identity_prox_and_envelope():
 
 
 def test_gap_hinge_inactive_region_prox_is_identity():
+    # exactly: a rotation there and back would leave residue in the envelope
+    # gradient, an inactive constraint's multiplier
     g = GapHinge(0.5)
-    t = np.array([0.3, 0.1])  # |gap| = 0.2 < margin
-    np.testing.assert_allclose(g.prox(0.2, t), t)
-    assert g.value(t) == 0.0
+    t = np.array([[0.3, 0.1], [0.7, 0.45], [-0.2, 0.1]])  # |gap| < margin on each row
+    np.testing.assert_array_equal(g.prox(0.2, t), t)
+    np.testing.assert_array_equal(moreau_grad(g, 0.2, t), 0.0)
+    np.testing.assert_array_equal(g.value(t), 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,8 +278,8 @@ def _ref_prox(outer, lam, t):
         width = lam * outer.slope * math.sqrt(2.0)
         s = abs(a)
         if s <= thr:
-            a_new = a
-        elif s <= thr + width:
+            return list(t)
+        if s <= thr + width:
             a_new = math.copysign(thr, a)
         else:
             a_new = math.copysign(s - width, a)

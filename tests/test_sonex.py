@@ -409,12 +409,12 @@ def test_component_batches_do_not_depend_on_the_drawn_set():
     [
         (lambda: msvr_correction_default(4, 0, 0.5), "need 1 <= b1 <= n"),
         (lambda: msvr_correction_default(4, 5, 0.5), "need 1 <= b1 <= n"),
-        (lambda: theory_hyperparams(0.0, n=1, b1=1, b2=1, outer_lipschitz=1.0),
-         "eps and scale must be positive"),
-        (lambda: theory_hyperparams(0.1, n=1, b1=1, b2=1, outer_lipschitz=1.0, scale=0.0),
-         "eps and scale must be positive"),
+        (lambda: theory_hyperparams(0.0, n=1, b1=1, b2=1, outer_lipschitz=1.0), "must lie in (0, inf)"),
+        (lambda: theory_hyperparams(0.1, n=1, b1=1, b2=1, outer_lipschitz=1.0, scale=0.0), "must lie in (0, inf)"),
+        (lambda: theory_hyperparams(np.nan, n=1, b1=1, b2=1, outer_lipschitz=1.0), "must lie in (0, inf)"),
+        (lambda: theory_hyperparams(0.1, n=1, b1=1, b2=1, outer_lipschitz=0.0), "must lie in (0, inf)"),
     ],
-    ids=["b1_zero", "b1_above_n", "eps_zero", "scale_zero"],
+    ids=["b1_zero", "b1_above_n", "eps_zero", "scale_zero", "eps_nan", "outer_lipschitz_zero"],
 )
 def test_theory_helpers_reject_bad_input(call, fragment):
     with pytest.raises(ConfigError) as info:
